@@ -9,10 +9,8 @@ families, each certified by exact intertwiners.
 from .algebra import (
     AlgebraContext,
     Element,
-    add,
     defining_relations,
     pairing,
-    scale,
     star,
     tau_hat,
     verify_basis,
@@ -38,6 +36,7 @@ from .cellular import (
     pi_tilde_bracket,
     simple_dim,
     simple_module,
+    simple_of,
     simples_table,
     subcell_module,
     x_lambda_c,

@@ -18,14 +18,11 @@ of size ell^r * r!. Multiplication pushes x's to the left with the mixed
 relations and rewrites overflowing powers x_j^ell through cached expansions.
 The x_j^ell cache is populated once at context construction (warm-up);
 elements are immutable values and every operation is deterministic. The
-remaining per-context lookup caches fill in lazily but idempotently, so
-concurrent use after warm-up is safe under the interpreter lock.
+remaining per-context lookup caches fill in lazily and idempotently.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from itertools import product
 
@@ -81,13 +78,10 @@ def _exchange(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
 class AlgebraContext:
     """
     Fixed (ell, r, omega) with all rewriting caches. Constructing the context
-    performs the warm-up (normal forms of x_j^ell for every j); if
-    ``cache_dir`` or the CELLULAR_HECKE_CACHE environment variable points at
-    a directory, the warm-up is persisted there and reloaded on the next run.
+    performs the warm-up (normal forms of x_j^ell for every j).
     """
 
-    def __init__(self, ell: int, r: int, omega: tuple[int, ...],
-                 cache_dir: str | None = None):
+    def __init__(self, ell: int, r: int, omega: tuple[int, ...]):
         if ell < 1 or r < 1:
             raise ValueError("need ell >= 1 and r >= 1")
         omega = tuple(int(w) for w in omega)
@@ -100,9 +94,7 @@ class AlgebraContext:
         self._xred: dict[Exps, dict[TermKey, Fraction]] = {}
         self._basis: list[TermKey] | None = None
         self._basis_index: dict[TermKey, int] | None = None
-        if cache_dir is None:
-            cache_dir = os.environ.get("CELLULAR_HECKE_CACHE")
-        self._xl = self._warm_up(cache_dir)
+        self._xl = self._warm_up()
 
     # -- construction of elements -------------------------------------------
 
@@ -170,11 +162,7 @@ class AlgebraContext:
 
     # -- rewriting machinery --------------------------------------------------
 
-    def _warm_up(self, cache_dir: str | None) -> list[dict[TermKey, Fraction]]:
-        if cache_dir:
-            loaded = self._load_cache(cache_dir)
-            if loaded is not None:
-                return loaded
+    def _warm_up(self) -> list[dict[TermKey, Fraction]]:
         ell, r = self.ell, self.r
         # monic expansion of (X - omega_1)...(X - omega_ell)
         poly = [Fraction(1)]
@@ -220,8 +208,6 @@ class AlgebraContext:
                 elif key in cur:
                     del cur[key]
             xl.append(cur)
-        if cache_dir:
-            self._save_cache(cache_dir, xl)
         return xl
 
     def _x_reduce(self, exps: Exps) -> dict[TermKey, Fraction]:
@@ -282,44 +268,6 @@ class AlgebraContext:
                     _acc(out, (d, perm_mul(z, uv)), coef * coef2)
         return out
 
-    # -- cache persistence ----------------------------------------------------
-
-    def _cache_path(self, cache_dir: str) -> str:
-        tag = f"xl-{self.ell}-{self.r}-" + "_".join(str(w) for w in self.omega)
-        return os.path.join(cache_dir, tag + ".json")
-
-    def _load_cache(self, cache_dir: str):
-        path = self._cache_path(cache_dir)
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("ell") != self.ell or data.get("r") != self.r \
-                or tuple(data.get("omega", ())) != self.omega:
-            return None
-        out = []
-        for terms in data["xl"]:
-            d = {}
-            for a, w, coef in terms:
-                d[(tuple(a), tuple(w))] = _parse_coef(coef)
-            out.append(d)
-        return out
-
-    def _save_cache(self, cache_dir: str, xl) -> None:
-        os.makedirs(cache_dir, exist_ok=True)
-        data = {
-            "ell": self.ell,
-            "r": self.r,
-            "omega": list(self.omega),
-            "xl": [
-                sorted([list(a), list(w), _format_coef(c)]
-                       for (a, w), c in terms.items())
-                for terms in xl
-            ],
-        }
-        with open(self._cache_path(cache_dir), "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-
     def __repr__(self) -> str:
         return f"AlgebraContext(ell={self.ell}, r={self.r}, omega={self.omega})"
 
@@ -330,14 +278,6 @@ def _acc(d: dict, key, val) -> None:
         d[key] = cur
     elif key in d:
         del d[key]
-
-
-def _format_coef(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _parse_coef(text: str) -> Fraction:
-    return Fraction(text)
 
 
 class Element:
@@ -410,14 +350,6 @@ class Element:
             xs = ".".join(f"x{i+1}^{e}" for i, e in enumerate(a) if e)
             bits.append(f"{c}*{xs or '1'}*{w}")
         return " + ".join(bits)
-
-
-def add(h1: Element, h2: Element) -> Element:
-    return h1 + h2
-
-
-def scale(c, h: Element) -> Element:
-    return h * Fraction(c)
 
 
 def star(h: Element) -> Element:

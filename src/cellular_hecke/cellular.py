@@ -446,6 +446,19 @@ def simple_module(module: CellModuleRealization) -> ModuleRealization:
     )
 
 
+def simple_of(ctx: AlgebraContext, family: BasisFamily,
+              lam: Multipartition) -> ModuleRealization | None:
+    """
+    The simple module of the family at ``lam``: the quotient of its cell
+    module by the radical of the Gram form, or None when the Gram form is
+    zero (the label carries no simple).
+    """
+    module = cell_module(ctx, family, lam)
+    if not any(any(row) for row in module.gram):
+        return None
+    return simple_module(module)
+
+
 def contragredient(module) -> ModuleRealization:
     """
     Dual module: the anti-automorphism fixes every generator, so the dual
@@ -563,14 +576,6 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
 
 # ---------------------------------------------------------------------------
 # family-level tables
-
-
-def nonzero_simple_labels(ctx: AlgebraContext,
-                          family: BasisFamily) -> list[Multipartition]:
-    return [
-        lam for lam in enumerate_multipartitions(ctx.ell, ctx.r)
-        if simple_dim(ctx, family, lam) > 0
-    ]
 
 
 def simples_table(ctx: AlgebraContext, family: BasisFamily) -> list[dict]:

@@ -3,8 +3,7 @@ Command-line driver.
 
 Machine-readable output (JSON-lines, CSV or DOT) goes to stdout; progress
 notes go to stderr. Exit codes: 0 success, 1 verification failure, 2 usage
-error. Output bytes are deterministic for a fixed config, independent of
---threads.
+error. Output bytes are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import crystal as crystal_mod
 from .algebra import (
@@ -25,7 +23,6 @@ from .algebra import (
 )
 from .cellular import (
     BasisFamily,
-    block_alpha,
     cell_module,
     cellular_element,
     contragredient,
@@ -35,7 +32,8 @@ from .cellular import (
     family_n_xi,
     intertwiner_dim,
     realization,
-    simple_module,
+    simple_of,
+    simples_table,
     z_element,
 )
 from .combinatorics import (
@@ -56,7 +54,6 @@ from .label_maps import (
     A_of_lambda,
     xi_context,
 )
-from .linalg import rank
 from .serialization import (
     ConfigError,
     JobConfig,
@@ -69,15 +66,6 @@ from .serialization import (
 )
 
 SUITES = ("relations", "trace", "pairing", "cellular", "main1", "main2", "duality")
-
-
-def parallel_map(fn, items, threads: int):
-    """Ordered map; with threads > 1 the results still arrive in order."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _int_list(text: str) -> list[int]:
@@ -103,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cellular family")
     common.add_argument("--format", choices=["json", "csv", "dot"],
                         help="output format")
-    common.add_argument("--threads", type=int, help="parallel map width")
     common.add_argument("--config", metavar="FILE", help="JSON config file")
 
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -137,28 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args) -> JobConfig:
-    """Defaults, then config file, then explicit flags."""
+def resolve_config(args) -> tuple[JobConfig, bool]:
+    """
+    Defaults, then config file, then explicit flags. Also says whether xi
+    was given, by the file or by the flag: ``mullineux`` picks its map by it.
+    """
     merged: dict = {"ell": 2, "r": 2}
+    xi_given = args.xi is not None
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = parse_config(fh.read())
+            text = fh.read()
+        file_cfg = parse_config(text)
+        xi_given = xi_given or "xi" in json.loads(text)
         merged.update({
             "ell": file_cfg.ell, "r": file_cfg.r,
             "omega": list(file_cfg.omega), "c": list(file_cfg.c),
             "xi": list(file_cfg.xi), "family": file_cfg.family,
-            "format": file_cfg.format, "threads": file_cfg.threads,
+            "format": file_cfg.format,
         })
     for key, value in [
         ("ell", args.ell), ("r", args.r), ("omega", args.omega),
         ("c", args.c), ("xi", args.xi), ("family", args.family),
-        ("format", args.format), ("threads", args.threads),
+        ("format", args.format),
     ]:
         if value is not None:
             merged[key] = value
     # without an explicit omega the parameters default to 0..ell-1
     merged.setdefault("omega", list(range(merged["ell"])))
-    return parse_config(json.dumps(merged))
+    return parse_config(json.dumps(merged)), xi_given
 
 
 def family_from_config(cfg: JobConfig, name: str | None = None) -> BasisFamily:
@@ -216,33 +209,15 @@ def cmd_gram(cfg: JobConfig, lam_text: str) -> bytes:
 
 
 def cmd_simples(cfg: JobConfig) -> bytes:
-    ctx = context_from_config(cfg)
-    fam = family_from_config(cfg)
-    labels = enumerate_multipartitions(cfg.ell, cfg.r)
-    realization(ctx, fam)  # shared cache, built once before the parallel map
-
-    def one(lam):
-        module = cell_module(ctx, fam, lam)
-        return {
-            "lambda": mp_to_lists(lam),
-            "family": fam.label(),
-            "dim_cell": module.dim,
-            "dim_simple": rank(module.gram),
-            "block": list(block_alpha(module)),
-        }
-
-    rows = parallel_map(one, labels, cfg.threads)
+    rows = simples_table(context_from_config(cfg), family_from_config(cfg))
     return emit(rows, cfg.format,
                 fieldnames=["lambda", "family", "dim_cell", "dim_simple", "block"])
 
 
 def cmd_blocks(cfg: JobConfig) -> bytes:
-    ctx = context_from_config(cfg)
-    fam = family_from_config(cfg)
     by_alpha: dict[tuple, list] = {}
-    for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        alpha = block_alpha(cell_module(ctx, fam, lam))
-        by_alpha.setdefault(alpha, []).append(mp_to_lists(lam))
+    for row in simples_table(context_from_config(cfg), family_from_config(cfg)):
+        by_alpha.setdefault(tuple(row["block"]), []).append(row["lambda"])
     rows = [
         {"block": list(alpha), "lambdas": by_alpha[alpha]}
         for alpha in sorted(by_alpha)
@@ -471,13 +446,12 @@ def suite_main1(cfg: JobConfig) -> tuple[bool, list[str]]:
     ok = True
     crystal_labels = crystal_mod.nonzero_labels(cfg.omega, cfg.r)
     fam0 = family_m((0,) * cfg.ell)
-    gram_labels = set()
-    modules = {}
+    simples = {}
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        module = cell_module(ctx, fam0, lam)
-        if rank(module.gram) > 0:
-            gram_labels.add(lam)
-            modules[lam] = module
+        simple = simple_of(ctx, fam0, lam)
+        if simple is not None:
+            simples[lam] = simple
+    gram_labels = set(simples)
     if crystal_labels != gram_labels:
         ok = False
         lines.append("FAIL main1: " + json.dumps({
@@ -493,10 +467,11 @@ def suite_main1(cfg: JobConfig) -> tuple[bool, list[str]]:
     fam_c = family_m(c)
     for lam in sorted(gram_labels):
         mu = eta(lam, c)
-        mod_c = cell_module(ctx, fam_c, mu)
-        d0, dc = rank(modules[lam].gram), rank(mod_c.gram)
-        iw = intertwiner_dim(simple_module(modules[lam]),
-                             simple_module(mod_c)) if dc else 0
+        simple_c = simple_of(ctx, fam_c, mu)
+        d0 = simples[lam].dim
+        dc = 0 if simple_c is None else simple_c.dim
+        iw = intertwiner_dim(simples[lam], simple_c) \
+            if simple_c is not None else 0
         if d0 != dc or iw != 1:
             ok = False
             lines.append("FAIL main1: " + json.dumps({
@@ -522,8 +497,8 @@ def suite_main2(cfg: JobConfig) -> tuple[bool, list[str]]:
     ok = True
     certified = 0
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        mod_xi = cell_module(ctx, fam_xi, lam)
-        nz = rank(mod_xi.gram) > 0
+        simple_xi = simple_of(ctx, fam_xi, lam)
+        nz = simple_xi is not None
         try:
             standard = is_standard(A_of_lambda(lam, xctx), xctx)
         except ValueError:
@@ -537,9 +512,8 @@ def suite_main2(cfg: JobConfig) -> tuple[bool, list[str]]:
         if not nz:
             continue
         mu = mullineux_xi(lam, xctx)
-        mod_1 = cell_module(ctx, fam_1, mu)
-        iw = intertwiner_dim(simple_module(mod_xi), simple_module(mod_1)) \
-            if rank(mod_1.gram) else 0
+        simple_1 = simple_of(ctx, fam_1, mu)
+        iw = intertwiner_dim(simple_xi, simple_1) if simple_1 is not None else 0
         if iw != 1:
             ok = False
             lines.append("FAIL main2: " + json.dumps({
@@ -603,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg, xi_given = resolve_config(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -622,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.verb == "crystal":
             data = cmd_crystal(cfg, args.depth)
         elif args.verb == "mullineux":
-            data = cmd_mullineux(cfg, args.lam, xi_given=args.xi is not None)
+            data = cmd_mullineux(cfg, args.lam, xi_given)
         elif args.verb == "match":
             data = cmd_match(cfg, args.familyA, args.familyB)
         elif args.verb == "verify":

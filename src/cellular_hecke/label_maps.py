@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraContext
-from .cellular import (
-    BasisFamily,
-    cell_module,
-    intertwiner_dim,
-    simple_module,
-)
+from .cellular import BasisFamily, intertwiner_dim, simple_of
 from .combinatorics import (
     Multipartition,
     Perm,
@@ -204,8 +199,11 @@ def match_simples(ctx: AlgebraContext, family_a: BasisFamily,
     Simples of one algebra biject, so anything but a bijection raises.
     """
     labels = enumerate_multipartitions(ctx.ell, ctx.r)
-    simples_a = _nonzero_simples(ctx, family_a, labels)
-    simples_b = _nonzero_simples(ctx, family_b, labels)
+    simples = []
+    for family in (family_a, family_b):
+        pairs = ((lam, simple_of(ctx, family, lam)) for lam in labels)
+        simples.append({lam: mod for lam, mod in pairs if mod is not None})
+    simples_a, simples_b = simples
     if len(simples_a) != len(simples_b):
         raise RuntimeError(
             f"families have {len(simples_a)} vs {len(simples_b)} simples"
@@ -223,13 +221,3 @@ def match_simples(ctx: AlgebraContext, family_a: BasisFamily,
         table.append((lam, hits[0]))
     return table
 
-
-def _nonzero_simples(ctx: AlgebraContext, family: BasisFamily, labels):
-    from .linalg import rank
-
-    out = {}
-    for lam in labels:
-        module = cell_module(ctx, family, lam)
-        if rank(module.gram) > 0:
-            out[lam] = simple_module(module)
-    return out

@@ -3,8 +3,10 @@ Dense exact linear algebra over the rationals.
 
 Matrices are lists of lists of ``fractions.Fraction`` (rows). Everything is
 plain Gauss elimination with deterministic pivoting: columns left to right,
-first row with a nonzero entry. Sizes in this package stay below ~50x50, so
-no cleverness is needed, only exactness and reproducibility.
+first row with a nonzero entry. The largest matrices are the change of basis
+of a whole family: ``inverse`` reduces an n x 2n augmented matrix with
+n = ell^r * r!, e.g. 48 x 96 at (ell, r) = (2, 3) and 162 x 324 at (3, 3).
+Cell-module, Gram and intertwiner systems stay far smaller.
 """
 
 from __future__ import annotations
@@ -57,20 +59,8 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
     return out
 
 
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

@@ -80,7 +80,7 @@ def element_from_obj(ctx, data) -> "object":
 # job configuration
 
 
-_KNOWN_FIELDS = {"ell", "r", "omega", "c", "xi", "family", "format", "threads"}
+_KNOWN_FIELDS = {"ell", "r", "omega", "c", "xi", "family", "format"}
 _FAMILIES = {"m", "n", "mxi", "nxi"}
 _FORMATS = {"json", "csv", "dot"}
 
@@ -94,7 +94,6 @@ class JobConfig:
     xi: tuple[int, ...] = ()
     family: str = "m"
     format: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
         if not self.c:
@@ -149,11 +148,8 @@ def parse_config(text: str) -> JobConfig:
     fmt = data.get("format", "json")
     if fmt not in _FORMATS:
         raise ConfigError("BAD_VALUE", "$.format", f"must be one of {sorted(_FORMATS)}")
-    threads = data.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("BAD_VALUE", "$.threads", "must be a positive integer")
     return JobConfig(ell=ell, r=r, omega=tuple(omega), c=tuple(c),
-                     xi=tuple(xi), family=family, format=fmt, threads=threads)
+                     xi=tuple(xi), family=family, format=fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ import pytest
 from cellular_hecke.algebra import (
     AlgebraContext,
     Element,
-    add,
     defining_relations,
     pairing,
-    scale,
     star,
     tau_hat,
     verify_basis,
@@ -94,7 +92,7 @@ def test_tau_examples(ctx22):
 
 def test_linear_ops(ctx22):
     h = ctx22.generator_x(1) + ctx22.generator_s(1) * Fraction(2, 3)
-    assert add(h, scale(-1, h)).is_zero()
+    assert (h + h * -1).is_zero()
     assert ctx22.from_permutation(perm_identity(2)) == ctx22.one()
     assert (h - h).is_zero()
     assert (-h) + h == ctx22.zero()
@@ -129,22 +127,6 @@ def test_element_json_round_trip(ctx22):
     h = ctx22.generator_s(1) * ctx22.generator_x(2) - ctx22.one() * Fraction(3, 7)
     again = element_from_obj(ctx22, element_to_obj(h))
     assert again == h
-
-
-def test_warm_up_cache_round_trip(tmp_path):
-    cache = str(tmp_path)
-    a = AlgebraContext(2, 3, (0, 1), cache_dir=cache)
-    b = AlgebraContext(2, 3, (0, 1), cache_dir=cache)  # loads from disk
-    assert a._xl == b._xl
-    assert verify_basis(b, pair_sample=50, triple_sample=20)
-
-
-def test_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("CELLULAR_HECKE_CACHE", str(tmp_path))
-    a = AlgebraContext(3, 2, (0, 1, 5))
-    assert list(tmp_path.glob("xl-3-2-*.json"))
-    b = AlgebraContext(3, 2, (0, 1, 5))
-    assert a._xl == b._xl
 
 
 def test_star_agrees_with_inverse_on_group_part():

@@ -22,6 +22,7 @@ from cellular_hecke.cellular import (
     realization,
     simple_dim,
     simple_module,
+    simple_of,
     simples_table,
     subcell_module,
     x_lambda_c,
@@ -320,6 +321,19 @@ class TestSimples:
             x1, x2 = simple.x_action
             assert mat_mul(s1, s1) == mat_identity(d)
             assert mat_mul(x1, x2) == mat_mul(x2, x1)
+
+    def test_simple_of_matches_reference(self, ctx22):
+        degenerate = AlgebraContext(2, 1, (0, 0))
+        for ctx in (ctx22, degenerate):
+            for fam in families_for(ctx):
+                for lam in enumerate_multipartitions(ctx.ell, ctx.r):
+                    got = simple_of(ctx, fam, lam)
+                    if simple_dim(ctx, fam, lam) == 0:
+                        assert got is None
+                        continue
+                    want = simple_module(cell_module(ctx, fam, lam))
+                    assert (got.s_action, got.x_action) \
+                        == (want.s_action, want.x_action)
 
     def test_schur(self, ctx22):
         mod = cell_module(ctx22, family_m((0, 0)), ((1,), (1,)))

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from cellular_hecke.cli import main
 from cellular_hecke.serialization import parse_jsonl
@@ -103,12 +106,57 @@ def test_verify_counterexample_on_failure(capsys):
     assert "FAIL main2" in out
 
 
-def test_threads_do_not_change_bytes(capsys):
-    _, seq = run_cli(capsys, "simples", "--ell", "2", "--r", "2",
-                     "--omega", "0,1", "--threads", "1")
-    _, par = run_cli(capsys, "simples", "--ell", "2", "--r", "2",
-                     "--omega", "0,1", "--threads", "4")
-    assert seq == par
+# sha256 of stdout for the verbs that read a family's simples; they pin the
+# output bytes while the code behind those verbs changes.
+GOLDEN = [
+    pytest.param(
+        ("simples", "--ell", "2", "--r", "3", "--omega", "0,1"), 0,
+        "45bb693c36d1e0a3d7e5de46ace1640e2ea6d9dd8c375fc172ea09145e230b19",
+        id="simples"),
+    pytest.param(
+        ("simples", "--ell", "2", "--r", "3", "--omega", "0,1",
+         "--format", "csv"), 0,
+        "3c68ed467658e365b05b021d83bae82baa0f37170306e4a1ea851dca57b7b818",
+        id="simples-csv"),
+    pytest.param(
+        ("blocks", "--ell", "2", "--r", "3", "--omega", "0,1"), 0,
+        "a48fb671d38e34a2657873edaad4f6f21b2c654db8342b4ac1663dab39b36f42",
+        id="blocks"),
+    pytest.param(
+        ("match", "--ell", "2", "--r", "2", "--omega", "1,0",
+         "--familyA", "m", "--familyB", "n"), 0,
+        "7a2ae08c1defbd874848b8f4beec9c3236f00a39f0fad65e4edd121dd7db0819",
+        id="match"),
+    pytest.param(
+        ("verify", "main1", "main2", "--ell", "2", "--r", "2",
+         "--omega", "1,0", "--c", "0,1", "--xi", "2,1"), 0,
+        "0a992555cfc3e0b5aad41e64748a3653307bee4cfc4dbb4fa2ba2fbaea9d627c",
+        id="verify-main1-main2"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN)
+def test_golden_bytes(capsysbinary, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_mullineux_xi_from_config_or_flag(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"ell": 2, "r": 2, "omega": [1, 0], "xi": [2, 1]}))
+    lam = ["--lambda", "[[2],[]]"]
+    _, from_file = run_cli(capsys, "mullineux", "--config", str(cfg), *lam)
+    _, from_flags = run_cli(capsys, "mullineux", "--ell", "2", "--r", "2",
+                            "--omega", "1,0", "--xi", "2,1", *lam)
+    assert from_file == from_flags == '{"from":[[2],[]],"to":null}\n'
+
+
+def test_config_threads_field_rejected(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text('{"ell":2,"r":1,"omega":[0,1],"threads":1}')
+    code, _ = run_cli(capsys, "list", "--config", str(cfg))
+    assert code == 2
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
