@@ -1,12 +1,20 @@
 """
-Dense exact linear algebra over the rationals.
+Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``fractions.Fraction`` (rows). Everything is
-plain Gauss elimination with deterministic pivoting: columns left to right,
-first row with a nonzero entry. The largest matrices are the change of basis
-of a whole family: ``inverse`` reduces an n x 2n augmented matrix with
-n = ell^r * r!, e.g. 48 x 96 at (ell, r) = (2, 3) and 162 x 324 at (3, 3).
-Cell-module, Gram and intertwiner systems stay far smaller.
+Matrices are lists of lists of ``fractions.Fraction`` (rows). ``rref`` and
+everything built on it (rank, nullspaces, solves) is plain Gauss elimination
+with deterministic pivoting: columns left to right, first row with a nonzero
+entry. Those pivots reach the output (the quotient coordinates of a simple
+module, the emitted nullspace bases), so their order is fixed.
+
+``inverse`` is different: the inverse of a matrix is unique, so any pivot
+order gives the same result, and it picks pivots to keep the work sparse. It
+runs Gauss-Jordan on ``[a | I]`` with rows stored as dicts of their nonzero
+entries and pivots each column on the unused row with the fewest nonzeros.
+Its inputs are the largest matrices here, the change of basis of a whole
+family: n = ell^r * r!, e.g. 48 at (ell, r) = (2, 3), 162 at (3, 3) and 384
+at (2, 4), with integer entries and 2-17% of them nonzero. Cell-module, Gram
+and intertwiner systems stay far smaller.
 """
 
 from __future__ import annotations
@@ -97,13 +105,58 @@ def rank(a: Matrix) -> int:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises SingularMatrixError."""
+    """
+    Inverse of a square matrix; raises SingularMatrixError.
+
+    Sparse Gauss-Jordan on ``[a | I]``: rows are dicts of their nonzero
+    entries, and each column is pivoted on the unused row holding it with the
+    fewest nonzeros (lowest index on ties), which keeps fill-in small.
+    """
     n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, mat_identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(f"matrix of size {n} is singular")
-    return [row[n:] for row in red]
+    rows: list[dict[int, Fraction]] = []
+    holders: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        sparse = {j: x for j, x in enumerate(row) if x}
+        for j in sparse:
+            holders[j].add(i)
+        sparse[n + i] = Fraction(1)
+        rows.append(sparse)
+    used = [False] * n
+    pivot_row = []
+    for col in range(n):
+        candidates = [i for i in holders[col] if not used[i]]
+        if not candidates:
+            raise SingularMatrixError(f"matrix of size {n} is singular")
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        used[p] = True
+        pivot_row.append(p)
+        inv = Fraction(1) / rows[p][col]
+        prow = {j: x * inv for j, x in rows[p].items()}
+        rows[p] = prow
+        rest = [(j, y) for j, y in prow.items() if j != col]
+        for i in holders[col]:
+            if i == p:
+                continue
+            row = rows[i]
+            f = -row.pop(col)
+            for j, y in rest:
+                if j in row:
+                    x = row[j] + f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        if j < n:
+                            holders[j].discard(i)
+                else:
+                    row[j] = f * y
+                    if j < n:
+                        holders[j].add(i)
+        holders[col] = {p}
+    zero = Fraction(0)
+    return [
+        [rows[p].get(n + j, zero) for j in range(n)] for p in pivot_row
+    ]
 
 
 def right_nullspace(a: Matrix) -> list[Vector]:

@@ -42,6 +42,7 @@ from cellular_hecke.linalg import (
     mat_mul,
     rank,
     transpose,
+    vec_mat,
 )
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -112,6 +113,23 @@ class TestCellularBases:
                 assert len(mat) == expected
                 # realization() raised already if singular; rank confirms
                 assert rank(mat) == expected
+
+    @pytest.mark.parametrize("ell,r,c,xi", [
+        (2, 3, (0, 1), (2, 1)),
+        (3, 2, (0, 1, 1), (2, 3, 1)),
+    ])
+    def test_inverse_change_of_basis(self, ell, r, c, xi):
+        ctx = AlgebraContext(ell, r, tuple(range(ell)))
+        n = ctx.dimension()
+        for fam in [family_m(c), family_n(c), family_m_xi(xi),
+                    family_n_xi(xi)]:
+            real = realization(ctx, fam)
+            inv = real.change_of_basis_inv
+            assert [vec_mat(row, inv) for row in real.change_of_basis] \
+                == mat_identity(n)
+            for k in (0, n // 3, n - 1):
+                unit = [Fraction(int(i == k)) for i in range(n)]
+                assert real.expand(real.elements[k]) == unit
 
     def test_star_symmetry_exhaustive(self, ctx22, ctx13):
         for ctx in (ctx22, ctx13):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,23 @@ def test_verify_counterexample_on_failure(capsys):
     assert "FAIL main2" in out
 
 
+def test_verify_all_skips_main2_on_increasing_omega(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--ell", "2", "--r", "2",
+                        "--omega", "0,1", "--c", "0,1", "--xi", "2,1")
+    assert code == 0
+    assert "FAIL" not in out
+    skips = [line for line in out.splitlines() if line.startswith("SKIP")]
+    assert skips == ["SKIP main2: omega must be weakly decreasing "
+                     "(suite not applicable)"]
+
+
+def test_verify_stderr_notes_elapsed(capsys):
+    assert main(["verify", "relations", "--ell", "1", "--r", "2",
+                 "--omega", "0"]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"running suite relations \.\.\. \d+\.\d\d s\n", err)
+
+
 # sha256 of stdout for the verbs that read a family's simples; they pin the
 # output bytes while the code behind those verbs changes.
 GOLDEN = [
@@ -181,3 +199,34 @@ def test_usage_error_exit_2(capsys):
     code, _ = run_cli(capsys, "gram", "--ell", "2", "--r", "1",
                       "--omega", "0,1", "--lambda", "[[5],[]]")
     assert code == 2
+
+
+def test_config_defaults_do_not_count_as_given(tmp_path, capsys):
+    # the file sets no c or xi, so a flag that changes ell must not clash
+    # with the file's defaulted c and xi
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"ell": 2, "r": 2, "omega": [1, 0]}))
+    code, from_file = run_cli(capsys, "list", "--config", str(cfg),
+                              "--ell", "3", "--omega", "2,1,0")
+    assert code == 0
+    _, from_flags = run_cli(capsys, "list", "--ell", "3", "--r", "2",
+                            "--omega", "2,1,0")
+    assert from_file == from_flags
+
+
+@pytest.mark.parametrize("fields,extra,flags", [
+    ({}, (), ("--ell", "2", "--r", "2", "--omega", "1,0")),
+    ({}, ("--omega", "0,1"), ("--ell", "2", "--r", "2", "--omega", "0,1")),
+    ({}, ("--ell", "3", "--omega", "2,1,0"),
+     ("--ell", "3", "--r", "2", "--omega", "2,1,0")),
+    ({"c": [0, 1], "family": "n"}, (),
+     ("--ell", "2", "--r", "2", "--omega", "1,0", "--c", "0,1",
+      "--family", "n")),
+])
+def test_simples_config_matches_flags(tmp_path, capsys, fields, extra, flags):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"ell": 2, "r": 2, "omega": [1, 0], **fields}))
+    code, from_file = run_cli(capsys, "simples", "--config", str(cfg), *extra)
+    assert code == 0
+    _, from_flags = run_cli(capsys, "simples", *flags)
+    assert from_file == from_flags

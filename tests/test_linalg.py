@@ -1,6 +1,9 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellular_hecke.linalg import (
     SingularMatrixError,
@@ -9,6 +12,7 @@ from cellular_hecke.linalg import (
     mat_identity,
     mat_mul,
     mat_pow,
+    mat_zero,
     rank,
     right_nullspace,
     rref,
@@ -21,6 +25,107 @@ from cellular_hecke.linalg import (
 
 def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def dense_inverse(a):
+    """Reference: dense Gauss-Jordan on [a | I], columns left to right,
+    pivot on the first row with a nonzero entry."""
+    n = len(a)
+    m = [row[:] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError(f"matrix of size {n} is singular")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = Fraction(1) / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
+def random_matrix(rng, n, density):
+    """Sparse integer matrix made likely invertible by a permuted diagonal
+    of non-unit entries, so the true diagonal is mostly zero."""
+    a = mat_zero(n, n)
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < density:
+                a[i][j] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for i, j in enumerate(perm):
+        a[i][j] = Fraction(rng.choice([-5, -2, 2, 3, 7]))
+    return a
+
+
+def assert_inverse_matches_reference(a):
+    n = len(a)
+    before = copy.deepcopy(a)
+    try:
+        expected = dense_inverse(a)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError, match=f"size {n} is"):
+            inverse(a)
+        return False
+    got = inverse(a)
+    assert a == before
+    assert got == expected
+    assert all(isinstance(x, Fraction) for row in got for x in row)
+    assert mat_mul(a, got) == mat_identity(n)
+    return True
+
+
+def test_inverse_matches_dense_reference():
+    rng = random.Random(20231)
+    invertible = 0
+    for n in range(1, 31):
+        density = (0.05, 0.1, 0.2, 0.4)[n % 4]
+        invertible += assert_inverse_matches_reference(
+            random_matrix(rng, n, density))
+    assert invertible >= 25
+
+
+def test_inverse_zero_diagonal_and_ties():
+    # every diagonal entry is zero, so each column's pivot is another row
+    assert_inverse_matches_reference(F([[0, 2], [-3, 0]]))
+    # all rows have two nonzeros: the shortest-row pivot ties everywhere
+    assert_inverse_matches_reference(F([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+    assert_inverse_matches_reference(
+        F([[0, 2, -1, 0], [3, 0, 0, 1], [0, 1, 0, -4], [5, 0, 2, 0]]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 0], [0, 0, 0], [3, 1, 1]],        # zero row
+    [[1, 2, 0], [0, 1, 5], [1, 2, 0]],        # duplicate row
+    [[1, 2, 0], [0, 1, 5], [2, 5, 5]],        # row 3 = 2 row 1 + row 2
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],        # zero column
+])
+def test_inverse_singular_raises_with_size(rows):
+    a = F(rows)
+    before = copy.deepcopy(a)
+    with pytest.raises(SingularMatrixError,
+                       match="matrix of size 3 is singular"):
+        inverse(a)
+    assert a == before
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_inverse_round_trip_property(rows):
+    a = F(rows)
+    try:
+        inv = inverse(a)
+    except SingularMatrixError:
+        assert rank(a) < len(a)
+        return
+    assert mat_mul(a, inv) == mat_identity(len(a))
+    assert mat_mul(inv, a) == mat_identity(len(a))
 
 
 def test_inverse_round_trip():
