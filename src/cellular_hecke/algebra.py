@@ -16,9 +16,12 @@ integral parameters omega. Every element is kept in normal form on the basis
 
 of size ell^r * r!. Multiplication pushes x's to the left with the mixed
 relations and rewrites overflowing powers x_j^ell through cached expansions.
-The x_j^ell cache is populated once at context construction (warm-up);
-elements are immutable values and every operation is deterministic. The
-remaining per-context lookup caches fill in lazily and idempotently.
+``AlgebraContext._put`` is the one place the normal form is enforced: every
+rewrite writes its terms through it, and it sends an overflowing x-part to
+``_x_reduce``. The x_j^ell cache is populated once at context construction
+(warm-up), which builds x_j^ell from x_{j-1}^ell with the same push-through
+step; elements are immutable values and every operation is deterministic.
+The remaining per-context lookup caches fill in lazily and idempotently.
 """
 
 from __future__ import annotations
@@ -51,25 +54,18 @@ def _exchange(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
     if got is not None:
         return got
     acc: dict[tuple[int, int, int], int] = {}
-
-    def put(a: int, b: int, e: int, c: int) -> None:
-        key = (a, b, e)
-        acc[key] = acc.get(key, 0) + c
-        if acc[key] == 0:
-            del acc[key]
-
     if p == 0 and q == 0:
-        put(0, 0, 1, 1)
+        _acc(acc, (0, 0, 1), 1)
     elif p > 0:
         # s.x = y.s - 1
         for a, b, e, c in _exchange(p - 1, q):
-            put(a, b + 1, e, c)
-        put(p - 1, q, 0, -1)
+            _acc(acc, (a, b + 1, e), c)
+        _acc(acc, (p - 1, q, 0), -1)
     else:
         # s.y = x.s + 1
         for a, b, e, c in _exchange(0, q - 1):
-            put(a + 1, b, e, c)
-        put(0, q - 1, 0, 1)
+            _acc(acc, (a + 1, b, e), c)
+        _acc(acc, (0, q - 1, 0), 1)
     out = tuple(sorted((a, b, e, c) for (a, b, e), c in acc.items()))
     _EXCHANGE[(p, q)] = out
     return out
@@ -114,10 +110,9 @@ class AlgebraContext:
         exps = tuple(int(a) for a in exps)
         if len(exps) != self.r or any(a < 0 for a in exps):
             raise ValueError(f"bad exponent vector {exps}")
-        ident = perm_identity(self.r)
-        if all(a < self.ell for a in exps):
-            return Element(self, {(exps, ident): Fraction(1)})
-        return Element(self, dict(self._x_reduce(exps)))
+        out: dict[TermKey, Fraction] = {}
+        self._put(out, exps, perm_identity(self.r), Fraction(1))
+        return Element(self, out)
 
     def generator_s(self, i: int) -> "Element":
         return self.from_permutation(perm_simple(self.r, i))
@@ -128,9 +123,6 @@ class AlgebraContext:
         exps = [0] * self.r
         exps[k - 1] = 1
         return self.from_x_monomial(tuple(exps))
-
-    def scalar(self, c) -> "Element":
-        return self.one() * Fraction(c)
 
     # -- normal-form basis ----------------------------------------------------
 
@@ -172,41 +164,24 @@ class AlgebraContext:
                     for k in range(len(poly) - 1)] + [poly[-1]]
         # x_1^ell = -sum_{k<ell} poly[k] x_1^k
         ident = perm_identity(r)
-
-        def xpow1(k: int) -> Exps:
-            return (k,) + (0,) * (r - 1)
-
-        xl: list[dict[TermKey, Fraction]] = []
-        first = {}
-        for k in range(ell):
-            if poly[k]:
-                first[(xpow1(k), ident)] = -poly[k]
-        xl.append(first)
-        # x_j^ell = s.x_{j-1}^ell.s + sum_m x_{j-1}^{ell-1-m} x_j^m s,
-        # with s = s_{j-1}; every term reduces using lower-index caches only.
+        xl: list[dict[TermKey, Fraction]] = [{
+            ((k,) + (0,) * (r - 1), ident): -poly[k]
+            for k in range(ell) if poly[k]
+        }]
+        # x_j^ell = s.x_{j-1}^ell.s + sum_m x_{j-1}^{ell-1-m} x_j^m s, with
+        # s = s_{j-1}. x_{j-1}^ell involves x_1..x_{j-1} only, so s.x^c never
+        # overflows and _push_through needs no _x_reduce (nor _xl) here.
         for j in range(2, r + 1):
             s = perm_simple(r, j - 1)
             cur: dict[TermKey, Fraction] = {}
             for (c, u), coef in xl[j - 2].items():
-                for alpha, beta, eps, icoef in _exchange(c[j - 2], c[j - 1]):
-                    c2 = list(c)
-                    c2[j - 2], c2[j - 1] = alpha, beta
-                    perm = perm_mul(perm_mul(s, u), s) if eps else perm_mul(u, s)
-                    key = (tuple(c2), perm)
-                    val = cur.get(key, Fraction(0)) + coef * icoef
-                    if val:
-                        cur[key] = val
-                    elif key in cur:
-                        del cur[key]
+                us = perm_mul(u, s)
+                for (c2, z), c3 in self._push_through(s, c).items():
+                    _acc(cur, (c2, perm_mul(z, us)), coef * c3)
             for m in range(ell):
                 e = [0] * r
                 e[j - 2], e[j - 1] = ell - 1 - m, m
-                key = (tuple(e), s)
-                val = cur.get(key, Fraction(0)) + 1
-                if val:
-                    cur[key] = val
-                elif key in cur:
-                    del cur[key]
+                _acc(cur, (tuple(e), s), Fraction(1))
             xl.append(cur)
         return xl
 
@@ -220,12 +195,7 @@ class AlgebraContext:
         rest[over] -= self.ell
         out: dict[TermKey, Fraction] = {}
         for (c, u), coef in self._xl[over].items():
-            merged = tuple(a + b for a, b in zip(rest, c))
-            if all(a < self.ell for a in merged):
-                _acc(out, (merged, u), coef)
-            else:
-                for (d, z), coef2 in self._x_reduce(merged).items():
-                    _acc(out, (d, perm_mul(z, u)), coef * coef2)
+            self._put(out, tuple(a + b for a, b in zip(rest, c)), u, coef)
         self._xred[exps] = out
         return out
 
@@ -243,14 +213,8 @@ class AlgebraContext:
                 for alpha, beta, eps, icoef in _exchange(c[i - 1], c[i]):
                     c2 = list(c)
                     c2[i - 1], c2[i] = alpha, beta
-                    c2t = tuple(c2)
-                    perm = perm_mul(s, u) if eps else u
-                    val = coef * icoef
-                    if all(a < self.ell for a in c2t):
-                        _acc(nxt, (c2t, perm), val)
-                    else:
-                        for (d, z), coef2 in self._x_reduce(c2t).items():
-                            _acc(nxt, (d, perm_mul(z, perm)), val * coef2)
+                    self._put(nxt, tuple(c2), perm_mul(s, u) if eps else u,
+                              coef * icoef)
             cur = nxt
         self._push[key] = cur
         return cur
@@ -259,14 +223,18 @@ class AlgebraContext:
         """Normal form of (x^a w)(x^b v)."""
         out: dict[TermKey, Fraction] = {}
         for (c, u), coef in self._push_through(w, b).items():
-            merged = tuple(p + q for p, q in zip(a, c))
-            uv = perm_mul(u, v)
-            if all(e < self.ell for e in merged):
-                _acc(out, (merged, uv), coef)
-            else:
-                for (d, z), coef2 in self._x_reduce(merged).items():
-                    _acc(out, (d, perm_mul(z, uv)), coef * coef2)
+            self._put(out, tuple(p + q for p, q in zip(a, c)), perm_mul(u, v),
+                      coef)
         return out
+
+    def _put(self, out: dict[TermKey, Fraction], exps: Exps, perm: Perm,
+             coef: Fraction) -> None:
+        """Add coef * x^exps . perm to ``out``, reducing overflowing powers."""
+        if max(exps) < self.ell:
+            _acc(out, (exps, perm), coef)
+        else:
+            for (d, z), c2 in self._x_reduce(exps).items():
+                _acc(out, (d, perm_mul(z, perm)), coef * c2)
 
     def __repr__(self) -> str:
         return f"AlgebraContext(ell={self.ell}, r={self.r}, omega={self.omega})"

@@ -174,11 +174,7 @@ def pi_tilde_bracket(ctx: AlgebraContext, lam: Multipartition,
                      omega: tuple[int, ...] | None = None) -> Element:
     """Companion product running through the parameters in reverse order."""
     om = ctx.omega if omega is None else omega
-    a = bracket(lam)
-    out = ctx.one()
-    for i in range(1, ctx.ell):
-        out = out * _pi_factor(ctx, a[i], om[ctx.ell - 1 - i])
-    return out
+    return pi_bracket(ctx, lam, tuple(reversed(om)))
 
 
 def family_omega(ctx: AlgebraContext, family: BasisFamily) -> tuple[int, ...]:
@@ -297,6 +293,19 @@ class FamilyRealization:
     def element(self, li: int, si: int, ti: int) -> Element:
         return self.elements[self.cell_index[(li, si, ti)]]
 
+    def action(self, li: int, left: int, h: Element) -> Matrix:
+        """
+        Right multiplication by ``h`` on the cells (li, left, *): row t holds
+        the (li, left, u) coordinates of element(li, left, t) * h.
+        """
+        n = len(self.tableaux[li])
+        mat = []
+        for ti in range(n):
+            coords = self.expand(self.element(li, left, ti) * h)
+            mat.append([coords[self.cell_index[(li, left, ui)]]
+                        for ui in range(n)])
+        return mat
+
     def label_index(self, lam: Multipartition) -> int:
         return self.labels.index(lam)
 
@@ -361,26 +370,17 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     li = real.label_index(lam)
     tabs = real.tableaux[li]
     top = real.top_index[li]
-    rows = [real.element(li, top, si) for si in range(len(tabs))]
-
-    def action_matrix(gen: Element) -> Matrix:
-        mat = []
-        for si in range(len(tabs)):
-            coords = real.expand(rows[si] * gen)
-            mat.append(
-                [coords[real.cell_index[(li, top, ui)]]
-                 for ui in range(len(tabs))]
-            )
-        return mat
-
-    s_action = [action_matrix(ctx.generator_s(i)) for i in range(1, ctx.r)]
-    x_action = [action_matrix(ctx.generator_x(k)) for k in range(1, ctx.r + 1)]
+    s_action = [real.action(li, top, ctx.generator_s(i))
+                for i in range(1, ctx.r)]
+    x_action = [real.action(li, top, ctx.generator_x(k))
+                for k in range(1, ctx.r + 1)]
 
     gram = []
     for si in range(len(tabs)):
         row = []
         for ti in range(len(tabs)):
-            coords = real.expand(rows[si] * real.element(li, ti, top))
+            coords = real.expand(
+                real.element(li, top, si) * real.element(li, ti, top))
             row.append(coords[real.cell_index[(li, top, top)]])
         gram.append(row)
     return CellModuleRealization(

@@ -419,20 +419,12 @@ def suite_cellular(cfg: JobConfig) -> tuple[bool, list[str]]:
 def _left_index_independent(ctx, real) -> bool:
     gens = [ctx.generator_s(i) for i in range(1, ctx.r)] + \
            [ctx.generator_x(k) for k in range(1, ctx.r + 1)]
-    for li in range(len(real.labels)):
-        tabs = real.tableaux[li]
+    for li, tabs in enumerate(real.tableaux):
         for gen in gens:
-            ref = None
-            for si in range(len(tabs)):
-                mat = []
-                for ti in range(len(tabs)):
-                    coords = real.expand(real.element(li, si, ti) * gen)
-                    mat.append([coords[real.cell_index[(li, si, ui)]]
-                                for ui in range(len(tabs))])
-                if ref is None:
-                    ref = mat
-                elif mat != ref:
-                    return False
+            ref = real.action(li, 0, gen)
+            if any(real.action(li, si, gen) != ref
+                   for si in range(1, len(tabs))):
+                return False
     return True
 
 

@@ -217,7 +217,7 @@ def tableau_shape(t: Tableau) -> Multipartition:
     return tuple(tuple(len(row) for row in comp) for comp in t)
 
 
-def is_standard(t: Tableau) -> bool:
+def is_standard_tableau(t: Tableau) -> bool:
     entries = sorted(e for comp in t for row in comp for e in row)
     if entries != list(range(1, len(entries) + 1)):
         return False

@@ -90,16 +90,10 @@ class JobConfig:
     ell: int
     r: int
     omega: tuple[int, ...]
-    c: tuple[int, ...] = ()
-    xi: tuple[int, ...] = ()
-    family: str = "m"
-    format: str = "json"
-
-    def __post_init__(self):
-        if not self.c:
-            self.c = (0,) * self.ell
-        if not self.xi:
-            self.xi = tuple(range(1, self.ell + 1))
+    c: tuple[int, ...]
+    xi: tuple[int, ...]
+    family: str
+    format: str
 
 
 def parse_config(text: str) -> JobConfig:

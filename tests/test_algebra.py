@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -104,6 +105,25 @@ def test_overflowing_monomial_reduces(ctx22):
     assert h == ctx22.generator_x(1)
     for (a, _w) in h.terms:
         assert all(e < ctx22.ell for e in a)
+
+
+@pytest.mark.parametrize("ell,r,omega", [(3, 3, (0, 1, 5)), (2, 4, (0, 1))])
+def test_multi_overflow_monomial_matches_stepwise_product(ell, r, omega):
+    # from_x_monomial reduces several overflowing powers at once, recursively;
+    # multiplying by one x_k at a time never overflows by more than one power.
+    # Separate contexts keep the two paths from sharing reduction caches.
+    direct = AlgebraContext(ell, r, omega)
+    stepwise = AlgebraContext(ell, r, omega)
+    xs = [stepwise.generator_x(k) for k in range(1, r + 1)]
+    vectors = [e for e in product(range(2 * ell + 1), repeat=r)
+               if sum(a >= ell for a in e) >= 2 and sum(e) <= 3 * ell + 1]
+    assert len(vectors) == {3: 91, 2: 158}[ell]
+    for exps in vectors:
+        expected = stepwise.one()
+        for x, a in zip(xs, exps):
+            for _ in range(a):
+                expected = expected * x
+        assert direct.from_x_monomial(exps).terms == expected.terms, exps
 
 
 def test_context_mismatch_rejected():

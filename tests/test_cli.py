@@ -150,6 +150,26 @@ GOLDEN = [
          "--omega", "1,0", "--c", "0,1", "--xi", "2,1"), 0,
         "0a992555cfc3e0b5aad41e64748a3653307bee4cfc4dbb4fa2ba2fbaea9d627c",
         id="verify-main1-main2"),
+    pytest.param(
+        ("simples", "--ell", "3", "--r", "2", "--omega", "2,0,1",
+         "--family", "n", "--c", "0,1,1"), 0,
+        "6df5f3e6444abc779c733f61cb41d32fcf17843504c29ae8feba4def9803e712",
+        id="simples-e3-n"),
+    pytest.param(
+        ("simples", "--ell", "3", "--r", "2", "--omega", "2,1,0",
+         "--family", "nxi", "--xi", "3,1,2"), 0,
+        "464d5b614194c5818da26dbe018dcf858a97a8ae40b02db77061452aaafc49c1",
+        id="simples-e3-nxi"),
+    pytest.param(
+        ("gram", "--ell", "3", "--r", "2", "--omega", "0,1,2",
+         "--family", "n", "--c", "1,0,1", "--lambda", "[[1],[],[1]]"), 0,
+        "5d807ca235aeeec33c41830a61f3f891ca4adce1c0044f7ce4886f912e641e14",
+        id="gram-e3-n"),
+    pytest.param(
+        ("verify", "cellular", "--ell", "3", "--r", "2", "--omega", "2,1,0",
+         "--c", "0,1,0", "--xi", "2,3,1"), 0,
+        "a13a2a15f8d02870297c2b30a43f987d134b20a8b7f4514b77b53452abe1252d",
+        id="verify-cellular-e3"),
 ]
 
 

@@ -11,7 +11,7 @@ from cellular_hecke.combinatorics import (
     d_of,
     dominance_ge,
     enumerate_multipartitions,
-    is_standard,
+    is_standard_tableau,
     mp_size,
     perm_identity,
     perm_inverse,
@@ -127,7 +127,7 @@ class TestStandardTableaux:
             assert len(tabs) == count_std_by_box_removal(lam)
             assert len(set(tabs)) == len(tabs)
             for t in tabs:
-                assert is_standard(t)
+                assert is_standard_tableau(t)
                 assert tableau_shape(t) == lam
 
     @pytest.mark.parametrize("ell,r", [(1, 4), (2, 3), (3, 2)])
