@@ -22,12 +22,23 @@ rewrite writes its terms through it, and it sends an overflowing x-part to
 (warm-up), which builds x_j^ell from x_{j-1}^ell with the same push-through
 step; elements are immutable values and every operation is deterministic.
 The remaining per-context lookup caches fill in lazily and idempotently.
+
+With integral omega every structure constant is an integer, so coefficients
+are Python ``int``: the exchange table, the warm-up, every rewriting cache
+and every product of integral elements. A coefficient is a ``Fraction`` only
+when a caller scales by a non-integral rational, and then Python's numeric
+tower mixes the two exactly (``1 == Fraction(1)`` with equal hashes, so
+equality of elements does not see the type). Nothing is ever a float: a
+non-integral omega raises ValueError and a non-rational scalar TypeError.
+The linear algebra boundary converts: ``AlgebraContext.to_vector`` and
+``tau_hat`` return ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from numbers import Rational
 
 from .combinatorics import (
     Perm,
@@ -42,6 +53,7 @@ from .combinatorics import (
 
 Exps = tuple[int, ...]
 TermKey = tuple[Exps, Perm]
+Coef = int | Fraction
 
 # s.x^p.y^q -> sum coef * x^alpha y^beta s^eps, for adjacent variables x, y.
 # Independent of the position of the reflection and of the context.
@@ -80,14 +92,17 @@ class AlgebraContext:
     def __init__(self, ell: int, r: int, omega: tuple[int, ...]):
         if ell < 1 or r < 1:
             raise ValueError("need ell >= 1 and r >= 1")
-        omega = tuple(int(w) for w in omega)
+        given = tuple(omega)
+        omega = tuple(int(w) for w in given)
+        if omega != given:
+            raise ValueError(f"omega must be integral: {given}")
         if len(omega) != ell:
             raise ValueError("omega must have length ell")
         self.ell = ell
         self.r = r
         self.omega = omega
-        self._push: dict[tuple[Perm, Exps], dict[TermKey, Fraction]] = {}
-        self._xred: dict[Exps, dict[TermKey, Fraction]] = {}
+        self._push: dict[tuple[Perm, Exps], dict[TermKey, Coef]] = {}
+        self._xred: dict[Exps, dict[TermKey, Coef]] = {}
         self._basis: list[TermKey] | None = None
         self._basis_index: dict[TermKey, int] | None = None
         self._xl = self._warm_up()
@@ -103,15 +118,15 @@ class AlgebraContext:
     def from_permutation(self, w: Perm) -> "Element":
         if not perm_is_valid(w) or len(w) != self.r:
             raise ValueError(f"not a permutation of 1..{self.r}: {w}")
-        return Element(self, {((0,) * self.r, tuple(w)): Fraction(1)})
+        return Element(self, {((0,) * self.r, tuple(w)): 1})
 
     def from_x_monomial(self, exps: tuple[int, ...]) -> "Element":
         """x_1^{a_1}...x_r^{a_r}, reduced if any a_i >= ell."""
         exps = tuple(int(a) for a in exps)
         if len(exps) != self.r or any(a < 0 for a in exps):
             raise ValueError(f"bad exponent vector {exps}")
-        out: dict[TermKey, Fraction] = {}
-        self._put(out, exps, perm_identity(self.r), Fraction(1))
+        out: dict[TermKey, Coef] = {}
+        self._put(out, exps, perm_identity(self.r), 1)
         return Element(self, out)
 
     def generator_s(self, i: int) -> "Element":
@@ -149,22 +164,22 @@ class AlgebraContext:
         idx = self.basis_index()
         vec = [Fraction(0)] * len(idx)
         for key, coef in h.terms.items():
-            vec[idx[key]] = coef
+            vec[idx[key]] = Fraction(coef)
         return vec
 
     # -- rewriting machinery --------------------------------------------------
 
-    def _warm_up(self) -> list[dict[TermKey, Fraction]]:
+    def _warm_up(self) -> list[dict[TermKey, Coef]]:
         ell, r = self.ell, self.r
         # monic expansion of (X - omega_1)...(X - omega_ell)
-        poly = [Fraction(1)]
+        poly = [1]
         for w in self.omega:
-            poly = [Fraction(0)] + poly
+            poly = [0] + poly
             poly = [poly[k] - w * poly[k + 1] if k + 1 < len(poly) else poly[k]
                     for k in range(len(poly) - 1)] + [poly[-1]]
         # x_1^ell = -sum_{k<ell} poly[k] x_1^k
         ident = perm_identity(r)
-        xl: list[dict[TermKey, Fraction]] = [{
+        xl: list[dict[TermKey, Coef]] = [{
             ((k,) + (0,) * (r - 1), ident): -poly[k]
             for k in range(ell) if poly[k]
         }]
@@ -173,7 +188,7 @@ class AlgebraContext:
         # overflows and _push_through needs no _x_reduce (nor _xl) here.
         for j in range(2, r + 1):
             s = perm_simple(r, j - 1)
-            cur: dict[TermKey, Fraction] = {}
+            cur: dict[TermKey, Coef] = {}
             for (c, u), coef in xl[j - 2].items():
                 us = perm_mul(u, s)
                 for (c2, z), c3 in self._push_through(s, c).items():
@@ -181,11 +196,11 @@ class AlgebraContext:
             for m in range(ell):
                 e = [0] * r
                 e[j - 2], e[j - 1] = ell - 1 - m, m
-                _acc(cur, (tuple(e), s), Fraction(1))
+                _acc(cur, (tuple(e), s), 1)
             xl.append(cur)
         return xl
 
-    def _x_reduce(self, exps: Exps) -> dict[TermKey, Fraction]:
+    def _x_reduce(self, exps: Exps) -> dict[TermKey, Coef]:
         """Normal form of the commutative monomial x^exps."""
         got = self._xred.get(exps)
         if got is not None:
@@ -193,22 +208,22 @@ class AlgebraContext:
         over = next(j for j, a in enumerate(exps) if a >= self.ell)
         rest = list(exps)
         rest[over] -= self.ell
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Coef] = {}
         for (c, u), coef in self._xl[over].items():
             self._put(out, tuple(a + b for a, b in zip(rest, c)), u, coef)
         self._xred[exps] = out
         return out
 
-    def _push_through(self, w: Perm, exps: Exps) -> dict[TermKey, Fraction]:
+    def _push_through(self, w: Perm, exps: Exps) -> dict[TermKey, Coef]:
         """Normal form of w . x^exps (x's pushed to the left of the perm)."""
         key = (w, exps)
         got = self._push.get(key)
         if got is not None:
             return got
-        cur: dict[TermKey, Fraction] = {(exps, perm_identity(self.r)): Fraction(1)}
+        cur: dict[TermKey, Coef] = {(exps, perm_identity(self.r)): 1}
         for i in reversed(perm_reduced_word(w)):
             s = perm_simple(self.r, i)
-            nxt: dict[TermKey, Fraction] = {}
+            nxt: dict[TermKey, Coef] = {}
             for (c, u), coef in cur.items():
                 for alpha, beta, eps, icoef in _exchange(c[i - 1], c[i]):
                     c2 = list(c)
@@ -219,16 +234,16 @@ class AlgebraContext:
         self._push[key] = cur
         return cur
 
-    def _mono_mul(self, a: Exps, w: Perm, b: Exps, v: Perm) -> dict[TermKey, Fraction]:
+    def _mono_mul(self, a: Exps, w: Perm, b: Exps, v: Perm) -> dict[TermKey, Coef]:
         """Normal form of (x^a w)(x^b v)."""
-        out: dict[TermKey, Fraction] = {}
+        out: dict[TermKey, Coef] = {}
         for (c, u), coef in self._push_through(w, b).items():
             self._put(out, tuple(p + q for p, q in zip(a, c)), perm_mul(u, v),
                       coef)
         return out
 
-    def _put(self, out: dict[TermKey, Fraction], exps: Exps, perm: Perm,
-             coef: Fraction) -> None:
+    def _put(self, out: dict[TermKey, Coef], exps: Exps, perm: Perm,
+             coef: Coef) -> None:
         """Add coef * x^exps . perm to ``out``, reducing overflowing powers."""
         if max(exps) < self.ell:
             _acc(out, (exps, perm), coef)
@@ -256,7 +271,7 @@ class Element:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: AlgebraContext, terms: dict[TermKey, Fraction]):
+    def __init__(self, ctx: AlgebraContext, terms: dict[TermKey, Coef]):
         self.ctx = ctx
         self.terms = terms
 
@@ -287,14 +302,16 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            out: dict[TermKey, Fraction] = {}
+            out: dict[TermKey, Coef] = {}
             for (a, w), c1 in self.terms.items():
                 for (b, v), c2 in other.terms.items():
                     c12 = c1 * c2
                     for key, c3 in self.ctx._mono_mul(a, w, b, v).items():
                         _acc(out, key, c12 * c3)
             return Element(self.ctx, out)
-        coef = Fraction(other)
+        if not isinstance(other, Rational):
+            return NotImplemented
+        coef = other.numerator if other.denominator == 1 else Fraction(other)
         if coef == 0:
             return self.ctx.zero()
         return Element(self.ctx, {k: coef * c for k, c in self.terms.items()})
@@ -326,7 +343,7 @@ def star(h: Element) -> Element:
     sends x^a . w to w^{-1} . x^a (then renormalizes).
     """
     ctx = h.ctx
-    out: dict[TermKey, Fraction] = {}
+    out: dict[TermKey, Coef] = {}
     for (a, w), coef in h.terms.items():
         for key, c2 in ctx._push_through(perm_inverse(w), a).items():
             _acc(out, key, coef * c2)
@@ -337,7 +354,7 @@ def tau_hat(h: Element) -> Fraction:
     """Coefficient of x_1^{ell-1}...x_r^{ell-1} . 1 in normal form."""
     ctx = h.ctx
     top = ((ctx.ell - 1,) * ctx.r, perm_identity(ctx.r))
-    return h.terms.get(top, Fraction(0))
+    return Fraction(h.terms.get(top, 0))
 
 
 def pairing(h1: Element, h2: Element) -> Fraction:
@@ -384,7 +401,7 @@ def defining_relations(ctx: AlgebraContext) -> list[tuple[str, Element]]:
         )
     f = one
     for w in ctx.omega:
-        f = f * (x[1] - one * Fraction(w))
+        f = f * (x[1] - one * w)
     rels.append((f"cyclotomic degree {ell}", f))
     return rels
 
@@ -404,7 +421,7 @@ def verify_basis(ctx: AlgebraContext, pair_sample: int = 300,
     n = len(basis)
 
     def elem(i: int) -> Element:
-        return Element(ctx, {basis[i]: Fraction(1)})
+        return Element(ctx, {basis[i]: 1})
 
     for _ in range(pair_sample):
         i, j = rng.randrange(n), rng.randrange(n)

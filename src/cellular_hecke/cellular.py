@@ -130,7 +130,7 @@ def young_sum(ctx: AlgebraContext, lam: Multipartition,
     for i in range(len(lam)):
         terms = {}
         for w in row_stabilizer(lam, i):
-            coef = Fraction(perm_sign(w)) if use_sign[i] else Fraction(1)
+            coef = perm_sign(w) if use_sign[i] else 1
             terms[((0,) * ctx.r, w)] = coef
         out = out * Element(ctx, terms)
     return out
@@ -152,7 +152,7 @@ def _pi_factor(ctx: AlgebraContext, a: int, w: int) -> Element:
     """(x_1 - w)(x_2 - w)...(x_a - w); the empty product for a = 0."""
     out = ctx.one()
     for m in range(1, a + 1):
-        out = out * (ctx.generator_x(m) - ctx.one() * Fraction(w))
+        out = out * (ctx.generator_x(m) - ctx.one() * w)
     return out
 
 
@@ -290,6 +290,14 @@ class FamilyRealization:
         """Coordinates of ``h`` in the cellular basis."""
         return vec_mat(self.ctx.to_vector(h), self.change_of_basis_inv)
 
+    def coordinate(self, h: Element, cell: tuple[int, int, int]) -> Fraction:
+        """The ``cell`` coordinate of ``h``: one entry of ``expand(h)``."""
+        col = self.cell_index[cell]
+        idx = self.ctx.basis_index()
+        inv = self.change_of_basis_inv
+        return sum((coef * inv[idx[key]][col] for key, coef in h.terms.items()),
+                   Fraction(0))
+
     def element(self, li: int, si: int, ti: int) -> Element:
         return self.elements[self.cell_index[(li, si, ti)]]
 
@@ -379,9 +387,9 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     for si in range(len(tabs)):
         row = []
         for ti in range(len(tabs)):
-            coords = real.expand(
-                real.element(li, top, si) * real.element(li, ti, top))
-            row.append(coords[real.cell_index[(li, top, top)]])
+            row.append(real.coordinate(
+                real.element(li, top, si) * real.element(li, ti, top),
+                (li, top, top)))
         gram.append(row)
     return CellModuleRealization(
         ctx, family, lam, tabs, s_action, x_action, gram

@@ -156,7 +156,7 @@ def perm_is_valid(w: tuple[int, ...]) -> bool:
 
 def perm_mul(u: Perm, v: Perm) -> Perm:
     """Composite "u then v": ``(i)(uv) = ((i)u)v``."""
-    return tuple(v[u[i] - 1] for i in range(len(u)))
+    return tuple([v[i - 1] for i in u])
 
 
 def perm_inverse(w: Perm) -> Perm:

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellular_hecke.algebra import (
+    _EXCHANGE,
     AlgebraContext,
     Element,
     defining_relations,
@@ -13,7 +15,20 @@ from cellular_hecke.algebra import (
     tau_hat,
     verify_basis,
 )
-from cellular_hecke.combinatorics import perm_identity, perm_inverse
+from cellular_hecke.cellular import (
+    cell_seed,
+    family_m,
+    family_m_xi,
+    family_n,
+    family_n_xi,
+)
+from cellular_hecke.combinatorics import (
+    all_perms,
+    enumerate_multipartitions,
+    perm_identity,
+    perm_inverse,
+    perm_mul,
+)
 from cellular_hecke.serialization import element_from_obj, element_to_obj
 
 CONTEXTS = [(1, 4, (0,)), (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1, 5)),
@@ -153,3 +168,106 @@ def test_star_agrees_with_inverse_on_group_part():
     ctx = AlgebraContext(1, 3, (0,))
     for w in [(2, 1, 3), (2, 3, 1), (3, 2, 1)]:
         assert star(ctx.from_permutation(w)) == ctx.from_permutation(perm_inverse(w))
+
+
+def test_non_integral_omega_rejected():
+    with pytest.raises(ValueError, match="integral"):
+        AlgebraContext(2, 2, (0.5, 1))
+    with pytest.raises(ValueError, match="integral"):
+        AlgebraContext(2, 2, (Fraction(1, 2), 1))
+    assert AlgebraContext(2, 2, (Fraction(2), 1.0)).omega == (2, 1)
+
+
+def test_non_rational_scalar_rejected(ctx22):
+    s1 = ctx22.generator_s(1)
+    with pytest.raises(TypeError):
+        s1 * 0.1
+    with pytest.raises(TypeError):
+        0.5 * s1
+    with pytest.raises(TypeError):
+        s1 * complex(1, 0)
+    assert s1 * Fraction(4, 2) == s1 + s1
+    assert type((s1 * Fraction(4, 2)).terms[((0, 0), (2, 1))]) is int
+
+
+def _all_int(terms) -> bool:
+    return all(type(c) is int for c in terms.values())
+
+
+@pytest.mark.parametrize("ell,r,omega,c,xi", [
+    (3, 3, (0, 1, 2), (0, 1, 1), (2, 3, 1)),
+    (2, 4, (1, 0), (1, 0), (2, 1)),
+])
+def test_coefficients_stay_int_until_the_linalg_boundary(ell, r, omega, c, xi):
+    ctx = AlgebraContext(ell, r, omega)
+    basis = ctx.basis()
+    rng = random.Random(5)
+    prods = []
+    for _ in range(40):
+        a = Element(ctx, {basis[rng.randrange(len(basis))]: 1})
+        b = Element(ctx, {basis[rng.randrange(len(basis))]: -2})
+        prods.append(a * b * ctx.generator_x(r))
+    assert ctx._xred and ctx._push
+    assert all(type(v) is int for terms in _EXCHANGE.values()
+               for term in terms for v in term)
+    assert all(_all_int(t) for t in ctx._xl)
+    assert all(_all_int(t) for t in ctx._push.values())
+    assert all(_all_int(t) for t in ctx._xred.values())
+    assert all(_all_int(h.terms) for h in prods)
+    for fam in (family_m(c), family_n(c), family_m_xi(xi), family_n_xi(xi)):
+        for lam in enumerate_multipartitions(ell, r):
+            assert _all_int(cell_seed(ctx, fam, lam).terms), (fam, lam)
+    for h in prods[:5]:
+        assert all(type(v) is Fraction for v in ctx.to_vector(h))
+        assert type(tau_hat(h)) is Fraction
+    assert type(tau_hat(ctx.zero())) is Fraction
+
+
+def _as_fractions(h: Element) -> Element:
+    return Element(h.ctx, {k: Fraction(v) for k, v in h.terms.items()})
+
+
+_RING_CONTEXTS = {(2, 2): AlgebraContext(2, 2, (1, 0)),
+                  (3, 2): AlgebraContext(3, 2, (0, 2, -1))}
+
+
+@st.composite
+def _rational_element_triples(draw):
+    ctx = _RING_CONTEXTS[draw(st.sampled_from(sorted(_RING_CONTEXTS)))]
+    basis = ctx.basis()
+
+    def element():
+        terms = {}
+        for i in draw(st.lists(st.integers(0, len(basis) - 1), max_size=5,
+                               unique=True)):
+            q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+            if q:
+                terms[basis[i]] = q.numerator if q.denominator == 1 else q
+        return Element(ctx, terms)
+
+    return element(), element(), element()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_rational_element_triples())
+def test_mixed_int_fraction_ring_matches_fractions(triple):
+    # integral coefficients are stored as int, the rest as Fraction; the
+    # same elements with every coefficient a Fraction must multiply and
+    # associate identically
+    a, b, c = triple
+    fa, fb, fc = (_as_fractions(h) for h in triple)
+    assert a * b == fa * fb
+    assert (a * b) * c == a * (b * c) == (fa * fb) * fc
+    assert a * Fraction(2, 3) == fa * Fraction(2, 3)
+    assert a.ctx.to_vector(a * b) == a.ctx.to_vector(fa * fb)
+
+
+def test_perm_mul_matches_reference_definition():
+    def reference(u, v):
+        return tuple(v[u[i] - 1] for i in range(len(u)))
+
+    perms = all_perms(4)
+    assert len(perms) == 24
+    for u in perms:
+        for v in perms:
+            assert perm_mul(u, v) == reference(u, v)

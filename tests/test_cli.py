@@ -170,6 +170,11 @@ GOLDEN = [
          "--c", "0,1,0", "--xi", "2,3,1"), 0,
         "a13a2a15f8d02870297c2b30a43f987d134b20a8b7f4514b77b53452abe1252d",
         id="verify-cellular-e3"),
+    pytest.param(
+        ("verify", "main1", "--ell", "3", "--r", "3", "--omega", "2,1,0",
+         "--c", "0,1,0"), 0,
+        "cbd5d98f893f5f9e31f7ca3771228b8068b8154db70bddb3e10546253af411f9",
+        id="verify-main1-e3r3"),
 ]
 
 
@@ -250,3 +255,26 @@ def test_simples_config_matches_flags(tmp_path, capsys, fields, extra, flags):
     assert code == 0
     _, from_flags = run_cli(capsys, "simples", *flags)
     assert from_file == from_flags
+
+
+@pytest.mark.parametrize("verb,fields,flags", [
+    (("gram", "--lambda", "[[1],[1]]"), {"c": [0, 1], "family": "n"},
+     ("--c", "0,1", "--family", "n")),
+    (("blocks",), {"family": "mxi", "xi": [2, 1], "format": "csv"},
+     ("--family", "mxi", "--xi", "2,1", "--format", "csv")),
+    (("match", "--familyA", "m", "--familyB", "n"), {"c": [1, 0]},
+     ("--c", "1,0")),
+    (("verify", "cellular"), {"c": [0, 1], "xi": [2, 1]},
+     ("--c", "0,1", "--xi", "2,1")),
+], ids=["gram", "blocks", "match", "verify-cellular"])
+def test_config_matches_flags_per_verb(tmp_path, capsysbinary, verb, fields,
+                                       flags):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"ell": 2, "r": 2, "omega": [1, 0], **fields}))
+    code_file = main([*verb, "--config", str(cfg)])
+    from_file = capsysbinary.readouterr().out
+    code_flags = main([*verb, "--ell", "2", "--r", "2", "--omega", "1,0",
+                       *flags])
+    from_flags = capsysbinary.readouterr().out
+    assert code_file == code_flags == 0
+    assert from_file == from_flags and from_file
