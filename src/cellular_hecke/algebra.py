@@ -29,7 +29,8 @@ and every product of integral elements. A coefficient is a ``Fraction`` only
 when a caller scales by a non-integral rational, and then Python's numeric
 tower mixes the two exactly (``1 == Fraction(1)`` with equal hashes, so
 equality of elements does not see the type). Nothing is ever a float: a
-non-integral omega raises ValueError and a non-rational scalar TypeError.
+non-integral omega raises ValueError, and a non-rational scalar or an
+``Element`` coefficient that is not an int or a Fraction raises TypeError.
 The linear algebra boundary converts: ``AlgebraContext.to_vector`` and
 ``tau_hat`` return ``Fraction`` values.
 """
@@ -272,6 +273,10 @@ class Element:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: AlgebraContext, terms: dict[TermKey, Coef]):
+        for coef in terms.values():
+            if not isinstance(coef, (int, Fraction)):
+                raise TypeError(f"coefficient {coef!r} is not an int or a "
+                                f"Fraction")
         self.ctx = ctx
         self.terms = terms
 
@@ -406,8 +411,13 @@ def defining_relations(ctx: AlgebraContext) -> list[tuple[str, Element]]:
     return rels
 
 
-def verify_basis(ctx: AlgebraContext, pair_sample: int = 300,
-                 triple_sample: int = 200, seed: int = 0) -> bool:
+# verify_basis samples this many basis pairs and triples with this seed
+_PAIR_SAMPLE = 300
+_TRIPLE_SAMPLE = 200
+_SAMPLE_SEED = 0
+
+
+def verify_basis(ctx: AlgebraContext) -> bool:
     """
     Confirm the normal-form basis: size ell^r * r!, closure of sampled basis
     products under the normal form, and associativity on sampled triples.
@@ -417,13 +427,13 @@ def verify_basis(ctx: AlgebraContext, pair_sample: int = 300,
     basis = ctx.basis()
     if len(basis) != ctx.dimension():
         return False
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLE_SEED)
     n = len(basis)
 
     def elem(i: int) -> Element:
         return Element(ctx, {basis[i]: 1})
 
-    for _ in range(pair_sample):
+    for _ in range(_PAIR_SAMPLE):
         i, j = rng.randrange(n), rng.randrange(n)
         prod = elem(i) * elem(j)
         for (a, w) in prod.terms:
@@ -431,7 +441,7 @@ def verify_basis(ctx: AlgebraContext, pair_sample: int = 300,
                 return False
             if not perm_is_valid(w):
                 return False
-    for _ in range(triple_sample):
+    for _ in range(_TRIPLE_SAMPLE):
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         if (elem(i) * elem(j)) * elem(k) != elem(i) * (elem(j) * elem(k)):
             return False

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 from .combinatorics import Multipartition, is_partition
 
-# pinned by the Gram-rank agreement test at (ell, r, omega) = (2, <=3, (0,1))
+# Pinned by the crystal vs Gram-rank agreement tests at ell = 2: omega = (0,1)
+# and (0,0) for r <= 3, (1,0) and (0,0) at r = 4; the other orientation already
+# disagrees at (r, omega) = (2, (0,1)). Three-component checks run at r <= 2.
 DEFAULT_ORIENTATION = "rtl"
 
 

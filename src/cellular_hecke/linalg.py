@@ -1,17 +1,18 @@
 """
 Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``fractions.Fraction`` (rows). ``rref`` and
-everything built on it (rank, nullspaces, solves) is plain Gauss elimination
-with deterministic pivoting: columns left to right, first row with a nonzero
-entry. Those pivots reach the output (the quotient coordinates of a simple
-module, the emitted nullspace bases), so their order is fixed.
+Matrices are lists of lists of ``fractions.Fraction`` (rows). There is one
+elimination kernel, ``rref``; rank, nullspaces, solves and ``inverse`` (the
+right half of ``rref([a | I])``) all run on it.
 
-``inverse`` is different: the inverse of a matrix is unique, so any pivot
-order gives the same result, and it picks pivots to keep the work sparse. It
-runs Gauss-Jordan on ``[a | I]`` with rows stored as dicts of their nonzero
-entries and pivots each column on the unused row with the fewest nonzeros.
-Its inputs are the largest matrices here, the change of basis of a whole
+``rref`` is a sparse Gauss-Jordan: rows are dicts of their nonzero entries,
+with a column -> rows index. The reduced row echelon form of a matrix is
+unique, so the pivot row within a column is free, and each column is pivoted
+on the unused row with the fewest nonzeros to keep fill-in small. The column
+order is not free: left to right is what makes the pivots the first
+independent columns, which reach the output (the quotient coordinates of a
+simple module, the emitted nullspace bases) and which put the left block of
+``[a | I]`` first. The largest inputs are the change of basis of a whole
 family: n = ell^r * r!, e.g. 48 at (ell, r) = (2, 3), 162 at (3, 3) and 384
 at (2, 4), with integer entries and 2-17% of them nonzero. Cell-module, Gram
 and intertwiner systems stay far smaller.
@@ -38,10 +39,6 @@ def mat_identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
-
-
-def mat_copy(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -72,64 +69,36 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(rank, rows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return m, pivots
-
-
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def inverse(a: Matrix) -> Matrix:
     """
-    Inverse of a square matrix; raises SingularMatrixError.
+    Reduced row echelon form and the list of pivot columns.
 
-    Sparse Gauss-Jordan on ``[a | I]``: rows are dicts of their nonzero
-    entries, and each column is pivoted on the unused row holding it with the
-    fewest nonzeros (lowest index on ties), which keeps fill-in small.
+    Sparse Gauss-Jordan: rows are dicts of their nonzero entries, columns are
+    taken left to right, and each column is pivoted on the unused row holding
+    it with the fewest nonzeros (lowest index on ties), which keeps fill-in
+    small. The result is dense: the pivot rows in pivot order, then the zero
+    rows, every entry a ``Fraction``; ``a`` is left unchanged.
     """
-    n = len(a)
+    cols = len(a[0]) if a else 0
     rows: list[dict[int, Fraction]] = []
-    holders: list[set[int]] = [set() for _ in range(n)]
+    holders: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(a):
         sparse = {j: x for j, x in enumerate(row) if x}
         for j in sparse:
             holders[j].add(i)
-        sparse[n + i] = Fraction(1)
         rows.append(sparse)
-    used = [False] * n
-    pivot_row = []
-    for col in range(n):
+    used = [False] * len(rows)
+    pivot_rows: list[int] = []
+    pivots: list[int] = []
+    for col in range(cols):
+        if len(pivots) == len(rows):
+            break
         candidates = [i for i in holders[col] if not used[i]]
         if not candidates:
-            raise SingularMatrixError(f"matrix of size {n} is singular")
+            continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         used[p] = True
-        pivot_row.append(p)
+        pivot_rows.append(p)
+        pivots.append(col)
         inv = Fraction(1) / rows[p][col]
         prow = {j: x * inv for j, x in rows[p].items()}
         rows[p] = prow
@@ -146,17 +115,34 @@ def inverse(a: Matrix) -> Matrix:
                         row[j] = x
                     else:
                         del row[j]
-                        if j < n:
-                            holders[j].discard(i)
+                        holders[j].discard(i)
                 else:
                     row[j] = f * y
-                    if j < n:
-                        holders[j].add(i)
+                    holders[j].add(i)
         holders[col] = {p}
     zero = Fraction(0)
-    return [
-        [rows[p].get(n + j, zero) for j in range(n)] for p in pivot_row
-    ]
+    reduced = [[rows[p].get(j, zero) for j in range(cols)] for p in pivot_rows]
+    reduced += [[zero] * cols for _ in range(len(rows) - len(pivots))]
+    return reduced, pivots
+
+
+def rank(a: Matrix) -> int:
+    if not a or not a[0]:
+        return 0
+    return len(rref(a)[1])
+
+
+def inverse(a: Matrix) -> Matrix:
+    """
+    Inverse of a square matrix, the right half of ``rref([a | I])``; raises
+    SingularMatrixError.
+    """
+    n = len(a)
+    reduced, pivots = rref(
+        [row + unit for row, unit in zip(a, mat_identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError(f"matrix of size {n} is singular")
+    return [row[n:] for row in reduced]
 
 
 def right_nullspace(a: Matrix) -> list[Vector]:

@@ -72,7 +72,8 @@ def element_from_obj(ctx, data) -> "object":
     terms = {}
     for item in data:
         key = (tuple(item["a"]), tuple(item["w"]))
-        terms[key] = parse_fraction(item["coef"])
+        coef = parse_fraction(item["coef"])
+        terms[key] = coef.numerator if coef.denominator == 1 else coef
     return Element(ctx, terms)
 
 
@@ -194,13 +195,12 @@ def emit_csv(rows: list[dict], fieldnames: list[str] | None = None) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def emit_dot(nodes: list[str], edges: list[tuple[int, str, int]],
-             name: str = "crystal") -> bytes:
+def emit_dot(nodes: list[str], edges: list[tuple[int, str, int]]) -> bytes:
     """
     Directed graph with sequential integer node ids; ``nodes[i]`` is the
     label of node i and each edge is (source id, edge label, target id).
     """
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph crystal {"]
     for i, label in enumerate(nodes):
         lines.append(f'  {i} [label="{label}"];')
     for src, label, dst in edges:

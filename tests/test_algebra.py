@@ -51,7 +51,7 @@ def test_defining_relations_normalize_to_zero(ell, r, omega):
 def test_basis_count_and_closure(ell, r, omega):
     ctx = AlgebraContext(ell, r, omega)
     assert ctx.dimension() == ell ** r * __import__("math").factorial(r)
-    assert verify_basis(ctx, pair_sample=100, triple_sample=50)
+    assert verify_basis(ctx)
 
 
 def test_mixed_relation_examples(ctx22):
@@ -188,6 +188,16 @@ def test_non_rational_scalar_rejected(ctx22):
         s1 * complex(1, 0)
     assert s1 * Fraction(4, 2) == s1 + s1
     assert type((s1 * Fraction(4, 2)).terms[((0, 0), (2, 1))]) is int
+
+
+def test_float_coefficient_rejected(ctx22):
+    key = ((0, 0), (2, 1))
+    with pytest.raises(TypeError, match="0.5"):
+        Element(ctx22, {key: 0.5}) * ctx22.generator_x(1)
+    with pytest.raises(TypeError):
+        Element(ctx22, {key: 1, ((1, 0), (1, 2)): 2.0})
+    assert Element(ctx22, {key: 1}) == ctx22.generator_s(1)
+    assert Element(ctx22, {key: Fraction(1, 2)}) * 2 == ctx22.generator_s(1)
 
 
 def _all_int(terms) -> bool:

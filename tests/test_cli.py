@@ -175,6 +175,17 @@ GOLDEN = [
          "--c", "0,1,0"), 0,
         "cbd5d98f893f5f9e31f7ca3771228b8068b8154db70bddb3e10546253af411f9",
         id="verify-main1-e3r3"),
+    # the two referee-e2r3 invocations of bench/run.py, same digests
+    pytest.param(
+        ("verify", "all", "--ell", "2", "--r", "3", "--omega", "1,0",
+         "--c", "0,1", "--xi", "2,1"), 0,
+        "8d77473728062a5580ca8cb56387139a4c53a98dbfe22fdae71918a57187ea2f",
+        id="verify-all-e2r3"),
+    pytest.param(
+        ("match", "--ell", "2", "--r", "3", "--omega", "1,0",
+         "--familyA", "m", "--familyB", "n"), 0,
+        "5942a5e388a853e56dcad7a2e3307dcebbebe1d6c5a9db019bb89c855e7e1968",
+        id="match-e2r3"),
 ]
 
 

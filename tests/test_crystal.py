@@ -133,6 +133,10 @@ class TestClassification:
     def test_agrees_with_gram_oracle(self, omega, r):
         assert nonzero_labels(omega, r) == gram_oracle(omega, r)
 
+    @pytest.mark.parametrize("omega", [(1, 0), (0, 0)])
+    def test_agrees_with_gram_oracle_at_r4(self, omega):
+        assert nonzero_labels(omega, 4) == gram_oracle(omega, 4)
+
     @pytest.mark.parametrize("omega", [(0, 0, 1), (0, 1, 5)])
     @pytest.mark.parametrize("r", [1, 2])
     def test_agrees_with_gram_oracle_three_components(self, omega, r):

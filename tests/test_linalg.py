@@ -47,6 +47,34 @@ def dense_inverse(a):
     return [row[n:] for row in m]
 
 
+def dense_rref(a):
+    """Reference: the dense Gauss elimination ``rref`` used to be, columns
+    left to right, pivot on the first row with a nonzero entry."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(cols):
+        pivot_row = None
+        for i in range(rank, rows):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(rows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    return m, pivots
+
+
 def random_matrix(rng, n, density):
     """Sparse integer matrix made likely invertible by a permuted diagonal
     of non-unit entries, so the true diagonal is mostly zero."""
@@ -77,6 +105,82 @@ def assert_inverse_matches_reference(a):
     assert all(isinstance(x, Fraction) for row in got for x in row)
     assert mat_mul(a, got) == mat_identity(n)
     return True
+
+
+def random_rect(rng, rows, cols, density):
+    return [[Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+             if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def assert_rref_matches_reference(a):
+    before = copy.deepcopy(a)
+    red, pivots = rref(a)
+    assert a == before
+    assert (red, pivots) == dense_rref(a)
+    assert all(type(x) is Fraction for row in red for x in row)
+    return len(pivots)
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (3, 9), (9, 3), (6, 6), (14, 5), (5, 14),
+          (20, 11), (11, 20)]
+
+
+def rref_cases(kind, rng):
+    for rows, cols in SHAPES:
+        for density in (0.1, 0.3, 0.7):
+            a = random_rect(rng, rows, cols, density)
+            if kind == "tall":
+                yield a if rows >= cols else transpose(a)
+            elif kind == "wide":
+                yield a if rows <= cols else transpose(a)
+            elif kind == "rank-deficient":
+                k = max(1, min(rows, cols) // 2)
+                yield mat_mul(random_rect(rng, rows, k, density),
+                              random_rect(rng, k, cols, 0.6))
+            elif kind == "zero-rows-cols":
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                a[i] = [Fraction(0)] * cols
+                for row in a:
+                    row[j] = Fraction(0)
+                yield a
+            elif kind == "repeated-rows":
+                yield [a[rng.randrange(rows)][:] for _ in range(rows + 2)]
+            elif kind == "augmented":
+                n = min(rows, cols)
+                sq = random_matrix(rng, n, density)
+                if n > 1 and density > 0.5:
+                    sq[-1] = [2 * x for x in sq[0]]       # singular left half
+                yield [row + e for row, e in zip(sq, mat_identity(n))]
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient",
+                                  "zero-rows-cols", "repeated-rows",
+                                  "augmented"])
+def test_rref_matches_dense_reference(kind):
+    rng = random.Random(f"rref-{kind}")
+    ranks = [assert_rref_matches_reference(a) for a in rref_cases(kind, rng)]
+    assert len(ranks) == 3 * len(SHAPES)
+    assert len(set(ranks)) > 3
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[]], [[], []], [[0, 0], [0, 0]], [[0, 3], [0, 0], [0, -6]],
+    [[1, 1, 0], [1, 0, 1], [0, 1, 1]],        # shortest-row ties everywhere
+    [[2, 1, 1, 1], [4, 0, 0, 0], [0, 0, 0, 5]],  # longest row holds column 0
+])
+def test_rref_edge_cases_match_dense_reference(rows):
+    assert_rref_matches_reference(F(rows))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 7)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 3]),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0])))
+def test_rref_matches_dense_reference_property(rows):
+    assert_rref_matches_reference(F(rows))
 
 
 def test_inverse_matches_dense_reference():

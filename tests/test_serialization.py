@@ -144,3 +144,15 @@ class TestElementSerialization:
         assert all(set(item) == {"a", "w", "coef"} for item in obj)
         json.dumps(obj)  # JSON-safe
         assert element_from_obj(ctx, obj) == h
+
+    def test_round_trip_keeps_integral_coefficients_int(self):
+        ctx = AlgebraContext(2, 2, (0, 1))
+        h = ctx.generator_s(1) * ctx.generator_x(1)
+        assert len(h.terms) == 2
+        again = element_from_obj(ctx, element_to_obj(h))
+        assert again == h
+        assert all(type(c) is int for c in again.terms.values())
+        half = element_from_obj(ctx, element_to_obj(h * Fraction(1, 2)))
+        assert half == h * Fraction(1, 2)
+        assert all(type(c) is Fraction for c in half.terms.values())
+        assert type(parse_fraction("3")) is Fraction
