@@ -23,7 +23,6 @@ from .cellular import (
     block_of,
     cell_module,
     cell_seed,
-    cellular_change_of_basis,
     cellular_element,
     contragredient,
     family_m,

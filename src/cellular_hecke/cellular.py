@@ -251,7 +251,8 @@ class FamilyRealization:
     """
     Every cellular element of one family expanded over the monomial basis,
     with the inverse change of basis cached. Built once per (context, family)
-    and immutable afterwards.
+    and immutable afterwards. ``expand(h, cells)`` is the one reader of
+    cellular coordinates: cell-module actions and Gram entries go through it.
     """
 
     def __init__(self, ctx: AlgebraContext, family: BasisFamily):
@@ -286,17 +287,19 @@ class FamilyRealization:
                 f"H({ctx.ell},{ctx.r})"
             ) from exc
 
-    def expand(self, h: Element) -> list[Fraction]:
-        """Coordinates of ``h`` in the cellular basis."""
-        return vec_mat(self.ctx.to_vector(h), self.change_of_basis_inv)
-
-    def coordinate(self, h: Element, cell: tuple[int, int, int]) -> Fraction:
-        """The ``cell`` coordinate of ``h``: one entry of ``expand(h)``."""
-        col = self.cell_index[cell]
+    def expand(self, h: Element,
+               cells: list[tuple[int, int, int]]) -> list[Fraction]:
+        """
+        Coordinates of ``h`` at the given (li, si, ti) cells, read from the
+        inverse rows of its terms at the cells' columns only.
+        """
         idx = self.ctx.basis_index()
         inv = self.change_of_basis_inv
-        return sum((coef * inv[idx[key]][col] for key, coef in h.terms.items()),
-                   Fraction(0))
+        rows = [(coef, inv[idx[key]]) for key, coef in h.terms.items()]
+        cols = [self.cell_index[cell] for cell in cells]
+        return [sum((coef * row[col] for coef, row in rows if row[col]),
+                    Fraction(0))
+                for col in cols]
 
     def element(self, li: int, si: int, ti: int) -> Element:
         return self.elements[self.cell_index[(li, si, ti)]]
@@ -307,12 +310,9 @@ class FamilyRealization:
         the (li, left, u) coordinates of element(li, left, t) * h.
         """
         n = len(self.tableaux[li])
-        mat = []
-        for ti in range(n):
-            coords = self.expand(self.element(li, left, ti) * h)
-            mat.append([coords[self.cell_index[(li, left, ui)]]
-                        for ui in range(n)])
-        return mat
+        cells = [(li, left, ui) for ui in range(n)]
+        return [self.expand(self.element(li, left, ti) * h, cells)
+                for ti in range(n)]
 
     def label_index(self, lam: Multipartition) -> int:
         return self.labels.index(lam)
@@ -326,12 +326,6 @@ def realization(ctx: AlgebraContext, family: BasisFamily) -> FamilyRealization:
     if family not in cache:
         cache[family] = FamilyRealization(ctx, family)
     return cache[family]
-
-
-def cellular_change_of_basis(ctx: AlgebraContext,
-                             family: BasisFamily) -> Matrix:
-    """Cellular elements over the monomial basis; invertibility enforced."""
-    return realization(ctx, family).change_of_basis
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +347,12 @@ class ModuleRealization:
 
 
 @dataclass
-class CellModuleRealization:
-    ctx: AlgebraContext
+class CellModuleRealization(ModuleRealization):
+    """A cell module: its label, tableau basis and Gram form."""
     family: BasisFamily
     label: Multipartition
     basis: list[Tableau]
-    s_action: list[Matrix]
-    x_action: list[Matrix]
     gram: Matrix
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def cell_module(ctx: AlgebraContext, family: BasisFamily,
@@ -383,16 +371,15 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     x_action = [real.action(li, top, ctx.generator_x(k))
                 for k in range(1, ctx.r + 1)]
 
-    gram = []
-    for si in range(len(tabs)):
-        row = []
-        for ti in range(len(tabs)):
-            row.append(real.coordinate(
-                real.element(li, top, si) * real.element(li, ti, top),
-                (li, top, top)))
-        gram.append(row)
+    gram = [
+        [real.expand(real.element(li, top, si) * real.element(li, ti, top),
+                     [(li, top, top)])[0]
+         for ti in range(len(tabs))]
+        for si in range(len(tabs))
+    ]
     return CellModuleRealization(
-        ctx, family, lam, tabs, s_action, x_action, gram
+        ctx=ctx, s_action=s_action, x_action=x_action,
+        family=family, label=lam, basis=tabs, gram=gram,
     )
 
 

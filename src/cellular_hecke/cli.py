@@ -25,7 +25,6 @@ from .algebra import (
 from .cellular import (
     BasisFamily,
     cell_module,
-    cellular_element,
     contragredient,
     family_m,
     family_m_xi,
@@ -339,27 +338,26 @@ def suite_trace(cfg: JobConfig) -> tuple[bool, list[str]]:
 
 def suite_pairing(cfg: JobConfig) -> tuple[bool, list[str]]:
     ctx = context_from_config(cfg)
-    fm, fn = family_m(cfg.c), family_n(cfg.c)
-    cells = [
-        (lam, s, t)
-        for lam in enumerate_multipartitions(cfg.ell, cfg.r)
-        for s in standard_tableaux(lam)
-        for t in standard_tableaux(lam)
-    ]
-    elems_m = [cellular_element(ctx, fm, s, t) for (_, s, t) in cells]
-    elems_n = [cellular_element(ctx, fn, u, v) for (_, u, v) in cells]
+    real_m = realization(ctx, family_m(cfg.c))
+    real_n = realization(ctx, family_n(cfg.c))
+    tabs = real_m.tableaux
+    cells = [(real_m.labels[li], tabs[li][si], tabs[li][ti])
+             for li, si, ti in real_m.cells]
     bad = []
-    for i, (lam, s, t) in enumerate(cells):
-        for j, (mu, u, v) in enumerate(cells):
-            val = pairing(elems_m[i], elems_n[j])
+    for elem_m, (lam, s, t) in zip(real_m.elements, cells):
+        for elem_n, (mu, u, v) in zip(real_n.elements, cells):
+            # only the diagonal and the pairs below it are checked
             up, vp = tableau_conjugate(u), tableau_conjugate(v)
             if (up, vp) == (s, t):
-                if val != 1:
-                    bad.append((lam, mu, str(val), "diagonal"))
+                want, where = 1, "diagonal"
             elif not (tableau_dominance_ge(up, s)
                       and tableau_dominance_ge(vp, t)):
-                if val != 0:
-                    bad.append((lam, mu, str(val), "below-diagonal"))
+                want, where = 0, "below-diagonal"
+            else:
+                continue
+            val = pairing(elem_m, elem_n)
+            if val != want:
+                bad.append((lam, mu, str(val), where))
     lines = [
         "FAIL pairing: " + json.dumps(
             {"lambda": mp_to_lists(lam), "mu": mp_to_lists(mu),
@@ -473,16 +471,15 @@ def suite_main1(cfg: JobConfig) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _main2_not_applicable(cfg: JobConfig) -> str | None:
-    if any(cfg.omega[i] < cfg.omega[i + 1] for i in range(cfg.ell - 1)):
+def _not_applicable(name: str, cfg: JobConfig) -> str | None:
+    """Why the suite ``name`` does not apply to the config, or None."""
+    if name == "main2" and any(cfg.omega[i] < cfg.omega[i + 1]
+                               for i in range(cfg.ell - 1)):
         return "omega must be weakly decreasing"
     return None
 
 
 def suite_main2(cfg: JobConfig) -> tuple[bool, list[str]]:
-    reason = _main2_not_applicable(cfg)
-    if reason:
-        return False, [f"FAIL main2: {reason}"]
     ctx = context_from_config(cfg)
     xi = cfg.xi if cfg.xi != tuple(range(1, cfg.ell + 1)) \
         else tuple(range(cfg.ell, 0, -1))
@@ -559,17 +556,21 @@ _SUITE_FNS = {
 def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
     run_all = "all" in suites
     names = list(SUITES) if run_all else suites
+    reasons = {name: _not_applicable(name, cfg) for name in names}
+    if not run_all:
+        # a suite named explicitly on a config it does not apply to is a
+        # usage error, reported before any suite runs
+        for name, reason in reasons.items():
+            if reason:
+                raise ValueError(f"verify {name}: {reason} "
+                                 f"(suite not applicable)")
     out_lines = []
     all_ok = True
     for name in names:
-        # under ``all`` a suite that does not apply is skipped; named
-        # explicitly, it runs and reports its precondition as a FAIL
-        reason = _main2_not_applicable(cfg) \
-            if run_all and name == "main2" else None
-        if reason:
-            print(f"skipping suite {name}: {reason}", file=sys.stderr)
+        if reasons[name]:
+            print(f"skipping suite {name}: {reasons[name]}", file=sys.stderr)
             out_lines.append(
-                f"SKIP {name}: {reason} (suite not applicable)")
+                f"SKIP {name}: {reasons[name]} (suite not applicable)")
             continue
         print(f"running suite {name} ...", end="", file=sys.stderr,
               flush=True)

@@ -144,7 +144,8 @@ def test_criterion_3_cellularity():
                     ref = None
                     for si in range(len(tabs)):
                         mat = [
-                            [real.expand(real.element(li, si, ti) * gen)
+                            [real.expand(real.element(li, si, ti) * gen,
+                                         real.cells)
                              [real.cell_index[(li, si, ui)]]
                              for ui in range(len(tabs))]
                             for ti in range(len(tabs))

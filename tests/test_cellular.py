@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from cellular_hecke.cellular import (
     block_of,
     cell_module,
     cell_seed,
-    cellular_change_of_basis,
     cellular_element,
     contragredient,
     family_m,
@@ -109,7 +109,7 @@ class TestCellularBases:
         for ctx in (ctx22, ctx13):
             expected = ctx.dimension()
             for fam in families_for(ctx):
-                mat = cellular_change_of_basis(ctx, fam)
+                mat = realization(ctx, fam).change_of_basis
                 assert len(mat) == expected
                 # realization() raised already if singular; rank confirms
                 assert rank(mat) == expected
@@ -129,7 +129,41 @@ class TestCellularBases:
                 == mat_identity(n)
             for k in (0, n // 3, n - 1):
                 unit = [Fraction(int(i == k)) for i in range(n)]
-                assert real.expand(real.elements[k]) == unit
+                assert real.expand(real.elements[k], real.cells) == unit
+
+    @pytest.mark.parametrize("ell,r,c,xi", [
+        (2, 3, (0, 1), (2, 1)),
+        (3, 2, (0, 1, 1), (2, 3, 1)),
+    ])
+    def test_expand_matches_dense_inverse(self, ell, r, c, xi):
+        """expand(h, cells) is the dense expansion of h against the whole
+        inverse change of basis, read at ``cells``."""
+        ctx = AlgebraContext(ell, r, tuple(range(ell)))
+        gens = [ctx.generator_s(i) for i in range(1, r)] + \
+               [ctx.generator_x(k) for k in range(1, r + 1)]
+        rng = random.Random(0)
+        for fam in [family_m(c), family_n(c), family_m_xi(xi),
+                    family_n_xi(xi)]:
+            real = realization(ctx, fam)
+            inv = real.change_of_basis_inv
+            shuffled = rng.sample(real.cells, len(real.cells))
+            repeats = shuffled[:5] * 2 + real.cells[:1] * 3
+
+            def check(h, cells):
+                dense = vec_mat(ctx.to_vector(h), inv)
+                got = real.expand(h, cells)
+                assert got == [dense[real.cell_index[cell]] for cell in cells]
+                assert all(type(x) is Fraction for x in got)
+
+            for el in real.elements:
+                for gen in gens:
+                    check(el * gen, real.cells)
+            h = real.elements[-1] * gens[0]
+            check(h, shuffled)
+            check(h, repeats)
+            check(h, [])
+            check(h * Fraction(2, 3) + real.elements[0], real.cells)
+            check(ctx.zero(), real.cells)
 
     def test_star_symmetry_exhaustive(self, ctx22, ctx13):
         for ctx in (ctx22, ctx13):
@@ -163,7 +197,7 @@ class TestCellularBases:
                         for ti in range(len(tabs)):
                             el = real.element(li, si, ti)
                             for gen in gens:
-                                coords = real.expand(el * gen)
+                                coords = real.expand(el * gen, real.cells)
                                 for ci, val in enumerate(coords):
                                     if val == 0:
                                         continue
@@ -186,7 +220,8 @@ class TestCellularBases:
                     for si in range(len(tabs)):
                         mat = []
                         for ti in range(len(tabs)):
-                            coords = real.expand(real.element(li, si, ti) * gen)
+                            coords = real.expand(
+                                real.element(li, si, ti) * gen, real.cells)
                             mat.append([
                                 coords[real.cell_index[(li, si, ui)]]
                                 for ui in range(len(tabs))

@@ -99,12 +99,23 @@ def test_verify_pass(capsys):
 
 
 def test_verify_counterexample_on_failure(capsys):
-    # main2 requires weakly decreasing parameters; this is a usage-level
-    # failure surfaced as a FAIL line and exit code 1
-    code, out = run_cli(capsys, "verify", "main2", "--ell", "2", "--r", "1",
-                        "--omega", "0,1")
-    assert code == 1
-    assert "FAIL main2" in out
+    # main2 requires weakly decreasing parameters; named explicitly on
+    # increasing ones this is a usage-level failure: exit 2, nothing on
+    # stdout, the suite and the reason on stderr
+    assert main(["verify", "main2", "--ell", "2", "--r", "1",
+                 "--omega", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: verify main2: omega must be weakly "
+                            "decreasing (suite not applicable)\n")
+
+
+def test_verify_precondition_checked_before_any_suite(capsys):
+    assert main(["verify", "relations", "main2", "--ell", "2", "--r", "1",
+                 "--omega", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "running suite" not in captured.err
 
 
 def test_verify_all_skips_main2_on_increasing_omega(capsys):
@@ -175,6 +186,11 @@ GOLDEN = [
          "--c", "0,1,0"), 0,
         "cbd5d98f893f5f9e31f7ca3771228b8068b8154db70bddb3e10546253af411f9",
         id="verify-main1-e3r3"),
+    pytest.param(
+        ("verify", "pairing", "duality", "--ell", "3", "--r", "2",
+         "--omega", "0,1,2", "--c", "1,0,1"), 0,
+        "5bc8f39268f7d3eea3d1c44bbd378f47aadac7445cf785ebfe00f68dfc67f1b5",
+        id="verify-pairing-duality-e3"),
     # the two referee-e2r3 invocations of bench/run.py, same digests
     pytest.param(
         ("verify", "all", "--ell", "2", "--r", "3", "--omega", "1,0",

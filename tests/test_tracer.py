@@ -1,0 +1,37 @@
+"""
+Smoke test for the benchmark's tracer: ``bench/tracer.py`` wraps the
+package's entry points by name, so renaming or reshaping one of them must
+fail here rather than in the next benchmark run.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from cellular_hecke.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+ARGV = ["gram", "--ell", "2", "--r", "2", "--omega", "0,1",
+        "--family", "m", "--lambda", "[[1],[1]]"]
+
+
+def test_tracer_runs_and_matches_untraced_stdout(capsysbinary):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), json.dumps([ARGV])],
+        cwd=ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout)
+
+    assert main(list(ARGV)) == 0
+    digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert report["invocations"] == [
+        {"argv": ARGV, "code": 0, "sha256": digest}]
+
+    metrics = report["metrics"]
+    assert metrics["cellular.expand_calls"]["value"] > 0
+    assert metrics["linalg.cob_inv_nnz"]["value"] > 0
