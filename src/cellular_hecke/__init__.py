@@ -11,6 +11,7 @@ from .algebra import (
     Element,
     defining_relations,
     pairing,
+    right_translate,
     star,
     tau_hat,
     verify_basis,

@@ -14,25 +14,33 @@ integral parameters omega. Every element is kept in normal form on the basis
 
     x_1^{a_1} ... x_r^{a_r} . w        0 <= a_i <= ell-1,  w in S_r,
 
-of size ell^r * r!. Multiplication pushes x's to the left with the mixed
-relations and rewrites overflowing powers x_j^ell through cached expansions.
-``AlgebraContext._put`` is the one place the normal form is enforced: every
-rewrite writes its terms through it, and it sends an overflowing x-part to
-``_x_reduce``. The x_j^ell cache is populated once at context construction
-(warm-up), which builds x_j^ell from x_{j-1}^ell with the same push-through
-step; elements are immutable values and every operation is deterministic.
-The remaining per-context lookup caches fill in lazily and idempotently.
+of size ell^r * r!. Every product of elements runs through one loop,
+``Element.__mul__``: each right term's x-part is pushed to the left through
+each left term's permutation with the mixed relations (``_push_through``),
+and every resulting term goes straight into the one output dict through
+``AlgebraContext._put``. ``_put`` is the one place the normal form is
+enforced: every rewrite writes its terms through it, and it sends an
+overflowing x-part to ``_x_reduce``, which rewrites powers x_j^ell through
+cached expansions. A permutation on the right only relabels terms, and
+``right_translate`` is that product. The x_j^ell cache is populated once
+at context construction (warm-up), which builds x_j^ell from x_{j-1}^ell
+with the same push-through step; elements are immutable values and every
+operation is deterministic. The remaining per-context lookup caches fill in
+lazily and idempotently.
 
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
 and every product of integral elements. A coefficient is a ``Fraction`` only
 when a caller scales by a non-integral rational, and then Python's numeric
 tower mixes the two exactly (``1 == Fraction(1)`` with equal hashes, so
-equality of elements does not see the type). Nothing is ever a float: a
-non-integral omega raises ValueError, and a non-rational scalar or an
-``Element`` coefficient that is not an int or a Fraction raises TypeError.
-The linear algebra boundary converts: ``AlgebraContext.to_vector`` and
-``tau_hat`` return ``Fraction`` values.
+equality of elements does not see the type). Integral factors always give
+``int`` coefficients; in a mixed product, an integral coefficient may be
+held as an ``int`` or as an integral ``Fraction``, depending on where
+``Fraction`` contributions to it cancel, with the same value and hash.
+Nothing is ever a float: a non-integral omega raises ValueError, and a
+non-rational scalar or an ``Element`` coefficient that is not an int or a
+Fraction raises TypeError. The linear algebra boundary converts:
+``AlgebraContext.to_vector`` and ``tau_hat`` return ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -235,14 +243,6 @@ class AlgebraContext:
         self._push[key] = cur
         return cur
 
-    def _mono_mul(self, a: Exps, w: Perm, b: Exps, v: Perm) -> dict[TermKey, Coef]:
-        """Normal form of (x^a w)(x^b v)."""
-        out: dict[TermKey, Coef] = {}
-        for (c, u), coef in self._push_through(w, b).items():
-            self._put(out, tuple(p + q for p, q in zip(a, c)), perm_mul(u, v),
-                      coef)
-        return out
-
     def _put(self, out: dict[TermKey, Coef], exps: Exps, perm: Perm,
              coef: Coef) -> None:
         """Add coef * x^exps . perm to ``out``, reducing overflowing powers."""
@@ -307,13 +307,17 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
+            # (x^a w)(x^b v) = x^a (w x^b) v: push x^b through w, then put
+            # every term of x^a x^c u v straight into the one output dict
+            ctx = self.ctx
             out: dict[TermKey, Coef] = {}
             for (a, w), c1 in self.terms.items():
                 for (b, v), c2 in other.terms.items():
                     c12 = c1 * c2
-                    for key, c3 in self.ctx._mono_mul(a, w, b, v).items():
-                        _acc(out, key, c12 * c3)
-            return Element(self.ctx, out)
+                    for (c, u), c3 in ctx._push_through(w, b).items():
+                        ctx._put(out, tuple(p + q for p, q in zip(a, c)),
+                                 perm_mul(u, v), c12 * c3)
+            return Element(ctx, out)
         if not isinstance(other, Rational):
             return NotImplemented
         coef = other.numerator if other.denominator == 1 else Fraction(other)
@@ -353,6 +357,16 @@ def star(h: Element) -> Element:
         for key, c2 in ctx._push_through(perm_inverse(w), a).items():
             _acc(out, key, coef * c2)
     return Element(ctx, out)
+
+
+def right_translate(h: Element, v: Perm) -> Element:
+    """
+    The product h . v by a permutation v on the right: x^a . w . v is the
+    normal-form monomial x^a . (wv), so the terms are only relabeled.
+    """
+    return Element(
+        h.ctx, {(a, perm_mul(w, v)): c for (a, w), c in h.terms.items()}
+    )
 
 
 def tau_hat(h: Element) -> Fraction:

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraContext, Element, tau_hat
+from .algebra import AlgebraContext, Element, right_translate, tau_hat
 from .combinatorics import (
     Multipartition,
     Perm,
@@ -34,7 +34,6 @@ from .combinatorics import (
     mp_size,
     perm_inverse,
     perm_is_valid,
-    perm_mul,
     perm_sign,
     row_reading_tableau,
     standard_tableaux,
@@ -218,13 +217,6 @@ def dual_family(family: BasisFamily) -> BasisFamily:
     return family_m_xi(family.xi)
 
 
-def _right_translate(h: Element, v: Perm) -> Element:
-    """h . v for a plain permutation v (stays in normal form)."""
-    return Element(
-        h.ctx, {(a, perm_mul(w, v)): c for (a, w), c in h.terms.items()}
-    )
-
-
 def cellular_element(ctx: AlgebraContext, family: BasisFamily,
                      s: Tableau, t: Tableau) -> Element:
     """d(s)^{-1} . seed(shape) . d(t) for standard s, t of a common shape."""
@@ -232,7 +224,7 @@ def cellular_element(ctx: AlgebraContext, family: BasisFamily,
     if tableau_shape(t) != lam:
         raise ValueError("tableaux have different shapes")
     left = ctx.from_permutation(perm_inverse(d_of(s)))
-    return _right_translate(left * cell_seed(ctx, family, lam), d_of(t))
+    return right_translate(left * cell_seed(ctx, family, lam), d_of(t))
 
 
 def z_element(ctx: AlgebraContext, c: tuple[int, ...],
@@ -240,7 +232,7 @@ def z_element(ctx: AlgebraContext, c: tuple[int, ...],
     """m-seed(lam) . w_lam . n-seed(lam'), the pairing witness of the label."""
     m_seed = cell_seed(ctx, family_m(c), lam)
     n_seed = cell_seed(ctx, family_n(c), conjugate(lam))
-    return _right_translate(m_seed, w_lambda(lam)) * n_seed
+    return right_translate(m_seed, w_lambda(lam)) * n_seed
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +265,7 @@ class FamilyRealization:
             for si, s in enumerate(tabs):
                 left = ctx.from_permutation(perm_inverse(d_of(s))) * seed
                 for ti, t in enumerate(tabs):
-                    elem = _right_translate(left, d_of(t))
+                    elem = right_translate(left, d_of(t))
                     self.cells.append((li, si, ti))
                     self.elements.append(elem)
                     matrix_rows.append(ctx.to_vector(elem))
@@ -315,6 +307,11 @@ class FamilyRealization:
                 for ti in range(n)]
 
     def label_index(self, lam: Multipartition) -> int:
+        if lam not in self.labels:
+            raise ValueError(
+                f"lambda {[list(p) for p in lam]} is not a label at "
+                f"ell={self.ctx.ell}, r={self.ctx.r}: need {self.ctx.ell} "
+                f"partitions of total size {self.ctx.r}")
         return self.labels.index(lam)
 
 
@@ -394,8 +391,7 @@ def gram_via_trace(ctx: AlgebraContext, family: BasisFamily,
     lam_d = conjugate(lam)
     w = w_lambda(lam_d)
     partner = cell_seed(ctx, dual_family(family), lam_d)
-    x = ctx.from_permutation(perm_inverse(w)) * partner \
-        * ctx.from_permutation(w)
+    x = right_translate(ctx.from_permutation(perm_inverse(w)) * partner, w)
     real = realization(ctx, family)
     li = real.label_index(lam)
     tabs = real.tableaux[li]
@@ -551,14 +547,14 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
     """
     z = z_element(ctx, c, lam)
     tabs = standard_tableaux(conjugate(lam))
-    vectors = [ctx.to_vector(_right_translate(z, d_of(t))) for t in tabs]
+    vectors = [ctx.to_vector(right_translate(z, d_of(t))) for t in tabs]
     if rank(vectors) != len(tabs):
         raise ValueError("pairing-witness translates are dependent")
 
     def action_matrix(gen: Element) -> Matrix:
         out = []
         for t in tabs:
-            prod = _right_translate(z, d_of(t)) * gen
+            prod = right_translate(z, d_of(t)) * gen
             out.append(solve_left(ctx.to_vector(prod), vectors))
         return out
 

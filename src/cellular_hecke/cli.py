@@ -18,6 +18,7 @@ from .algebra import (
     AlgebraContext,
     defining_relations,
     pairing,
+    right_translate,
     star,
     tau_hat,
     verify_basis,
@@ -222,6 +223,8 @@ def cmd_blocks(cfg: JobConfig) -> bytes:
 
 def cmd_crystal(cfg: JobConfig, depth: int | None) -> bytes:
     depth = cfg.r if depth is None else depth
+    if depth < 0:
+        raise ValueError(f"--depth must be >= 0, got {depth}")
     c0 = (0,) * cfg.ell
     seen = crystal_mod.component_of_empty(cfg.omega, c0, depth)
     ordered = sorted(
@@ -311,8 +314,9 @@ def suite_trace(cfg: JobConfig) -> tuple[bool, list[str]]:
     ok = True
     twists = _all_twists(cfg.ell)
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        winv = ctx.from_permutation(perm_inverse(w_lambda(lam)))
-        values = [(c, tau_hat(z_element(ctx, c, lam) * winv)) for c in twists]
+        winv = perm_inverse(w_lambda(lam))
+        values = [(c, tau_hat(right_translate(z_element(ctx, c, lam), winv)))
+                  for c in twists]
         bad = [(c, val) for c, val in values if val != 1]
         if bad:
             ok = False

@@ -26,15 +26,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def mp_to_lists(lam: Multipartition) -> list[list[int]]:
     return [list(p) for p in lam]
 
@@ -43,38 +34,6 @@ def mp_from_lists(data) -> Multipartition:
     if not isinstance(data, list) or any(not isinstance(p, list) for p in data):
         raise ValueError(f"not a multipartition: {data!r}")
     return tuple(tuple(int(x) for x in p) for p in data)
-
-
-def tableau_to_lists(t) -> list[list[list[int]]]:
-    """Row arrays per component, mirroring the multipartition form."""
-    return [[list(row) for row in comp] for comp in t]
-
-
-def tableau_from_lists(data):
-    if not isinstance(data, list):
-        raise ValueError(f"not a tableau: {data!r}")
-    return tuple(
-        tuple(tuple(int(x) for x in row) for row in comp) for comp in data
-    )
-
-
-def element_to_obj(h) -> list[dict]:
-    """Sorted list of {"a": exponents, "w": images, "coef": "p/q"} terms."""
-    return [
-        {"a": list(a), "w": list(w), "coef": format_fraction(c)}
-        for (a, w), c in sorted(h.terms.items())
-    ]
-
-
-def element_from_obj(ctx, data) -> "object":
-    from .algebra import Element
-
-    terms = {}
-    for item in data:
-        key = (tuple(item["a"]), tuple(item["w"]))
-        coef = parse_fraction(item["coef"])
-        terms[key] = coef.numerator if coef.denominator == 1 else coef
-    return Element(ctx, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +113,7 @@ def parse_config(text: str) -> JobConfig:
 def to_jsonable(value):
     """Recursively convert to JSON-safe values; rationals become strings."""
     if isinstance(value, Fraction):
-        return format_fraction(value)
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ from cellular_hecke.algebra import (
     Element,
     defining_relations,
     pairing,
+    right_translate,
     star,
     tau_hat,
     verify_basis,
@@ -29,7 +31,6 @@ from cellular_hecke.combinatorics import (
     perm_inverse,
     perm_mul,
 )
-from cellular_hecke.serialization import element_from_obj, element_to_obj
 
 CONTEXTS = [(1, 4, (0,)), (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1, 5)),
             (2, 4, (0, 1)), (4, 2, (0, 1, 2, 5)), (3, 3, (0, 1, 5))]
@@ -153,15 +154,27 @@ def test_structure_constants_symmetric_in_omega():
     b = AlgebraContext(2, 2, (1, 0))
     for key_a in a.basis():
         for key_b in a.basis():
-            pa = a._mono_mul(key_a[0], key_a[1], key_b[0], key_b[1])
-            pb = b._mono_mul(key_a[0], key_a[1], key_b[0], key_b[1])
-            assert pa == pb
+            pa = Element(a, {key_a: 1}) * Element(a, {key_b: 1})
+            pb = Element(b, {key_a: 1}) * Element(b, {key_b: 1})
+            assert pa.terms == pb.terms
 
 
-def test_element_json_round_trip(ctx22):
-    h = ctx22.generator_s(1) * ctx22.generator_x(2) - ctx22.one() * Fraction(3, 7)
-    again = element_from_obj(ctx22, element_to_obj(h))
-    assert again == h
+# sha256 over the sorted terms of every basis-pair product; a change to the
+# product kernel that moves any structure constant changes it
+STRUCTURE_CONSTANTS_SHA256 = (
+    "7d4a9ee6b54b61acc2053822376dfe283572ccf8e790fa65e0608aa446657993")
+
+
+def test_structure_constants_golden():
+    digest = hashlib.sha256()
+    for ell, r, omega in [(2, 3, (0, 1)), (3, 2, (0, 2, -1))]:
+        ctx = AlgebraContext(ell, r, omega)
+        units = [Element(ctx, {key: 1}) for key in ctx.basis()]
+        for a in units:
+            for b in units:
+                terms = sorted((a * b).terms.items())
+                digest.update(repr(terms).encode() + b"\n")
+    assert digest.hexdigest() == STRUCTURE_CONSTANTS_SHA256
 
 
 def test_star_agrees_with_inverse_on_group_part():
@@ -238,24 +251,26 @@ def _as_fractions(h: Element) -> Element:
 
 
 _RING_CONTEXTS = {(2, 2): AlgebraContext(2, 2, (1, 0)),
+                  (2, 3): AlgebraContext(2, 3, (0, 1)),
                   (3, 2): AlgebraContext(3, 2, (0, 2, -1))}
+
+
+def _mixed_element(draw, ctx: AlgebraContext) -> Element:
+    """Up to five basis terms, integral coefficients int, the rest Fraction."""
+    basis = ctx.basis()
+    terms = {}
+    for i in draw(st.lists(st.integers(0, len(basis) - 1), max_size=5,
+                           unique=True)):
+        q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        if q:
+            terms[basis[i]] = q.numerator if q.denominator == 1 else q
+    return Element(ctx, terms)
 
 
 @st.composite
 def _rational_element_triples(draw):
     ctx = _RING_CONTEXTS[draw(st.sampled_from(sorted(_RING_CONTEXTS)))]
-    basis = ctx.basis()
-
-    def element():
-        terms = {}
-        for i in draw(st.lists(st.integers(0, len(basis) - 1), max_size=5,
-                               unique=True)):
-            q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-            if q:
-                terms[basis[i]] = q.numerator if q.denominator == 1 else q
-        return Element(ctx, terms)
-
-    return element(), element(), element()
+    return tuple(_mixed_element(draw, ctx) for _ in range(3))
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -281,3 +296,16 @@ def test_perm_mul_matches_reference_definition():
     for u in perms:
         for v in perms:
             assert perm_mul(u, v) == reference(u, v)
+
+
+@st.composite
+def _element_and_permutation(draw):
+    ctx = _RING_CONTEXTS[draw(st.sampled_from(sorted(_RING_CONTEXTS)))]
+    return _mixed_element(draw, ctx), draw(st.sampled_from(all_perms(ctx.r)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_element_and_permutation())
+def test_right_translate_is_the_product_by_a_permutation(pair):
+    h, v = pair
+    assert right_translate(h, v) == h * h.ctx.from_permutation(v)

@@ -191,6 +191,11 @@ GOLDEN = [
          "--omega", "0,1,2", "--c", "1,0,1"), 0,
         "5bc8f39268f7d3eea3d1c44bbd378f47aadac7445cf785ebfe00f68dfc67f1b5",
         id="verify-pairing-duality-e3"),
+    pytest.param(
+        ("verify", "relations", "trace", "--ell", "2", "--r", "4",
+         "--omega", "1,0", "--c", "0,1"), 0,
+        "239bfe509e0ec6782ec26b937322a8719851974f7e52f048ccf4af28050269dc",
+        id="verify-relations-trace-e2r4"),
     # the two referee-e2r3 invocations of bench/run.py, same digests
     pytest.param(
         ("verify", "all", "--ell", "2", "--r", "3", "--omega", "1,0",
@@ -251,6 +256,22 @@ def test_usage_error_exit_2(capsys):
     code, _ = run_cli(capsys, "gram", "--ell", "2", "--r", "1",
                       "--omega", "0,1", "--lambda", "[[5],[]]")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,err", [
+    pytest.param(("gram", "--lambda", "[[1],[2]]"),
+                 "error: lambda [[1], [2]] is not a label at ell=2, r=2: "
+                 "need 2 partitions of total size 2\n",
+                 id="gram-label-outside-the-algebra"),
+    pytest.param(("crystal", "--depth", "-1"),
+                 "error: --depth must be >= 0, got -1\n",
+                 id="crystal-negative-depth"),
+])
+def test_unanswerable_input_names_the_reason(capsys, argv, err):
+    assert main([*argv, "--ell", "2", "--r", "2", "--omega", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_config_defaults_do_not_count_as_given(tmp_path, capsys):
