@@ -47,10 +47,9 @@ from .linalg import (
     left_nullspace,
     mat_identity,
     mat_pow,
-    mat_sub,
     rank,
     rref,
-    solve_left,
+    solve_rows,
     transpose,
     vec_mat,
 )
@@ -424,11 +423,7 @@ def simple_module(module: CellModuleRealization) -> ModuleRealization:
     picked = [gram[j] for j in pivots]
 
     def quotient(mat: Matrix) -> Matrix:
-        out = []
-        for j in pivots:
-            image = vec_mat(mat[j], gram)
-            out.append(solve_left(image, picked))
-        return out
+        return solve_rows([vec_mat(mat[j], gram) for j in pivots], picked)
 
     return ModuleRealization(
         module.ctx,
@@ -506,14 +501,12 @@ def block_of(module) -> dict[tuple[int, ...], int]:
         x = module.x_action[k]
         nxt = []
         for basis_rows, prefix in spaces:
-            restricted = [
-                solve_left(vec_mat(row, x), basis_rows) for row in basis_rows
-            ]
+            restricted = solve_rows([vec_mat(row, x) for row in basis_rows],
+                                    basis_rows)
             d = len(basis_rows)
             for t in range(lo, hi + 1):
-                shifted = mat_sub(restricted,
-                                  [[Fraction(t if i == j else 0)
-                                    for j in range(d)] for i in range(d)])
+                shifted = [[y - t if i == j else y for j, y in enumerate(row)]
+                           for i, row in enumerate(restricted)]
                 kernel = left_nullspace(mat_pow(shifted, d))
                 if kernel:
                     vecs = [vec_mat(cvec, basis_rows) for cvec in kernel]
@@ -546,17 +539,14 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
     the basis z . d(t) over standard tableaux of the dual shape.
     """
     z = z_element(ctx, c, lam)
-    tabs = standard_tableaux(conjugate(lam))
-    vectors = [ctx.to_vector(right_translate(z, d_of(t))) for t in tabs]
-    if rank(vectors) != len(tabs):
+    basis = [right_translate(z, d_of(t))
+             for t in standard_tableaux(conjugate(lam))]
+    vectors = [ctx.to_vector(h) for h in basis]
+    if rank(vectors) != len(basis):
         raise ValueError("pairing-witness translates are dependent")
 
     def action_matrix(gen: Element) -> Matrix:
-        out = []
-        for t in tabs:
-            prod = right_translate(z, d_of(t)) * gen
-            out.append(solve_left(ctx.to_vector(prod), vectors))
-        return out
+        return solve_rows([ctx.to_vector(h * gen) for h in basis], vectors)
 
     return ModuleRealization(
         ctx,

@@ -60,7 +60,6 @@ from .serialization import (
     JobConfig,
     emit,
     emit_dot,
-    emit_jsonl,
     mp_from_lists,
     mp_to_lists,
     parse_config,
@@ -250,11 +249,15 @@ def cmd_crystal(cfg: JobConfig, depth: int | None) -> bytes:
     rows += [
         {"edge": [src, dst], "color": int(color)} for src, color, dst in edges
     ]
-    return emit_jsonl(rows)
+    return emit(rows, cfg.format,
+                fieldnames=["node", "depth", "gamma", "edge", "color"])
 
 
 def cmd_mullineux(cfg: JobConfig, lam_text: str, xi_given: bool) -> bytes:
     lam = mp_from_lists(json.loads(lam_text))
+    if len(lam) != cfg.ell:
+        raise ValueError(f"lambda {mp_to_lists(lam)} needs ell={cfg.ell} "
+                         f"components, got {len(lam)}")
     if xi_given:
         ctx = xi_context(cfg.omega, cfg.xi, size=max(sum(map(sum, lam)), 1))
         out = mullineux_xi(lam, ctx)

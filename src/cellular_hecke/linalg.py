@@ -1,9 +1,12 @@
 """
 Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``fractions.Fraction`` (rows). There is one
-elimination kernel, ``rref``; rank, nullspaces, solves and ``inverse`` (the
-right half of ``rref([a | I])``) all run on it.
+Matrices are lists of lists of ``fractions.Fraction`` (rows), and vectors
+are row vectors, the only convention: a matrix acts as v.a, a nullspace is
+{v : v.a = 0}. There is one elimination kernel, ``rref``; rank, the
+nullspace, ``inverse`` (the right half of ``rref([a | I])``) and the one
+solve all run on it. The solve is ``solve_rows``: it writes a whole batch of
+vectors in the coordinates of a basis from one elimination.
 
 ``rref`` is a sparse Gauss-Jordan: rows are dicts of their nonzero entries,
 with a column -> rows index. The reduced row echelon form of a matrix is
@@ -62,10 +65,6 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
                 if y:
                     out[j] += x * y
     return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -145,45 +144,36 @@ def inverse(a: Matrix) -> Matrix:
     return [row[n:] for row in reduced]
 
 
-def right_nullspace(a: Matrix) -> list[Vector]:
-    """Basis of {x : a.x = 0}, one vector per free column, deterministic."""
+def left_nullspace(a: Matrix) -> list[Vector]:
+    """Basis of {v : v.a = 0}, one vector per free row of ``a``, deterministic."""
     if not a:
         return []
-    red, pivots = rref(a)
-    cols = len(a[0])
-    free = [j for j in range(cols) if j not in pivots]
+    red, pivots = rref(transpose(a))
     basis = []
-    for fj in free:
-        v = [Fraction(0)] * cols
-        v[fj] = Fraction(1)
+    for free in (j for j in range(len(a)) if j not in pivots):
+        v = [Fraction(0)] * len(a)
+        v[free] = Fraction(1)
         for i, pj in enumerate(pivots):
-            v[pj] = -red[i][fj]
+            v[pj] = -red[i][free]
         basis.append(v)
     return basis
 
 
-def left_nullspace(a: Matrix) -> list[Vector]:
-    """Basis of {v : v.a = 0}."""
-    return right_nullspace(transpose(a))
-
-
-def solve_right(a: Matrix, b: Vector) -> Vector:
-    """One solution x of a.x = b; raises if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        raise SingularMatrixError("inconsistent linear system")
-    x = [Fraction(0)] * cols
-    for i, pj in enumerate(pivots):
-        x[pj] = red[i][cols]
-    return x
-
-
-def solve_left(v: Vector, a: Matrix) -> Vector:
-    """One solution c of c.a = v (a given by rows); raises if inconsistent."""
-    return solve_right(transpose(a), v)
+def solve_rows(vectors: Matrix, rows: Matrix) -> Matrix:
+    """
+    The matrix whose row j is the unique c with c.rows = vectors[j], read from
+    one ``rref`` of ``[rows^T | vectors^T]``. Raises SingularMatrixError
+    unless its pivots are exactly the first len(rows) columns: the rows are
+    dependent, or a vector lies outside their span.
+    """
+    k = len(rows)
+    n = len(rows[0]) if rows else len(vectors[0]) if vectors else 0
+    reduced, pivots = rref(
+        [[row[i] for row in rows] + [v[i] for v in vectors] for i in range(n)])
+    if pivots != list(range(k)):
+        raise SingularMatrixError(
+            f"{len(vectors)} vectors not uniquely in the span of {k} rows")
+    return [[reduced[i][k + j] for i in range(k)] for j in range(len(vectors))]
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:

@@ -31,9 +31,14 @@ def mp_to_lists(lam: Multipartition) -> list[list[int]]:
 
 
 def mp_from_lists(data) -> Multipartition:
-    if not isinstance(data, list) or any(not isinstance(p, list) for p in data):
+    """Lists of positive, weakly decreasing integer parts; anything else raises."""
+    if not isinstance(data, list) or not all(
+            isinstance(p, list)
+            and all(type(x) is int and x > 0 for x in p)
+            and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
+            for p in data):
         raise ValueError(f"not a multipartition: {data!r}")
-    return tuple(tuple(int(x) for x in p) for p in data)
+    return tuple(tuple(p) for p in data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,18 @@ def test_crystal_dot(capsys):
     assert code == 0
     assert out.startswith("digraph crystal {")
     assert '[label="[[],[]]"]' in out
+
+
+def test_crystal_csv(capsys):
+    code, out = run_cli(capsys, "crystal", "--ell", "2", "--r", "1",
+                        "--omega", "0,1", "--format", "csv")
+    assert code == 0
+    assert out == ('node,depth,gamma,edge,color\n'
+                   '0,0,"[[],[]]",,\n'
+                   '1,1,"[[],[1]]",,\n'
+                   '2,1,"[[1],[]]",,\n'
+                   ',,,"[0,2]",0\n'
+                   ',,,"[0,1]",1\n')
 
 
 def test_mullineux_three_component_example(capsys):
@@ -207,6 +221,10 @@ GOLDEN = [
          "--familyA", "m", "--familyB", "n"), 0,
         "5942a5e388a853e56dcad7a2e3307dcebbebe1d6c5a9db019bb89c855e7e1968",
         id="match-e2r3"),
+    pytest.param(
+        ("crystal", "--ell", "2", "--r", "2", "--omega", "0,1"), 0,
+        "994b853a5c1b702e19ea656663afee2fad07bc3ff3305fd0f5884d2ca8255fc1",
+        id="crystal"),
 ]
 
 
@@ -266,6 +284,15 @@ def test_usage_error_exit_2(capsys):
     pytest.param(("crystal", "--depth", "-1"),
                  "error: --depth must be >= 0, got -1\n",
                  id="crystal-negative-depth"),
+    pytest.param(("mullineux", "--lambda", "[[-1],[]]"),
+                 "error: not a multipartition: [[-1], []]\n",
+                 id="mullineux-negative-part"),
+    pytest.param(("mullineux", "--lambda", "[[1,2],[]]"),
+                 "error: not a multipartition: [[1, 2], []]\n",
+                 id="mullineux-increasing-parts"),
+    pytest.param(("mullineux", "--lambda", "[[1],[],[]]"),
+                 "error: lambda [[1], [], []] needs ell=2 components, got 3\n",
+                 id="mullineux-wrong-component-count"),
 ])
 def test_unanswerable_input_names_the_reason(capsys, argv, err):
     assert main([*argv, "--ell", "2", "--r", "2", "--omega", "0,1"]) == 2
@@ -326,3 +353,20 @@ def test_config_matches_flags_per_verb(tmp_path, capsysbinary, verb, fields,
     from_flags = capsysbinary.readouterr().out
     assert code_file == code_flags == 0
     assert from_file == from_flags and from_file
+
+
+def readme_commands():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("cellular-hecke ")]
+
+
+def test_readme_has_examples():
+    assert len(readme_commands()) >= 11
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_example_runs(capsys, line):
+    assert main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().out

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellular_hecke.algebra import AlgebraContext
 from cellular_hecke.cellular import (
@@ -244,3 +245,49 @@ class TestThreeComponentRelabeling:
                 if mullineux_xi(lam, xctx) is not None
             }
             assert table == closed, (omega, xi, r)
+
+
+# labels of size <= 4 with ell components, for the label-map properties
+SMALL_LABELS = {ell: [lam for n in range(5)
+                      for lam in enumerate_multipartitions(ell, n)]
+                for ell in (2, 3)}
+
+
+def _xi_label_cases():
+    """(context, label): weakly decreasing omega, any xi, |label| <= 4, with
+    the base point the CLI uses."""
+    def for_ell(ell):
+        return st.tuples(
+            st.lists(st.integers(-2, 3), min_size=ell, max_size=ell).map(
+                lambda w: tuple(sorted(w, reverse=True))),
+            st.permutations(range(1, ell + 1)).map(tuple),
+            st.sampled_from(SMALL_LABELS[ell]),
+        ).map(lambda t: (xi_context(t[0], t[1], size=max(mp_size(t[2]), 1)),
+                         t[2]))
+    return st.sampled_from([2, 3]).flatmap(for_ell)
+
+
+class TestLabelMapProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_xi_label_cases())
+    def test_lambda_of_A_inverts_A_of_lambda(self, case):
+        ctx, lam = case
+        assert lambda_of_A(A_of_lambda(lam, ctx), ctx) == lam
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_xi_label_cases())
+    def test_image_keeps_size_and_is_standard(self, case):
+        ctx, lam = case
+        out = mullineux_xi(lam, ctx)
+        if out is not None:
+            ctx_id = ctx.with_xi(tuple(range(1, ctx.ell + 1)))
+            assert mp_size(out) == mp_size(lam)
+            assert is_standard(A_of_lambda(out, ctx_id), ctx_id)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_xi_label_cases())
+    def test_identity_xi_fixes_standard_labels(self, case):
+        ctx, lam = case
+        ctx = ctx.with_xi(tuple(range(1, ctx.ell + 1)))
+        if is_standard(A_of_lambda(lam, ctx), ctx):
+            assert mullineux_xi(lam, ctx) == lam

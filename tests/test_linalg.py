@@ -14,10 +14,8 @@ from cellular_hecke.linalg import (
     mat_pow,
     mat_zero,
     rank,
-    right_nullspace,
     rref,
-    solve_left,
-    solve_right,
+    solve_rows,
     transpose,
     vec_mat,
 )
@@ -73,6 +71,42 @@ def dense_rref(a):
         pivots.append(col)
         rank += 1
     return m, pivots
+
+
+def solve_one_reference(v, rows):
+    """Reference: the per-vector solve ``solve_rows`` replaced, one dense
+    elimination of the column system rows^T . c = v for each vector; free
+    unknowns are set to 0, so dependent rows still give an answer."""
+    k = len(rows)
+    red, pivots = dense_rref(
+        [[row[i] for row in rows] + [v[i]] for i in range(len(v))])
+    if k in pivots:
+        raise SingularMatrixError("inconsistent linear system")
+    c = [Fraction(0)] * k
+    for i, pj in enumerate(pivots):
+        c[pj] = red[i][k]
+    return c
+
+
+def assert_solve_rows_matches_reference(vectors, rows):
+    """Returns True when the system was solved, False when it raised."""
+    before = copy.deepcopy((vectors, rows))
+    try:
+        expected = [solve_one_reference(v, rows) for v in vectors]
+        unique = rank(rows) == len(rows)
+    except SingularMatrixError:
+        expected, unique = None, False
+    if not unique:
+        with pytest.raises(SingularMatrixError):
+            solve_rows(vectors, rows)
+        assert (vectors, rows) == before
+        return False
+    got = solve_rows(vectors, rows)
+    assert (vectors, rows) == before
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert [vec_mat(c, rows) for c in got] == vectors
+    return True
 
 
 def random_matrix(rng, n, density):
@@ -245,25 +279,64 @@ def test_singular_raises():
 def test_rank_and_nullspaces():
     a = F([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank(a) == 2
-    for v in right_nullspace(a):
-        assert all(x == 0 for x in vec_mat(v, transpose(a)))
-    for v in left_nullspace(a):
-        assert all(x == 0 for x in vec_mat(v, a))
-    assert len(right_nullspace(a)) == 1
-    assert len(left_nullspace(a)) == 1
+    assert left_nullspace(a) == F([[-2, 1, 0]])
+    # one vector per free row, in row order
+    b = F([[1, 0], [2, 0], [0, 1], [0, 3], [1, 1]])
+    kernel = left_nullspace(b)
+    assert kernel == F([[-2, 1, 0, 0, 0], [0, 0, -3, 1, 0], [-1, 0, -1, 0, 1]])
+    assert all(x == 0 for v in kernel for x in vec_mat(v, b))
 
 
-def test_solve_both_sides():
-    a = F([[1, 1], [0, 1]])
-    x = solve_right(a, [Fraction(3), Fraction(2)])
-    assert [sum(r[j] * x[j] for j in range(2)) for r in a] == [3, 2]
-    c = solve_left([Fraction(3), Fraction(2)], a)
-    assert vec_mat(c, a) == [3, 2]
+def test_solve_rows_small():
+    rows = F([[1, 1], [0, 1]])
+    assert solve_rows(F([[3, 2], [0, 0], [1, 1]]), rows) == F(
+        [[3, -1], [0, 0], [1, 0]])
+    assert solve_rows([], rows) == []
+    assert solve_rows(F([[0, 0]]), []) == [[]]
 
 
 def test_solve_inconsistent():
+    # a vector outside the span of the rows
+    with pytest.raises(SingularMatrixError, match="not uniquely"):
+        solve_rows(F([[1, 1], [1, 2]]), F([[1, 1]]))
     with pytest.raises(SingularMatrixError):
-        solve_right(F([[1, 0], [1, 0]]), [Fraction(1), Fraction(2)])
+        solve_rows(F([[1, 2]]), [])
+    # dependent rows, even with every vector in their span
+    with pytest.raises(SingularMatrixError, match="not uniquely"):
+        solve_rows(F([[2, 0]]), F([[1, 0], [2, 0]]))
+
+
+def test_solve_rows_matches_per_vector_reference():
+    rng = random.Random(20240)
+    solved = refused = 0
+    for k, n in [(1, 1), (1, 5), (3, 3), (3, 8), (6, 6), (5, 12), (10, 14)]:
+        for density in (0.2, 0.5, 0.9):
+            rows = random_rect(rng, k, n, density)
+            combos = random_rect(rng, 4, k, 0.6)
+            inside = [vec_mat(c, rows) for c in combos]
+            solved += assert_solve_rows_matches_reference(inside, rows)
+            # one vector off the span, unless the rows span everything
+            outside = inside + random_rect(rng, 1, n, 0.7)
+            refused += not assert_solve_rows_matches_reference(outside, rows)
+            if k > 1:
+                dependent = rows + [[2 * x for x in rows[0]]]
+                assert not assert_solve_rows_matches_reference(
+                    inside, dependent)
+    assert solved >= 15
+    assert refused >= 10
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(1, 5),
+                 st.integers(0, 3)).flatmap(
+    lambda shape: st.tuples(*(
+        st.lists(st.lists(st.sampled_from([0, 0, -2, -1, 1, 3]),
+                          min_size=shape[1], max_size=shape[1]),
+                 min_size=size, max_size=size)
+        for size in (shape[2], shape[0])))))
+def test_solve_rows_matches_reference_property(system):
+    vectors, rows = system
+    assert_solve_rows_matches_reference(F(vectors), F(rows))
 
 
 def test_rref_pivots_deterministic():

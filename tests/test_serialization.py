@@ -46,6 +46,12 @@ class TestMultipartitions:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             mp_from_lists([3, 2])
+        # parts must be positive integers, weakly decreasing
+        for data in ([[0]], [[-1], []], [[1, 2], []], [[2, 1.5]], [["1"]],
+                     [[True]]):
+            with pytest.raises(ValueError, match="not a multipartition"):
+                mp_from_lists(data)
+        assert mp_from_lists([[2, 2, 1], []]) == ((2, 2, 1), ())
 
 
 class TestConfig:
