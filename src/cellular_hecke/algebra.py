@@ -15,14 +15,19 @@ integral parameters omega. Every element is kept in normal form on the basis
     x_1^{a_1} ... x_r^{a_r} . w        0 <= a_i <= ell-1,  w in S_r,
 
 of size ell^r * r!. Every product of elements runs through one loop,
-``Element.__mul__``: each right term's x-part is pushed to the left through
-each left term's permutation with the mixed relations (``_push_through``),
-and every resulting term goes straight into the one output dict through
-``AlgebraContext._put``. ``_put`` is the one place the normal form is
-enforced: every rewrite writes its terms through it, and it sends an
+``Element.__mul__``, built on the identity k = sum_b x^b . Y_b, where Y_b
+is the group-algebra part of k's terms with x-part b; by linearity
+h . k = sum_b (h . x^b) . Y_b. For each distinct b the loop pushes x^b to
+the left through each of h's permutations with the mixed relations
+(``_push_through``) and writes every resulting term through
+``AlgebraContext._put``, so like terms of h . x^b combine once; then it
+relabels that normal form by each permutation of Y_b, because a
+permutation on the right only relabels terms (``right_translate`` is that
+product). A seed is a polynomial in x times a Young sum of permutations,
+so many of its terms share an x-part. ``_put`` is the one place the normal form
+is enforced: every rewrite writes its terms through it, and it sends an
 overflowing x-part to ``_x_reduce``, which rewrites powers x_j^ell through
-cached expansions. A permutation on the right only relabels terms, and
-``right_translate`` is that product. The x_j^ell cache is populated once
+cached expansions. The x_j^ell cache is populated once
 at context construction (warm-up), which builds x_j^ell from x_{j-1}^ell
 with the same push-through step; elements are immutable values and every
 operation is deterministic. The remaining per-context lookup caches fill in
@@ -307,16 +312,22 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check(other)
-            # (x^a w)(x^b v) = x^a (w x^b) v: push x^b through w, then put
-            # every term of x^a x^c u v straight into the one output dict
+            # self . other = sum_b (self . x^b) . Y_b with Y_b = sum_v c2 v:
+            # build hb = self . x^b once per distinct b, then relabel by each v
             ctx = self.ctx
+            by_x: dict[Exps, list[tuple[Perm, Coef]]] = {}
+            for (b, v), c2 in other.terms.items():
+                by_x.setdefault(b, []).append((v, c2))
             out: dict[TermKey, Coef] = {}
-            for (a, w), c1 in self.terms.items():
-                for (b, v), c2 in other.terms.items():
-                    c12 = c1 * c2
+            for b, right in by_x.items():
+                hb: dict[TermKey, Coef] = {}
+                for (a, w), c1 in self.terms.items():
                     for (c, u), c3 in ctx._push_through(w, b).items():
-                        ctx._put(out, tuple(p + q for p, q in zip(a, c)),
-                                 perm_mul(u, v), c12 * c3)
+                        ctx._put(hb, tuple(p + q for p, q in zip(a, c)), u,
+                                 c1 * c3)
+                for (d, z), c4 in hb.items():
+                    for v, c2 in right:
+                        _acc(out, (d, perm_mul(z, v)), c4 * c2)
             return Element(ctx, out)
         if not isinstance(other, Rational):
             return NotImplemented

@@ -504,6 +504,7 @@ def block_of(module) -> dict[tuple[int, ...], int]:
             restricted = solve_rows([vec_mat(row, x) for row in basis_rows],
                                     basis_rows)
             d = len(basis_rows)
+            found = 0
             for t in range(lo, hi + 1):
                 shifted = [[y - t if i == j else y for j, y in enumerate(row)]
                            for i, row in enumerate(restricted)]
@@ -511,6 +512,10 @@ def block_of(module) -> dict[tuple[int, ...], int]:
                 if kernel:
                     vecs = [vec_mat(cvec, basis_rows) for cvec in kernel]
                     nxt.append((vecs, prefix + (t,)))
+                    found += len(kernel)
+                    if found == d:
+                        # the generalized eigenspaces fill the space
+                        break
         spaces = nxt
     total = sum(len(v) for v, _ in spaces)
     if total != n:

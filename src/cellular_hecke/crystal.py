@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from .combinatorics import Multipartition, is_partition
 
 # Pinned by the crystal vs Gram-rank agreement tests at ell = 2: omega = (0,1)
-# and (0,0) for r <= 3, (1,0) and (0,0) at r = 4; the other orientation already
-# disagrees at (r, omega) = (2, (0,1)). Three-component checks run at r <= 2.
+# and (0,0) for r <= 3, (1,0), (0,0) and (0,1) at r = 4; the other orientation
+# already disagrees at (r, omega) = (2, (0,1)). Three-component checks run at
+# r <= 2.
 DEFAULT_ORIENTATION = "rtl"
 
 

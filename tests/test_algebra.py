@@ -309,3 +309,70 @@ def _element_and_permutation(draw):
 def test_right_translate_is_the_product_by_a_permutation(pair):
     h, v = pair
     assert right_translate(h, v) == h * h.ctx.from_permutation(v)
+
+
+def pairwise_product(h: Element, k: Element) -> Element:
+    """
+    Reference product, one push-through per (left term, right term) pair;
+    ``Element.__mul__`` pushes each distinct right x-part once instead.
+    """
+    # (x^a w)(x^b v) = x^a (w x^b) v: push x^b through w, then put
+    # every term of x^a x^c u v straight into the one output dict
+    ctx = h.ctx
+    out = {}
+    for (a, w), c1 in h.terms.items():
+        for (b, v), c2 in k.terms.items():
+            c12 = c1 * c2
+            for (c, u), c3 in ctx._push_through(w, b).items():
+                ctx._put(out, tuple(p + q for p, q in zip(a, c)),
+                         perm_mul(u, v), c12 * c3)
+    return Element(ctx, out)
+
+
+def _shared_x_element(draw, ctx: AlgebraContext) -> Element:
+    """A sum of x^b . v over at most three x-parts b, mixed int/Fraction."""
+    xs = draw(st.lists(st.sampled_from(sorted(product(range(ctx.ell),
+                                                      repeat=ctx.r))),
+                       min_size=1, max_size=3, unique=True))
+    terms = {}
+    for b in xs:
+        for v in draw(st.lists(st.sampled_from(all_perms(ctx.r)), max_size=4,
+                               unique=True)):
+            q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+            if q:
+                terms[(b, v)] = q.numerator if q.denominator == 1 else q
+    return Element(ctx, terms)
+
+
+@st.composite
+def _shared_x_pairs(draw):
+    ctx = _RING_CONTEXTS[draw(st.sampled_from(sorted(_RING_CONTEXTS)))]
+    left = draw(st.sampled_from([_shared_x_element, _mixed_element]))
+    return left(draw, ctx), _shared_x_element(draw, ctx)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_shared_x_pairs())
+def test_grouped_product_matches_pairwise_reference(pair):
+    h, k = pair
+    assert (h * k).terms == pairwise_product(h, k).terms
+    assert (k * h).terms == pairwise_product(k, h).terms
+
+
+def test_cell_seed_products_match_pairwise_reference():
+    for ell, r, omega, c, xi in [(2, 3, (0, 1), (0, 1), (2, 1)),
+                                 (3, 2, (0, 2, -1), (1, 0, 1), (3, 1, 2))]:
+        ctx = AlgebraContext(ell, r, omega)
+        seeds = [cell_seed(ctx, fam, lam)
+                 for fam in (family_m(c), family_n(c), family_m_xi(xi),
+                             family_n_xi(xi))
+                 for lam in enumerate_multipartitions(ell, r)]
+        # the seeds are built with products too: check that their terms
+        # still share x-parts, so the grouping is exercised
+        assert sum(len({b for b, _ in s.terms}) for s in seeds) \
+            < sum(len(s.terms) for s in seeds)
+        for a in seeds:
+            for b in seeds:
+                prod = a * b
+                assert prod.terms == pairwise_product(a, b).terms
+                assert _all_int(prod.terms)

@@ -210,6 +210,11 @@ GOLDEN = [
          "--omega", "1,0", "--c", "0,1"), 0,
         "239bfe509e0ec6782ec26b937322a8719851974f7e52f048ccf4af28050269dc",
         id="verify-relations-trace-e2r4"),
+    pytest.param(
+        ("gram", "--ell", "2", "--r", "4", "--omega", "0,1", "--family", "m",
+         "--lambda", "[[2,1],[1]]"), 0,
+        "d2db4464f92e8c272d8e41744eea2d1b78f56705dcf9460deb59f7ade27af463",
+        id="gram-e2r4-m"),
     # the two referee-e2r3 invocations of bench/run.py, same digests
     pytest.param(
         ("verify", "all", "--ell", "2", "--r", "3", "--omega", "1,0",

@@ -133,7 +133,7 @@ class TestClassification:
     def test_agrees_with_gram_oracle(self, omega, r):
         assert nonzero_labels(omega, r) == gram_oracle(omega, r)
 
-    @pytest.mark.parametrize("omega", [(1, 0), (0, 0)])
+    @pytest.mark.parametrize("omega", [(1, 0), (0, 0), (0, 1)])
     def test_agrees_with_gram_oracle_at_r4(self, omega):
         assert nonzero_labels(omega, 4) == gram_oracle(omega, 4)
 
