@@ -30,11 +30,9 @@ from .cellular import (
     family_m_xi,
     family_n,
     family_n_xi,
-    gram_via_trace,
     intertwiner_dim,
     pi_bracket,
     pi_tilde_bracket,
-    simple_dim,
     simple_module,
     simple_of,
     simples_table,

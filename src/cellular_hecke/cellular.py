@@ -14,6 +14,13 @@ invertibility doubles as the spanning proof), cell modules with generator
 matrices and Gram forms, simple quotients, joint generalized x-eigenvalues
 (blocks), contragredient duals and exact intertwiner spaces. Everything is a
 rational matrix; no floats anywhere.
+
+The Gram form of a cell module comes from the module's own action rho, with
+no product in the algebra (Graham-Lehrer 1996; Mathas 1999, ch. 2): m_{top,s}
+. h agrees with sum_u rho(h)_{s,u} m_{top,u} modulo higher cells, so
+<s,t> = rho(m_{t,top})_{s,top}, and m_{t,top} = d(t)^{-1} . m_{top,top}
+because d(top) is the identity. A realization is built only up to
+``MAX_REALIZATION_DIM``: its n x n change of basis is inverted exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraContext, Element, right_translate, tau_hat
+from .algebra import AlgebraContext, Element, right_translate
 from .combinatorics import (
     Multipartition,
     Perm,
@@ -34,6 +41,7 @@ from .combinatorics import (
     mp_size,
     perm_inverse,
     perm_is_valid,
+    perm_reduced_word,
     perm_sign,
     row_reading_tableau,
     standard_tableaux,
@@ -43,6 +51,7 @@ from .combinatorics import (
 from .linalg import (
     Matrix,
     SingularMatrixError,
+    Vector,
     inverse,
     left_nullspace,
     mat_identity,
@@ -205,17 +214,6 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
     return pi_tilde_bracket(ctx, lam, om) * y_lambda_c(ctx, lam, (0,) * ell)
 
 
-def dual_family(family: BasisFamily) -> BasisFamily:
-    """The opposite-type family with the same parameters (m <-> n)."""
-    if family.kind == "m":
-        return family_n(family.c)
-    if family.kind == "n":
-        return family_m(family.c)
-    if family.kind == "mxi":
-        return family_n_xi(family.xi)
-    return family_m_xi(family.xi)
-
-
 def cellular_element(ctx: AlgebraContext, family: BasisFamily,
                      s: Tableau, t: Tableau) -> Element:
     """d(s)^{-1} . seed(shape) . d(t) for standard s, t of a common shape."""
@@ -238,15 +236,27 @@ def z_element(ctx: AlgebraContext, c: tuple[int, ...],
 # full-family realization (change of basis, expansions)
 
 
+# Largest algebra dimension ell^r * r! that gets a realization, whose exact
+# inverse is n x n: (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
+MAX_REALIZATION_DIM = 2000
+
+
 class FamilyRealization:
     """
     Every cellular element of one family expanded over the monomial basis,
     with the inverse change of basis cached. Built once per (context, family)
     and immutable afterwards. ``expand(h, cells)`` is the one reader of
-    cellular coordinates: cell-module actions and Gram entries go through it.
+    cellular coordinates: the cell-module actions go through it, and the Gram
+    form is read from those actions.
     """
 
     def __init__(self, ctx: AlgebraContext, family: BasisFamily):
+        n = ctx.dimension()
+        if n > MAX_REALIZATION_DIM:
+            raise ValueError(
+                f"ell={ctx.ell}, r={ctx.r}: the algebra has dimension {n}, "
+                f"above the limit {MAX_REALIZATION_DIM} for a cellular "
+                f"realization")
         self.ctx = ctx
         self.family = family
         self.labels = enumerate_multipartitions(ctx.ell, ctx.r)
@@ -356,7 +366,10 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     """
     Cell module of the family at ``lam``: the generator action is read off
     the cellular expansion of (top-row cell element) * generator, keeping
-    only same-label coefficients with the left tableau fixed.
+    only same-label coefficients with the left tableau fixed. The Gram form
+    uses no algebra product: <s,t> = rho(m_{t,top})_{s,top} for the action
+    rho, evaluated on the seed's terms and d(t)^{-1} by the generator
+    matrices along reduced words.
     """
     real = realization(ctx, family)
     li = real.label_index(lam)
@@ -367,48 +380,32 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     x_action = [real.action(li, top, ctx.generator_x(k))
                 for k in range(1, ctx.r + 1)]
 
-    gram = [
-        [real.expand(real.element(li, top, si) * real.element(li, ti, top),
-                     [(li, top, top)])[0]
-         for ti in range(len(tabs))]
-        for si in range(len(tabs))
-    ]
+    # column t of the Gram matrix is rho(d(t)^{-1}) . rho(seed) . e_top; a
+    # column vector v goes to rho(h) . v as vec_mat(v, transpose(rho(h)))
+    s_cols = [transpose(m) for m in s_action]
+    x_cols = [transpose(m) for m in x_action]
+
+    def by_word(w: Perm, v: Vector) -> Vector:
+        for i in reversed(perm_reduced_word(w)):
+            v = vec_mat(v, s_cols[i - 1])
+        return v
+
+    unit = [Fraction(int(u == top)) for u in range(len(tabs))]
+    by_perm: dict[Perm, Vector] = {}
+    column = [Fraction(0)] * len(tabs)
+    for (exps, w), coef in real.element(li, top, top).terms.items():
+        if w not in by_perm:
+            by_perm[w] = by_word(w, unit)
+        v = by_perm[w]
+        for k, a in enumerate(exps):
+            for _ in range(a):
+                v = vec_mat(v, x_cols[k])
+        column = [y + coef * z for y, z in zip(column, v)]
+    gram = transpose([by_word(perm_inverse(d_of(t)), column) for t in tabs])
     return CellModuleRealization(
         ctx=ctx, s_action=s_action, x_action=x_action,
         family=family, label=lam, basis=tabs, gram=gram,
     )
-
-
-def gram_via_trace(ctx: AlgebraContext, family: BasisFamily,
-                   lam: Multipartition) -> Matrix:
-    """
-    Independent route to the Gram matrix: pair the cell products against the
-    diagonal opposite-type element at the dual minimal tableau and read the
-    trace form. The unitriangular pairing makes this extract exactly the
-    top-diagonal cellular coefficient.
-    """
-    lam_d = conjugate(lam)
-    w = w_lambda(lam_d)
-    partner = cell_seed(ctx, dual_family(family), lam_d)
-    x = right_translate(ctx.from_permutation(perm_inverse(w)) * partner, w)
-    real = realization(ctx, family)
-    li = real.label_index(lam)
-    tabs = real.tableaux[li]
-    top = real.top_index[li]
-    out = []
-    for si in range(len(tabs)):
-        left = real.element(li, top, si)
-        out.append(
-            [tau_hat(left * real.element(li, ti, top) * x)
-             for ti in range(len(tabs))]
-        )
-    return out
-
-
-def simple_dim(ctx: AlgebraContext, family: BasisFamily,
-               lam: Multipartition) -> int:
-    """Rank of the Gram form; zero means the label carries no simple."""
-    return rank(cell_module(ctx, family, lam).gram)
 
 
 def simple_module(module: CellModuleRealization) -> ModuleRealization:

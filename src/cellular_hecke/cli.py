@@ -55,6 +55,7 @@ from .label_maps import (
     A_of_lambda,
     xi_context,
 )
+from .linalg import SingularMatrixError
 from .serialization import (
     ConfigError,
     JobConfig,
@@ -388,7 +389,7 @@ def suite_cellular(cfg: JobConfig) -> tuple[bool, list[str]]:
     for fam in fams:
         try:
             real = realization(ctx, fam)
-        except Exception as exc:
+        except SingularMatrixError as exc:
             ok = False
             lines.append(f"FAIL cellular: {fam.label()}: {exc}")
             continue

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cellular_hecke.algebra import AlgebraContext, star, tau_hat
+from cellular_hecke.algebra import (
+    AlgebraContext,
+    right_translate,
+    star,
+    tau_hat,
+)
 from cellular_hecke.cellular import (
     block_alpha,
     block_of,
@@ -15,12 +20,10 @@ from cellular_hecke.cellular import (
     family_m_xi,
     family_n,
     family_n_xi,
-    gram_via_trace,
     intertwiner_dim,
     pi_bracket,
     pi_tilde_bracket,
     realization,
-    simple_dim,
     simple_module,
     simple_of,
     simples_table,
@@ -31,9 +34,12 @@ from cellular_hecke.cellular import (
 )
 from cellular_hecke.combinatorics import (
     conjugate,
+    d_of,
     enumerate_multipartitions,
+    perm_identity,
     perm_inverse,
     residue_sequence,
+    row_reading_tableau,
     standard_tableaux,
     w_lambda,
 )
@@ -46,6 +52,62 @@ from cellular_hecke.linalg import (
 )
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def gram_by_products(ctx, family, lam):
+    """Reference Gram matrix: one algebra product m_{top,s} . m_{t,top} and
+    one expansion per entry."""
+    real = realization(ctx, family)
+    li = real.label_index(lam)
+    tabs = real.tableaux[li]
+    top = real.top_index[li]
+    return [
+        [real.expand(real.element(li, top, si) * real.element(li, ti, top),
+                     [(li, top, top)])[0]
+         for ti in range(len(tabs))]
+        for si in range(len(tabs))
+    ]
+
+
+def dual_family(family):
+    """The opposite-type family with the same parameters (m <-> n)."""
+    if family.kind == "m":
+        return family_n(family.c)
+    if family.kind == "n":
+        return family_m(family.c)
+    if family.kind == "mxi":
+        return family_n_xi(family.xi)
+    return family_m_xi(family.xi)
+
+
+def gram_via_trace(ctx, family, lam):
+    """
+    Independent route to the Gram matrix: pair the cell products against the
+    diagonal opposite-type element at the dual minimal tableau and read the
+    trace form. The unitriangular pairing makes this extract exactly the
+    top-diagonal cellular coefficient.
+    """
+    lam_d = conjugate(lam)
+    w = w_lambda(lam_d)
+    partner = cell_seed(ctx, dual_family(family), lam_d)
+    x = right_translate(ctx.from_permutation(perm_inverse(w)) * partner, w)
+    real = realization(ctx, family)
+    li = real.label_index(lam)
+    tabs = real.tableaux[li]
+    top = real.top_index[li]
+    out = []
+    for si in range(len(tabs)):
+        left = real.element(li, top, si)
+        out.append(
+            [tau_hat(left * real.element(li, ti, top) * x)
+             for ti in range(len(tabs))]
+        )
+    return out
+
+
+def simple_dim(ctx, family, lam):
+    """Rank of the Gram form; zero means the label carries no simple."""
+    return rank(cell_module(ctx, family, lam).gram)
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +378,38 @@ class TestGram:
                 for lam in enumerate_multipartitions(ctx.ell, ctx.r):
                     assert cell_module(ctx, fam, lam).gram \
                         == gram_via_trace(ctx, fam, lam)
+
+    @pytest.mark.parametrize("ell,r,omega,fams", [
+        (2, 3, (0, 1), [family_m((0, 1)), family_n((0, 1)), family_m((1, 0)),
+                        family_m_xi((2, 1)), family_n_xi((2, 1))]),
+        (2, 3, (1, 0), [family_m((0, 1)), family_n((0, 1))]),
+        (3, 2, (0, 1, 2), [family_m((1, 0, 1)), family_n((1, 0, 1)),
+                           family_m_xi((2, 3, 1)), family_n_xi((2, 3, 1))]),
+        (3, 3, (0, 1, 2), [family_m((0, 0, 0))]),
+    ])
+    def test_action_route_matches_products(self, ell, r, omega, fams):
+        """The Gram form read from the cell-module action equals the one
+        taken entry by entry from products in the algebra."""
+        ctx = AlgebraContext(ell, r, omega)
+        for fam in fams:
+            for lam in enumerate_multipartitions(ell, r):
+                assert cell_module(ctx, fam, lam).gram \
+                    == gram_by_products(ctx, fam, lam), (fam, lam)
+
+    @pytest.mark.parametrize("ell,r", [(2, 3), (3, 3), (2, 4)])
+    def test_top_tableau_has_identity_d(self, ell, r):
+        """d(top) is the identity, so m_{top,top} is the seed and
+        m_{t,top} = d(t)^{-1} . seed."""
+        for lam in enumerate_multipartitions(ell, r):
+            assert d_of(row_reading_tableau(lam)) == perm_identity(r)
+
+    def test_top_cell_element_is_the_seed(self):
+        ctx = AlgebraContext(2, 3, (0, 1))
+        for fam in [family_m((0, 1)), family_n_xi((2, 1))]:
+            real = realization(ctx, fam)
+            for li, lam in enumerate(real.labels):
+                top = real.top_index[li]
+                assert real.element(li, top, top) == cell_seed(ctx, fam, lam)
 
     def test_rank_invariant_under_basis_reordering(self, ctx13):
         g = cell_module(ctx13, family_m((0,)), ((2, 1),)).gram

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,22 @@ GOLDEN = [
         ("crystal", "--ell", "2", "--r", "2", "--omega", "0,1"), 0,
         "994b853a5c1b702e19ea656663afee2fad07bc3ff3305fd0f5884d2ca8255fc1",
         id="crystal"),
+    # Gram forms of a twisted family and of a permuted-parameter family
+    pytest.param(
+        ("gram", "--ell", "2", "--r", "3", "--omega", "0,1", "--family", "m",
+         "--c", "1,0", "--lambda", "[[2],[1]]"), 0,
+        "02590fccc3f7e77e1e72a8a6a363acb2595d51f65e19f01f1274ffd9844e0362",
+        id="gram-e2r3-m-c10"),
+    pytest.param(
+        ("gram", "--ell", "2", "--r", "3", "--omega", "0,1", "--xi", "2,1",
+         "--family", "nxi", "--lambda", "[[2],[1]]"), 0,
+        "cce1fccf5a815edd9d88fc51dfe62101282e29b9ee7a63ca8b1c998f9ffc0839",
+        id="gram-e2r3-nxi"),
+    pytest.param(
+        ("simples", "--ell", "2", "--r", "4", "--omega", "0,1",
+         "--family", "m"), 0,
+        "de0d234a19733a2c464957d03ba71cdebe101daaa9d3c74e38b2fea409815e21",
+        id="simples-e2r4-m"),
 ]
 
 
@@ -304,6 +321,32 @@ def test_unanswerable_input_names_the_reason(capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+def test_realization_above_the_size_limit_refused(capsys):
+    start = time.perf_counter()
+    code = main(["simples", "--ell", "3", "--r", "6", "--omega", "0,1,2",
+                 "--family", "m"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: ell=3, r=6: the algebra has dimension "
+                            "524880, above the limit 2000 for a cellular "
+                            "realization\n")
+    assert elapsed < 1.0
+
+
+def test_verify_cellular_above_the_size_limit_is_an_error(capsys):
+    # a refused realization is not a failed check: exit 2, not a FAIL line
+    code = main(["verify", "cellular", "--ell", "2", "--r", "5",
+                 "--omega", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("error: ell=2, r=5: the algebra has "
+                                 "dimension 3840, above the limit 2000 for "
+                                 "a cellular realization\n")
 
 
 def test_config_defaults_do_not_count_as_given(tmp_path, capsys):

@@ -138,7 +138,7 @@ class TestClassification:
         assert nonzero_labels(omega, 4) == gram_oracle(omega, 4)
 
     @pytest.mark.parametrize("omega", [(0, 0, 1), (0, 1, 5)])
-    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2, 3])
     def test_agrees_with_gram_oracle_three_components(self, omega, r):
         assert nonzero_labels(omega, r) == gram_oracle(omega, r)
 
