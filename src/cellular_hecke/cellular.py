@@ -26,6 +26,7 @@ because d(top) is the identity. A realization is built only up to
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,9 +237,20 @@ def z_element(ctx: AlgebraContext, c: tuple[int, ...],
 # full-family realization (change of basis, expansions)
 
 
-# Largest algebra dimension ell^r * r! that gets a realization, whose exact
-# inverse is n x n: (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
+# Largest algebra dimension ell^r * r! that gets a realization. The block
+# triangular inverse is no longer the wall (2.6 s at (3,4), 12 s at (2,5));
+# memory is: the change of basis and its inverse are dense n x n, 353 MiB at
+# (2,5). (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
 MAX_REALIZATION_DIM = 2000
+
+
+def check_realization_size(ell: int, r: int) -> None:
+    """Raise ValueError when H(ell, r) is above ``MAX_REALIZATION_DIM``."""
+    n = ell ** r * math.factorial(r)
+    if n > MAX_REALIZATION_DIM:
+        raise ValueError(
+            f"ell={ell}, r={r}: the algebra has dimension {n}, above the "
+            f"limit {MAX_REALIZATION_DIM} for a cellular realization")
 
 
 class FamilyRealization:
@@ -251,12 +263,7 @@ class FamilyRealization:
     """
 
     def __init__(self, ctx: AlgebraContext, family: BasisFamily):
-        n = ctx.dimension()
-        if n > MAX_REALIZATION_DIM:
-            raise ValueError(
-                f"ell={ctx.ell}, r={ctx.r}: the algebra has dimension {n}, "
-                f"above the limit {MAX_REALIZATION_DIM} for a cellular "
-                f"realization")
+        check_realization_size(ctx.ell, ctx.r)
         self.ctx = ctx
         self.family = family
         self.labels = enumerate_multipartitions(ctx.ell, ctx.r)
@@ -505,6 +512,9 @@ def block_of(module) -> dict[tuple[int, ...], int]:
             for t in range(lo, hi + 1):
                 shifted = [[y - t if i == j else y for j, y in enumerate(row)]
                            for i, row in enumerate(restricted)]
+                if rank(shifted) == d:
+                    # t is no eigenvalue: ker B^d = 0 for a nonsingular B
+                    continue
                 kernel = left_nullspace(mat_pow(shifted, d))
                 if kernel:
                     vecs = [vec_mat(cvec, basis_rows) for cvec in kernel]

@@ -26,6 +26,7 @@ from .algebra import (
 from .cellular import (
     BasisFamily,
     cell_module,
+    check_realization_size,
     contragredient,
     family_m,
     family_m_xi,
@@ -67,6 +68,8 @@ from .serialization import (
 )
 
 SUITES = ("relations", "trace", "pairing", "cellular", "main1", "main2", "duality")
+# the suites that build a cellular realization, so are size-limited
+REALIZING_SUITES = ("pairing", "cellular", "main1", "main2", "duality")
 
 
 def _int_list(text: str) -> list[int]:
@@ -572,6 +575,9 @@ def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
             if reason:
                 raise ValueError(f"verify {name}: {reason} "
                                  f"(suite not applicable)")
+    if any(name in REALIZING_SUITES and not reasons[name] for name in names):
+        # refused before any suite runs, not after the cheap ones
+        check_realization_size(cfg.ell, cfg.r)
     out_lines = []
     all_ok = True
     for name in names:

@@ -4,9 +4,16 @@ Exact linear algebra over the rationals.
 Matrices are lists of lists of ``fractions.Fraction`` (rows), and vectors
 are row vectors, the only convention: a matrix acts as v.a, a nullspace is
 {v : v.a = 0}. There is one elimination kernel, ``rref``; rank, the
-nullspace, ``inverse`` (the right half of ``rref([a | I])``) and the one
-solve all run on it. The solve is ``solve_rows``: it writes a whole batch of
-vectors in the coordinates of a basis from one elimination.
+nullspace, ``inverse`` and the one solve all run on it. The solve is
+``solve_rows``: it writes a whole batch of vectors in the coordinates of a
+basis from one elimination.
+
+``inverse`` first puts its matrix in block triangular form (a perfect
+matching, then strongly connected components) and eliminates only inside
+the diagonal blocks, with ``rref``; the rest is substitution. The change of
+basis of a family falls apart into blocks of at most 7 rows up to
+(ell, r) = (3, 4) (92 at (2, 5)), and both it and its inverse are integral,
+so that substitution runs on ``int`` entries.
 
 ``rref`` is a sparse Gauss-Jordan: rows are dicts of their nonzero entries,
 with a column -> rows index. The reduced row echelon form of a matrix is
@@ -15,10 +22,10 @@ on the unused row with the fewest nonzeros to keep fill-in small. The column
 order is not free: left to right is what makes the pivots the first
 independent columns, which reach the output (the quotient coordinates of a
 simple module, the emitted nullspace bases) and which put the left block of
-``[a | I]`` first. The largest inputs are the change of basis of a whole
-family: n = ell^r * r!, e.g. 48 at (ell, r) = (2, 3), 162 at (3, 3) and 384
-at (2, 4), with integer entries and 2-17% of them nonzero. Cell-module, Gram
-and intertwiner systems stay far smaller.
+``[a | I]`` first. The largest inputs of ``inverse`` are the change of basis
+of a whole family: n = ell^r * r!, e.g. 48 at (ell, r) = (2, 3), 162 at
+(3, 3), 384 at (2, 4) and 1,944 at (3, 4), with integer entries and 1-13% of
+them nonzero. Cell-module, Gram and intertwiner systems stay far smaller.
 """
 
 from __future__ import annotations
@@ -131,17 +138,174 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
+def _exact(x):
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _perfect_matching(rows: list[dict]) -> list[int]:
+    """
+    owner[j], the row matched to column j, with every row holding its
+    column: augmenting paths by depth-first search on an explicit stack,
+    each row looking for a free column before it descends (MC21, Duff 1981).
+    A matched column stays matched, so each row's look-ahead resumes where it
+    stopped. Raises SingularMatrixError when no perfect matching exists (the
+    matrix is structurally singular).
+    """
+    n = len(rows)
+    owner = [-1] * n
+    seen = [-1] * n
+    ahead = [iter(row) for row in rows]
+
+    def free_column(i: int) -> int:
+        return next((j for j in ahead[i] if owner[j] < 0), -1)
+
+    for root in range(n):
+        free = free_column(root)
+        if free >= 0:
+            owner[free] = root
+            continue
+        path = [root]            # rows of the alternating path
+        via: list[int] = []      # via[p]: the column leading out of path[p]
+        its = [iter(rows[root])]
+        while its:
+            for j in its[-1]:
+                if seen[j] != root:
+                    seen[j] = root
+                    break
+            else:
+                its.pop()
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            i = owner[j]
+            via.append(j)
+            path.append(i)
+            free = free_column(i)
+            if free >= 0:
+                via.append(free)
+                for p, col in zip(path, via):
+                    owner[col] = p
+                break
+            its.append(iter(rows[i]))
+        else:
+            raise SingularMatrixError(f"matrix of size {n} is singular")
+    return owner
+
+
+def _dependency_blocks(rows: list[dict], owner: list[int]) -> list[list[int]]:
+    """
+    Strongly connected components of the graph with an edge from row i to
+    owner[j] for every column j that row i holds, dependencies first
+    (Tarjan 1972, with an explicit stack: a chain can be n rows deep).
+    """
+    n = len(rows)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    blocks = []
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(rows[root]))]
+        while work:
+            v, it = work[-1]
+            for j in it:
+                w = owner[j]
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(rows[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    block = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        block.append(w)
+                        if w == v:
+                            break
+                    blocks.append(block)
+    return blocks
+
+
 def inverse(a: Matrix) -> Matrix:
     """
-    Inverse of a square matrix, the right half of ``rref([a | I])``; raises
-    SingularMatrixError.
+    Inverse of a square matrix, solved block by block in block triangular
+    form; raises SingularMatrixError. ``a`` is left unchanged, and the result
+    is dense, every entry a ``Fraction``.
+
+    Row i of a . Y = I reads sum_j a[i][j] Y[j] = e_i. A perfect matching
+    gives each row i a column c(i) with a[i][c(i)] != 0, whose Y row that
+    equation determines; the other Y rows it holds are those of the rows
+    matched to its other columns. The strongly connected components of that
+    dependency graph (Tarjan), taken dependencies first, put ``a`` in block
+    lower triangular form (Duff & Reid 1978; Pothen & Fan 1990): each block
+    subtracts the Y rows already solved from its unit right-hand sides and
+    multiplies by the inverse of its diagonal block, read from ``rref``.
+    Integral entries stay ``int`` throughout.
     """
     n = len(a)
-    reduced, pivots = rref(
-        [row + unit for row, unit in zip(a, mat_identity(n))])
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(f"matrix of size {n} is singular")
-    return [row[n:] for row in reduced]
+    rows = [{j: _exact(x) for j, x in enumerate(row) if x} for row in a]
+    owner = _perfect_matching(rows)
+    column = [0] * n
+    for j, i in enumerate(owner):
+        column[i] = j
+    solved: dict[int, dict] = {}
+    for block in _dependency_blocks(rows, owner):
+        k = len(block)
+        cols = [column[i] for i in block]
+        diagonal, rhs = [], []
+        for p, i in enumerate(block):
+            row = rows[i]
+            diagonal.append([row.get(j, 0) for j in cols]
+                            + [int(p == q) for q in range(k)])
+            acc = {i: 1}
+            for j, x in row.items():
+                # j is in this block, or its row is in a block solved earlier
+                if j in solved:
+                    for c, y in solved[j].items():
+                        acc[c] = acc.get(c, 0) - x * y
+            rhs.append(acc)
+        reduced, pivots = rref(diagonal)
+        if pivots != list(range(k)):
+            raise SingularMatrixError(f"matrix of size {n} is singular")
+        for q, j in enumerate(cols):
+            acc = {}
+            for f, part in zip(reduced[q][k:], rhs):
+                if f:
+                    f = _exact(f)
+                    for c, y in part.items():
+                        acc[c] = acc.get(c, 0) + f * y
+            solved[j] = {c: _exact(y) for c, y in acc.items() if y}
+    zero = Fraction(0)
+    shared: dict[int, Fraction] = {}
+    out = []
+    for j in range(n):
+        row = [zero] * n
+        for c, x in solved[j].items():
+            if type(x) is int:
+                if x not in shared:
+                    shared[x] = Fraction(x)
+                x = shared[x]
+            row[c] = x
+        out.append(row)
+    return out
 
 
 def left_nullspace(a: Matrix) -> list[Vector]:

@@ -515,6 +515,26 @@ class TestBlocks:
         for lam in enumerate_multipartitions(2, 2):
             block_alpha(cell_module(ctx22, family_m((0, 1)), lam))
 
+    def test_only_eigenvalues_reach_the_nullspace(self, monkeypatch):
+        # a t with rank(B - t I) = d is skipped before mat_pow, so every
+        # generalized eigenspace block_of computes is nonempty
+        from cellular_hecke import cellular
+        kernels = []
+
+        def recording(a):
+            kernels.append(cellular_left_nullspace(a))
+            return kernels[-1]
+
+        cellular_left_nullspace = cellular.left_nullspace
+        monkeypatch.setattr(cellular, "left_nullspace", recording)
+        ctx = AlgebraContext(2, 3, (0, 1))
+        found = {}
+        for lam in enumerate_multipartitions(2, 3):
+            found[lam] = block_of(cell_module(ctx, family_m((0, 1)), lam))
+        assert kernels and all(kernels)
+        assert sum(sum(v.values()) for v in found.values()) == sum(
+            len(standard_tableaux(lam)) for lam in found)
+
 
 class TestDuality:
     def test_cell_dual_matches_opposite_family(self, ctx22):

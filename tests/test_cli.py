@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cellular_hecke import cellular
 from cellular_hecke.cli import main
 from cellular_hecke.serialization import parse_jsonl
 
@@ -247,6 +248,18 @@ GOLDEN = [
          "--family", "m"), 0,
         "de0d234a19733a2c464957d03ba71cdebe101daaa9d3c74e38b2fea409815e21",
         id="simples-e2r4-m"),
+    # a 384 x 384 change of basis with more fill, and the r = 4
+    # certifications, in reach since the block triangular inverse
+    pytest.param(
+        ("simples", "--ell", "4", "--r", "3", "--omega", "0,1,2,3",
+         "--family", "m"), 0,
+        "621d99ba20b077e93f6fb45b9e1c16a87408b4a995ec6bfef152da3982f84777",
+        id="simples-e4r3-m"),
+    pytest.param(
+        ("verify", "main1", "main2", "--ell", "2", "--r", "4",
+         "--omega", "1,0", "--c", "0,1", "--xi", "2,1"), 0,
+        "3f39cba8dc4344794ba70e5a20880c3f7896e3ce1df18021f846ce14a2212df3",
+        id="verify-main1-main2-e2r4"),
 ]
 
 
@@ -347,6 +360,36 @@ def test_verify_cellular_above_the_size_limit_is_an_error(capsys):
     assert captured.err.endswith("error: ell=2, r=5: the algebra has "
                                  "dimension 3840, above the limit 2000 for "
                                  "a cellular realization\n")
+
+
+def test_verify_all_above_the_size_limit_refused_before_any_suite(capsys):
+    start = time.perf_counter()
+    code = main(["verify", "all", "--ell", "2", "--r", "5", "--omega", "1,0",
+                 "--c", "0,1", "--xi", "2,1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: ell=2, r=5: the algebra has dimension "
+                            "3840, above the limit 2000 for a cellular "
+                            "realization\n")
+    assert elapsed < 1.0
+
+
+def test_size_limit_applies_only_to_realizing_suites(monkeypatch, capsys):
+    # with the limit below dim H(2,2) = 8, the algebra-only suites still run
+    monkeypatch.setattr(cellular, "MAX_REALIZATION_DIM", 5)
+    argv = ["--ell", "2", "--r", "2", "--omega", "1,0", "--c", "0,1",
+            "--xi", "2,1"]
+    assert main(["verify", "relations", "trace", *argv]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    for suite in ("pairing", "cellular", "main1", "main2", "duality", "all"):
+        assert main(["verify", suite, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: ell=2, r=2: the algebra has "
+                                "dimension 8, above the limit 5 for a "
+                                "cellular realization\n")
 
 
 def test_config_defaults_do_not_count_as_given(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,17 @@ from cellular_hecke.linalg import (
 
 def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def gauss_jordan_inverse(a):
+    """Reference: the route ``inverse`` used to take, the right half of the
+    sparse ``rref([a | I])``."""
+    n = len(a)
+    reduced, pivots = rref(
+        [row + unit for row, unit in zip(a, mat_identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError(f"matrix of size {n} is singular")
+    return [row[n:] for row in reduced]
 
 
 def dense_inverse(a):
@@ -131,14 +143,75 @@ def assert_inverse_matches_reference(a):
         expected = dense_inverse(a)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError, match=f"size {n} is"):
+            gauss_jordan_inverse(a)
+        with pytest.raises(SingularMatrixError, match=f"size {n} is"):
             inverse(a)
+        assert a == before
         return False
     got = inverse(a)
     assert a == before
     assert got == expected
-    assert all(isinstance(x, Fraction) for row in got for x in row)
+    assert got == gauss_jordan_inverse(a)
+    assert all(type(x) is Fraction for row in got for x in row)
     assert mat_mul(a, got) == mat_identity(n)
     return True
+
+
+def planted_blocks(rng, sizes, fractions=False):
+    """
+    Block lower triangular matrix with invertible diagonal blocks of the
+    given sizes, sparse blocks below them, and its rows and columns shuffled,
+    so only a matching and the strongly connected components find the
+    blocks again. Diagonal blocks are unit upper triangular times unit lower
+    triangular, scaled by a non-unit when the block index is odd (det != +-1);
+    every third block is a chordless cycle instead, 1 on the diagonal and 2
+    at (i, i + 1 mod k), det = 1 - (-2)^k for k > 1. With ``fractions`` some entries
+    are non-integral.
+    """
+    n = sum(sizes)
+    values = [-3, -2, -1, 1, 2, 3]
+    if fractions:
+        values += [Fraction(1, 2), Fraction(-2, 3)]
+    a = mat_zero(n, n)
+    start = 0
+    for b, k in enumerate(sizes):
+        upper = [[Fraction(int(i == j)) if i >= j else
+                  Fraction(rng.choice(values)) for j in range(k)]
+                 for i in range(k)]
+        lower = transpose([[x if i != j else Fraction(1) for j, x in
+                            enumerate(row)] for i, row in enumerate(upper)])
+        block = mat_mul(upper, lower)
+        if b % 3 == 2:
+            block = [[Fraction(1 if j == i else 2 if j == (i + 1) % k else 0)
+                      for j in range(k)] for i in range(k)]
+        elif b % 2:
+            scale = rng.choice([2, -3, Fraction(5, 7)])
+            block = [[x * scale for x in row] for row in block]
+        for i in range(k):
+            a[start + i][start:start + k] = block[i]
+            for j in range(start):
+                if rng.random() < 0.3:
+                    a[start + i][j] = Fraction(rng.choice(values))
+        start += k
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def sparse_product_is_identity(a, inv):
+    """A . A^-1 = I from the nonzeros only."""
+    n = len(a)
+    inv_rows = [{k: y for k, y in enumerate(row) if y} for row in inv]
+    for i, row in enumerate(a):
+        acc = {}
+        for j, x in enumerate(row):
+            if x:
+                for k, y in inv_rows[j].items():
+                    acc[k] = acc.get(k, 0) + x * y
+        if {k: v for k, v in acc.items() if v} != {i: 1}:
+            return False
+    return len(inv) == n
 
 
 def random_rect(rng, rows, cols, density):
@@ -225,6 +298,86 @@ def test_inverse_matches_dense_reference():
         invertible += assert_inverse_matches_reference(
             random_matrix(rng, n, density))
     assert invertible >= 25
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_inverse_of_planted_blocks(fractions):
+    rng = random.Random(f"planted-{fractions}")
+    for sizes in ([1], [3], [1, 1, 1], [2, 3, 1, 4], [5, 1, 1, 2, 6],
+                  [1] * 12 + [3, 2], [7, 4, 1, 1, 3, 2, 1], [2, 3, 6, 1, 5]):
+        a = planted_blocks(rng, sizes, fractions)
+        assert assert_inverse_matches_reference(a)
+        integral = all(x.denominator == 1 for row in inverse(a) for x in row)
+        if len(sizes) > 1:
+            assert not integral      # block 1 has det != +-1
+        elif not fractions:
+            assert integral          # one unimodular integer block
+
+
+def test_inverse_structurally_singular():
+    # rows 0 and 1 both hold only column 0: no perfect matching exists
+    a = F([[2, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 3]])
+    before = copy.deepcopy(a)
+    with pytest.raises(SingularMatrixError,
+                       match="matrix of size 4 is singular"):
+        inverse(a)
+    assert a == before
+    assert not assert_inverse_matches_reference(a)
+
+
+def test_inverse_singular_diagonal_block():
+    # a perfect matching exists, but the 2 x 2 block on rows and columns
+    # 1, 2 has determinant 0, below a nonsingular block on row/column 0
+    a = F([[1, 0, 0, 0], [5, 2, 4, 0], [0, 1, 2, 0], [0, 3, 0, -1]])
+    with pytest.raises(SingularMatrixError,
+                       match="matrix of size 4 is singular"):
+        inverse(a)
+    assert not assert_inverse_matches_reference(a)
+    rng = random.Random("singular-block")
+    b = planted_blocks(rng, [2, 3, 2])
+    b[0] = [2 * x for x in b[1]]        # two rows of one block, dependent
+    with pytest.raises(SingularMatrixError,
+                       match="matrix of size 7 is singular"):
+        inverse(b)
+
+
+def test_inverse_chain_deeper_than_the_recursion_limit():
+    # a[i][i] = 1, a[i][i+1] = -1: row i waits for row i + 1, so the
+    # dependency chain is n rows deep; the inverse is the upper ones
+    n = sys.getrecursionlimit() + 50
+    a = mat_zero(n, n)
+    for i in range(n):
+        a[i][i] = Fraction(1)
+        if i + 1 < n:
+            a[i][i + 1] = Fraction(-1)
+    zero, one = Fraction(0), Fraction(1)
+    assert inverse(a) == [[zero] * i + [one] * (n - i) for i in range(n)]
+
+
+def test_change_of_basis_inverse_at_e3r3_matches_reference():
+    from cellular_hecke.algebra import AlgebraContext
+    from cellular_hecke.cellular import family_m, realization
+    real = realization(AlgebraContext(3, 3, (0, 1, 2)), family_m((0, 0, 0)))
+    a = real.change_of_basis
+    assert len(a) == 162
+    assert real.change_of_basis_inv == gauss_jordan_inverse(a)
+
+
+def test_change_of_basis_inverse_at_e2r4_sparse_check():
+    from cellular_hecke.algebra import AlgebraContext
+    from cellular_hecke.cellular import family_m, family_n, realization
+    ctx = AlgebraContext(2, 4, (0, 1))
+    for family in (family_m((0, 1)), family_n((0, 1))):
+        real = realization(ctx, family)
+        assert len(real.change_of_basis) == 384
+        assert sparse_product_is_identity(real.change_of_basis,
+                                          real.change_of_basis_inv)
+
+
+def test_sparse_identity_check_catches_a_wrong_inverse():
+    a = F([[2, 1], [1, 1]])
+    assert sparse_product_is_identity(a, F([[1, -1], [-1, 2]]))
+    assert not sparse_product_is_identity(a, F([[1, -1], [-1, 1]]))
 
 
 def test_inverse_zero_diagonal_and_ties():

@@ -9,8 +9,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from cellular_hecke import cellular, linalg
+from cellular_hecke.algebra import AlgebraContext
 from cellular_hecke.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +38,16 @@ def test_tracer_runs_and_matches_untraced_stdout(capsysbinary):
     metrics = report["metrics"]
     assert metrics["cellular.expand_calls"]["value"] > 0
     assert metrics["linalg.cob_inv_nnz"]["value"] > 0
+
+
+def test_inverse_is_wrapped_where_the_realization_reads_it():
+    # the tracer's linalg.inverse span patches every module binding the same
+    # function, and cob_inv_nnz / cob_inv_max_bits read the dense inverse
+    assert cellular.inverse is linalg.inverse
+    ctx = AlgebraContext(2, 2, (0, 1))
+    real = cellular.realization(ctx, cellular.family_m((0, 1)))
+    inv = real.change_of_basis_inv
+    n = ctx.dimension()
+    assert isinstance(inv, list) and len(inv) == n
+    assert all(isinstance(row, list) and len(row) == n for row in inv)
+    assert all(type(x) is Fraction for row in inv for x in row)
