@@ -19,7 +19,11 @@ The Gram form of a cell module comes from the module's own action rho, with
 no product in the algebra (Graham-Lehrer 1996; Mathas 1999, ch. 2): m_{top,s}
 . h agrees with sum_u rho(h)_{s,u} m_{top,u} modulo higher cells, so
 <s,t> = rho(m_{t,top})_{s,top}, and m_{t,top} = d(t)^{-1} . m_{top,top}
-because d(top) is the identity. A realization is built only up to
+because d(top) is the identity. The blocks come from the same action: each
+x_k acts lower triangularly on a cell module in the tableau order
+(Jucys-Murphy elements on a Murphy-type basis; Mathas 1999, ch. 3), so the
+joint generalized eigenvalues are the diagonal tuples, read off with no
+eigenvalue search. A realization is built only up to
 ``MAX_REALIZATION_DIM``: its n x n change of basis is inverted exactly.
 """
 
@@ -54,9 +58,6 @@ from .linalg import (
     SingularMatrixError,
     Vector,
     inverse,
-    left_nullspace,
-    mat_identity,
-    mat_pow,
     rank,
     rref,
     solve_rows,
@@ -491,45 +492,29 @@ def intertwiner_dim(mod_a, mod_b) -> int:
 def block_of(module) -> dict[tuple[int, ...], int]:
     """
     Joint generalized eigenvalues of the commuting x_k action with their
-    multiplicities. Eigenvalues must be integers drawn from the content
-    window of the parameters; anything else raises.
+    multiplicities, read off the diagonal. Each x_k acts lower triangularly
+    on a cell module in the tableau order (Jucys-Murphy elements on a
+    Murphy-type basis: Mathas 1999, ch. 3), so every flag span(e_1..e_t) is
+    invariant and the joint generalized eigenspace of a vector of
+    eigenvalues has the dimension of its count among the diagonal tuples
+    (x_1[t][t], ..., x_r[t][t]). An x_k that is not lower triangular, or a
+    non-integer diagonal entry, raises ValueError.
     """
-    ctx = module.ctx
     n = module.dim
-    if n == 0:
-        return {}
-    lo = min(ctx.omega) - ctx.r
-    hi = max(ctx.omega) + ctx.r
-    spaces: list[tuple[Matrix, tuple[int, ...]]] = [(mat_identity(n), ())]
-    for k in range(ctx.r):
-        x = module.x_action[k]
-        nxt = []
-        for basis_rows, prefix in spaces:
-            restricted = solve_rows([vec_mat(row, x) for row in basis_rows],
-                                    basis_rows)
-            d = len(basis_rows)
-            found = 0
-            for t in range(lo, hi + 1):
-                shifted = [[y - t if i == j else y for j, y in enumerate(row)]
-                           for i, row in enumerate(restricted)]
-                if rank(shifted) == d:
-                    # t is no eigenvalue: ker B^d = 0 for a nonsingular B
-                    continue
-                kernel = left_nullspace(mat_pow(shifted, d))
-                if kernel:
-                    vecs = [vec_mat(cvec, basis_rows) for cvec in kernel]
-                    nxt.append((vecs, prefix + (t,)))
-                    found += len(kernel)
-                    if found == d:
-                        # the generalized eigenspaces fill the space
-                        break
-        spaces = nxt
-    total = sum(len(v) for v, _ in spaces)
-    if total != n:
-        raise ValueError(
-            "non-integer generalized eigenvalue: are the parameters integral?"
-        )
-    return {prefix: len(v) for v, prefix in sorted(spaces, key=lambda p: p[1])}
+    for k, x in enumerate(module.x_action, 1):
+        if any(x[t][u] for t in range(n) for u in range(t + 1, n)):
+            raise ValueError(
+                f"x_{k} does not act triangularly on the module basis")
+    counts: dict[tuple[int, ...], int] = {}
+    for t in range(n):
+        diagonal = tuple(x[t][t] for x in module.x_action)
+        if any(y.denominator != 1 for y in diagonal):
+            raise ValueError(
+                "non-integer generalized eigenvalue: are the parameters "
+                "integral?")
+        key = tuple(int(y) for y in diagonal)
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def block_alpha(module) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cellular_hecke.algebra import (
     tau_hat,
 )
 from cellular_hecke.cellular import (
+    ModuleRealization,
     block_alpha,
     block_of,
     cell_module,
@@ -44,14 +46,18 @@ from cellular_hecke.combinatorics import (
     w_lambda,
 )
 from cellular_hecke.linalg import (
-    mat_identity,
-    mat_mul,
     rank,
+    solve_rows,
     transpose,
     vec_mat,
 )
+from reference_linalg import left_nullspace, mat_identity, mat_mul, mat_pow
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def F(rows):
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def gram_by_products(ctx, family, lam):
@@ -67,6 +73,49 @@ def gram_by_products(ctx, family, lam):
          for ti in range(len(tabs))]
         for si in range(len(tabs))
     ]
+
+
+def block_of_by_eigenspaces(module):
+    """Reference: the search ``block_of`` used to run. For each k it restricts
+    x_k to every joint eigenspace found so far and tries each t of the
+    content window, rank(B - t I) first, then the left nullspace of
+    (B - t I)^d."""
+    ctx = module.ctx
+    n = module.dim
+    if n == 0:
+        return {}
+    lo = min(ctx.omega) - ctx.r
+    hi = max(ctx.omega) + ctx.r
+    spaces = [(mat_identity(n), ())]
+    for k in range(ctx.r):
+        x = module.x_action[k]
+        nxt = []
+        for basis_rows, prefix in spaces:
+            restricted = solve_rows([vec_mat(row, x) for row in basis_rows],
+                                    basis_rows)
+            d = len(basis_rows)
+            found = 0
+            for t in range(lo, hi + 1):
+                shifted = [[y - t if i == j else y for j, y in enumerate(row)]
+                           for i, row in enumerate(restricted)]
+                if rank(shifted) == d:
+                    # t is no eigenvalue: ker B^d = 0 for a nonsingular B
+                    continue
+                kernel = left_nullspace(mat_pow(shifted, d))
+                if kernel:
+                    vecs = [vec_mat(cvec, basis_rows) for cvec in kernel]
+                    nxt.append((vecs, prefix + (t,)))
+                    found += len(kernel)
+                    if found == d:
+                        # the generalized eigenspaces fill the space
+                        break
+        spaces = nxt
+    total = sum(len(v) for v, _ in spaces)
+    if total != n:
+        raise ValueError(
+            "non-integer generalized eigenvalue: are the parameters integral?"
+        )
+    return {prefix: len(v) for v, prefix in sorted(spaces, key=lambda p: p[1])}
 
 
 def dual_family(family):
@@ -121,12 +170,12 @@ def ctx13():
 
 
 def families_for(ctx):
-    if ctx.ell == 1:
-        return [family_m((0,)), family_n((0,)),
-                family_m_xi((1,)), family_n_xi((1,))]
-    return [family_m(c) for c in ALL_C2] + [family_n(c) for c in ALL_C2] + \
-        [family_m_xi((2, 1)), family_m_xi((1, 2)),
-         family_n_xi((2, 1)), family_n_xi((1, 2))]
+    """Every family at ctx.ell: each 01-sequence c for m and n, each
+    permutation xi for mxi and nxi."""
+    cs = list(itertools.product((0, 1), repeat=ctx.ell))
+    xis = list(itertools.permutations(range(1, ctx.ell + 1)))
+    return [family_m(c) for c in cs] + [family_n(c) for c in cs] + \
+        [family_m_xi(xi) for xi in xis] + [family_n_xi(xi) for xi in xis]
 
 
 class TestSeeds:
@@ -515,25 +564,37 @@ class TestBlocks:
         for lam in enumerate_multipartitions(2, 2):
             block_alpha(cell_module(ctx22, family_m((0, 1)), lam))
 
-    def test_only_eigenvalues_reach_the_nullspace(self, monkeypatch):
-        # a t with rank(B - t I) = d is skipped before mat_pow, so every
-        # generalized eigenspace block_of computes is nonempty
-        from cellular_hecke import cellular
-        kernels = []
+    @pytest.mark.parametrize("ell,r,omega,kinds", [
+        (2, 3, (1, 0), ("m", "n", "mxi", "nxi")),
+        (3, 2, (0, 1, 2), ("m", "n", "mxi", "nxi")),
+        (2, 4, (0, 1), ("m", "n")),
+    ], ids=["e2r3", "e3r2", "e2r4-mn"])
+    def test_diagonal_matches_eigenspace_scan(self, ell, r, omega, kinds):
+        ctx = AlgebraContext(ell, r, omega)
+        for fam in [f for f in families_for(ctx) if f.kind in kinds]:
+            for lam in enumerate_multipartitions(ell, r):
+                mod = cell_module(ctx, fam, lam)
+                assert block_of(mod) == block_of_by_eigenspaces(mod), \
+                    (fam, lam)
 
-        def recording(a):
-            kernels.append(cellular_left_nullspace(a))
-            return kernels[-1]
+    def test_non_triangular_x_refused(self):
+        ctx = AlgebraContext(1, 2, (0,))
+        zero = F([[0, 0], [0, 0]])
+        mod = ModuleRealization(ctx, [zero], [zero, F([[0, 1], [0, 0]])])
+        with pytest.raises(ValueError, match="x_2 does not act triangularly"):
+            block_of(mod)
 
-        cellular_left_nullspace = cellular.left_nullspace
-        monkeypatch.setattr(cellular, "left_nullspace", recording)
-        ctx = AlgebraContext(2, 3, (0, 1))
-        found = {}
-        for lam in enumerate_multipartitions(2, 3):
-            found[lam] = block_of(cell_module(ctx, family_m((0, 1)), lam))
-        assert kernels and all(kernels)
-        assert sum(sum(v.values()) for v in found.values()) == sum(
-            len(standard_tableaux(lam)) for lam in found)
+    def test_non_integer_diagonal_refused(self):
+        ctx = AlgebraContext(1, 2, (0,))
+        half = F([[Fraction(1, 2), 0], [1, 0]])
+        mod = ModuleRealization(ctx, [F([[0, 0], [0, 0]])],
+                                [half, F([[1, 0], [0, 1]])])
+        with pytest.raises(ValueError, match="non-integer generalized"):
+            block_of(mod)
+
+    def test_zero_module_has_no_blocks(self):
+        ctx = AlgebraContext(1, 2, (0,))
+        assert block_of(ModuleRealization(ctx, [[]], [[], []])) == {}
 
 
 class TestDuality:

@@ -260,6 +260,18 @@ GOLDEN = [
          "--omega", "1,0", "--c", "0,1", "--xi", "2,1"), 0,
         "3f39cba8dc4344794ba70e5a20880c3f7896e3ce1df18021f846ce14a2212df3",
         id="verify-main1-main2-e2r4"),
+    # blocks read off the triangular x_k action: a permuted-parameter family
+    # at (3,3) with a repeated parameter, and blocks at r = 4
+    pytest.param(
+        ("simples", "--ell", "3", "--r", "3", "--omega", "0,0,1",
+         "--family", "mxi", "--xi", "3,1,2"), 0,
+        "87f7f66216da542117c082c10c8fa102ccb128aa717a35939fb21b9fb2178a27",
+        id="simples-e3r3-mxi"),
+    pytest.param(
+        ("blocks", "--ell", "2", "--r", "4", "--omega", "0,0",
+         "--family", "n", "--c", "0,1"), 0,
+        "df0b72a6876b09bf79b970ba4737788231b4e40941ffe58b1a454406b058d5e6",
+        id="blocks-e2r4-n"),
 ]
 
 
