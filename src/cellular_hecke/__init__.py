@@ -14,6 +14,7 @@ from .algebra import (
     right_translate,
     star,
     tau_hat,
+    trace_functional,
     verify_basis,
 )
 from .cellular import (

@@ -46,6 +46,17 @@ Nothing is ever a float: a non-integral omega raises ValueError, and a
 non-rational scalar or an ``Element`` coefficient that is not an int or a
 Fraction raises TypeError. The linear algebra boundary converts:
 ``AlgebraContext.to_vector`` and ``tau_hat`` return ``Fraction`` values.
+
+The trace tau (``tau_hat``) reads the coefficient of the top monomial
+x_1^{ell-1}...x_r^{ell-1} . 1. Since a permutation v on the right only
+relabels,
+
+    tau(h . x^b . v) = coefficient of (x_1^{ell-1}...x_r^{ell-1}, v^{-1})
+                       in h . x^b,
+
+so the functional k -> tau(h . k) on the whole basis costs ell^r products
+(``trace_functional``), and pairing(h, k) = tau(h . star(k)) is that
+functional summed over the terms of star(k).
 """
 
 from __future__ import annotations
@@ -387,8 +398,26 @@ def tau_hat(h: Element) -> Fraction:
     return Fraction(h.terms.get(top, 0))
 
 
+def trace_functional(h: Element) -> dict[TermKey, Coef]:
+    """
+    The functional k -> tau(h . k) on the monomial basis, as its nonzero
+    values: at x^b . v it is the coefficient of (top, v^{-1}) in h . x^b.
+    """
+    ctx = h.ctx
+    top = (ctx.ell - 1,) * ctx.r
+    out: dict[TermKey, Coef] = {}
+    for b in product(range(ctx.ell), repeat=ctx.r):
+        for (d, z), coef in (h * ctx.from_x_monomial(b)).terms.items():
+            if d == top:
+                out[(b, perm_inverse(z))] = coef
+    return out
+
+
 def pairing(h1: Element, h2: Element) -> Fraction:
-    """The symmetric bilinear form tau_hat(h1 . star(h2))."""
+    """
+    The symmetric bilinear form tau_hat(h1 . star(h2)), one pair at a time.
+    ``verify pairing`` reads the same values from ``trace_functional(h1)``.
+    """
     h1._check(h2)
     return tau_hat(h1 * star(h2))
 

@@ -9,18 +9,20 @@ error. Output bytes are deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import crystal as crystal_mod
 from .algebra import (
     AlgebraContext,
     defining_relations,
-    pairing,
     right_translate,
     star,
     tau_hat,
+    trace_functional,
     verify_basis,
 )
 from .cellular import (
@@ -354,21 +356,29 @@ def suite_pairing(cfg: JobConfig) -> tuple[bool, list[str]]:
     tabs = real_m.tableaux
     cells = [(real_m.labels[li], tabs[li][si], tabs[li][ti])
              for li, si, ti in real_m.cells]
+    conj = {t: tableau_conjugate(t) for ts in tabs for t in ts}
+    duals = [(conj[u], conj[v]) for _, u, v in cells]
+    dominates = functools.cache(tableau_dominance_ge)
+    # pairing(m, n) = tau(m . star(n)): each n-element is starred once, and
+    # each checked value sums m's trace functional over star(n)'s terms
+    starred = [star(elem) for elem in real_n.elements]
     bad = []
     for elem_m, (lam, s, t) in zip(real_m.elements, cells):
-        for elem_n, (mu, u, v) in zip(real_n.elements, cells):
-            # only the diagonal and the pairs below it are checked
-            up, vp = tableau_conjugate(u), tableau_conjugate(v)
+        # only the diagonal and the pairs below it are checked
+        checks = []
+        for j, (up, vp) in enumerate(duals):
             if (up, vp) == (s, t):
-                want, where = 1, "diagonal"
-            elif not (tableau_dominance_ge(up, s)
-                      and tableau_dominance_ge(vp, t)):
-                want, where = 0, "below-diagonal"
-            else:
-                continue
-            val = pairing(elem_m, elem_n)
+                checks.append((j, 1, "diagonal"))
+            elif not (dominates(up, s) and dominates(vp, t)):
+                checks.append((j, 0, "below-diagonal"))
+        if not checks:
+            continue
+        phi = trace_functional(elem_m)
+        for j, want, where in checks:
+            val = Fraction(sum(c * phi.get(key, 0)
+                               for key, c in starred[j].terms.items()))
             if val != want:
-                bad.append((lam, mu, str(val), where))
+                bad.append((lam, cells[j][0], str(val), where))
     lines = [
         "FAIL pairing: " + json.dumps(
             {"lambda": mp_to_lists(lam), "mu": mp_to_lists(mu),

@@ -15,6 +15,7 @@ from cellular_hecke.algebra import (
     right_translate,
     star,
     tau_hat,
+    trace_functional,
     verify_basis,
 )
 from cellular_hecke.cellular import (
@@ -23,6 +24,7 @@ from cellular_hecke.cellular import (
     family_m_xi,
     family_n,
     family_n_xi,
+    realization,
 )
 from cellular_hecke.combinatorics import (
     all_perms,
@@ -376,3 +378,56 @@ def test_cell_seed_products_match_pairwise_reference():
                 prod = a * b
                 assert prod.terms == pairwise_product(a, b).terms
                 assert _all_int(prod.terms)
+
+
+@st.composite
+def _ring_elements(draw):
+    ctx = _RING_CONTEXTS[draw(st.sampled_from(sorted(_RING_CONTEXTS)))]
+    make = draw(st.sampled_from([_shared_x_element, _mixed_element]))
+    return make(draw, ctx)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_ring_elements())
+def test_trace_functional_is_tau_of_the_product(h):
+    # every basis monomial, the zero values included
+    ctx = h.ctx
+    phi = trace_functional(h)
+    assert 0 not in phi.values()
+    assert set(phi) <= set(ctx.basis())
+    for key in ctx.basis():
+        assert phi.get(key, 0) == tau_hat(h * Element(ctx, {key: 1})), key
+
+
+def _functional_pairing(phi, h2: Element) -> Fraction:
+    """pairing(h1, h2) read from phi = trace_functional(h1)."""
+    return Fraction(sum(c * phi.get(key, 0)
+                        for key, c in star(h2).terms.items()))
+
+
+@pytest.mark.parametrize("ell,r,omega,c", [
+    (2, 2, (1, 0), (0, 1)),
+    (2, 3, (1, 0), (0, 1)),
+    (2, 3, (1, 0), (1, 1)),
+    (3, 2, (0, 1, 2), (0, 1, 1)),
+])
+def test_functional_pairing_matches_pairing_on_every_pair(ell, r, omega, c):
+    ctx = AlgebraContext(ell, r, omega)
+    elems_m = realization(ctx, family_m(c)).elements
+    elems_n = realization(ctx, family_n(c)).elements
+    for h1 in elems_m:
+        phi = trace_functional(h1)
+        for h2 in elems_n:
+            assert _functional_pairing(phi, h2) == pairing(h1, h2)
+
+
+def test_functional_pairing_matches_pairing_on_random_pairs_e2r4():
+    ctx = AlgebraContext(2, 4, (1, 0))
+    elems_m = realization(ctx, family_m((0, 1))).elements
+    elems_n = realization(ctx, family_n((0, 1))).elements
+    rng = random.Random(0)
+    for _ in range(300):
+        h1 = elems_m[rng.randrange(len(elems_m))]
+        h2 = elems_n[rng.randrange(len(elems_n))]
+        assert _functional_pairing(trace_functional(h1), h2) \
+            == pairing(h1, h2)

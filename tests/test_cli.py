@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from cellular_hecke import cellular
+from cellular_hecke import algebra, cellular, cli
 from cellular_hecke.cli import main
-from cellular_hecke.serialization import parse_jsonl
+from cellular_hecke.serialization import parse_config, parse_jsonl
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +272,12 @@ GOLDEN = [
          "--family", "n", "--c", "0,1"), 0,
         "df0b72a6876b09bf79b970ba4737788231b4e40941ffe58b1a454406b058d5e6",
         id="blocks-e2r4-n"),
+    # the full m/n pairing at r = 4: 101,616 checked pairs
+    pytest.param(
+        ("verify", "pairing", "--ell", "2", "--r", "4", "--omega", "1,0",
+         "--c", "0,1"), 0,
+        "9850b0707809e7c47a46e1a9eb8b5428b039f305a12751aa211b9bc891c160af",
+        id="verify-pairing-e2r4"),
 ]
 
 
@@ -280,6 +286,54 @@ def test_golden_bytes(capsysbinary, argv, code, digest):
     assert main(list(argv)) == code
     out = capsysbinary.readouterr().out
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_verify_pairing_reports_each_failing_pair(monkeypatch):
+    # pairing family m with itself is not unitriangular; the FAIL lines
+    # name each failing pair in the suite's order, with its value
+    monkeypatch.setattr(cli, "family_n", cli.family_m)
+    ok, lines = cli.suite_pairing(parse_config(json.dumps(
+        {"ell": 2, "r": 2, "omega": [1, 0], "c": [0, 1]})))
+    assert not ok
+    two, one_one, one_and_one = [[2], []], [[1, 1], []], [[1], [1]]
+    pairs = (
+        [(two, two, 4), (two, one_one, 2)] + [(two, one_and_one, 1)] * 4
+        + [(one_one, two, 2), (one_one, one_one, 1)]
+        + [(one_one, one_and_one, 1)] * 2
+        + [(one_and_one, two, 1), (one_and_one, one_one, 1)]
+        + [(one_and_one, two, 1)] * 3 + [(one_and_one, one_one, 1)]
+    )
+    assert lines == [
+        "FAIL pairing: " + json.dumps(
+            {"lambda": lam, "mu": mu, "value": str(val),
+             "where": "below-diagonal"})
+        for lam, mu, val in pairs
+    ]
+    # the bytes of one line, as the CLI prints them
+    assert lines[0] == ('FAIL pairing: {"lambda": [[2], []], "mu": [[2], '
+                        '[]], "value": "4", "where": "below-diagonal"}')
+
+
+def test_verify_pairing_stars_each_n_element_once(monkeypatch, capsys):
+    # one star per n-element and no per-pair product: a route through
+    # pairing() per checked pair stars 1,412 times at (2,3)
+    calls = {"star": 0, "pairing": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "star", counted("star", cli.star))
+    monkeypatch.setattr(algebra, "star", counted("star", algebra.star))
+    monkeypatch.setattr(algebra, "pairing",
+                        counted("pairing", algebra.pairing))
+    code, out = run_cli(capsys, "verify", "pairing", "--ell", "2", "--r", "3",
+                        "--omega", "1,0", "--c", "0,1")
+    assert code == 0
+    assert out == "PASS pairing: 48x48 matrix is unitriangular (c=[0, 1])\n"
+    assert calls == {"star": 48, "pairing": 0}
 
 
 def test_mullineux_xi_from_config_or_flag(tmp_path, capsys):
