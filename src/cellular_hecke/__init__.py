@@ -15,6 +15,7 @@ from .algebra import (
     star,
     tau_hat,
     trace_functional,
+    trace_of_product,
     verify_basis,
 )
 from .cellular import (
@@ -37,10 +38,8 @@ from .cellular import (
     simple_module,
     simple_of,
     simples_table,
-    subcell_module,
     x_lambda_c,
     y_lambda_c,
-    z_element,
 )
 from .combinatorics import (
     Multipartition,

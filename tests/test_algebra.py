@@ -16,6 +16,7 @@ from cellular_hecke.algebra import (
     star,
     tau_hat,
     trace_functional,
+    trace_of_product,
     verify_basis,
 )
 from cellular_hecke.cellular import (
@@ -327,7 +328,7 @@ def pairwise_product(h: Element, k: Element) -> Element:
             c12 = c1 * c2
             for (c, u), c3 in ctx._push_through(w, b).items():
                 ctx._put(out, tuple(p + q for p, q in zip(a, c)),
-                         perm_mul(u, v), c12 * c3)
+                         perm_mul(u, v), c12 * c3, 0)
     return Element(ctx, out)
 
 
@@ -380,15 +381,54 @@ def test_cell_seed_products_match_pairwise_reference():
                 assert _all_int(prod.terms)
 
 
+# the ring contexts, plus one with ell >= 3 and r >= 3, where x_j^ell
+# reduction meets the top x-degree r(ell - 1) of the trace
+_TRACE_CONTEXTS = {**_RING_CONTEXTS, (3, 3): AlgebraContext(3, 3, (0, 1, 2))}
+
+
 @st.composite
-def _ring_elements(draw):
-    ctx = _RING_CONTEXTS[draw(st.sampled_from(sorted(_RING_CONTEXTS)))]
+def _trace_elements(draw):
+    ctx = _TRACE_CONTEXTS[draw(st.sampled_from(sorted(_TRACE_CONTEXTS)))]
     make = draw(st.sampled_from([_shared_x_element, _mixed_element]))
     return make(draw, ctx)
 
 
+@st.composite
+def _trace_pairs(draw):
+    ctx = _TRACE_CONTEXTS[draw(st.sampled_from(sorted(_TRACE_CONTEXTS)))]
+    left = draw(st.sampled_from([_shared_x_element, _mixed_element]))
+    right = draw(st.sampled_from([_shared_x_element, _mixed_element]))
+    return left(draw, ctx), right(draw, ctx)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_trace_pairs())
+def test_trace_of_product_is_tau_of_the_product(pair):
+    h, k = pair
+    got = trace_of_product(h, k)
+    assert type(got) is Fraction
+    assert got == tau_hat(h * k)
+    assert trace_of_product(k, h) == tau_hat(k * h)
+
+
+def test_trace_of_product_on_random_basis_pairs_e3r3():
+    # single monomials at (3,3), so each value comes from one left term and
+    # one push; about one pair in six has a nonzero trace
+    ctx = _TRACE_CONTEXTS[(3, 3)]
+    rng = random.Random(0)
+    basis = ctx.basis()
+    nonzero = 0
+    for _ in range(400):
+        h = Element(ctx, {basis[rng.randrange(len(basis))]: 1})
+        k = Element(ctx, {basis[rng.randrange(len(basis))]: 1})
+        want = tau_hat(h * k)
+        assert trace_of_product(h, k) == want
+        nonzero += want != 0
+    assert nonzero > 40
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
-@given(_ring_elements())
+@given(_trace_elements())
 def test_trace_functional_is_tau_of_the_product(h):
     # every basis monomial, the zero values included
     ctx = h.ctx

@@ -29,10 +29,8 @@ from cellular_hecke.cellular import (
     simple_module,
     simple_of,
     simples_table,
-    subcell_module,
     x_lambda_c,
     y_lambda_c,
-    z_element,
 )
 from cellular_hecke.combinatorics import (
     conjugate,
@@ -51,6 +49,7 @@ from cellular_hecke.linalg import (
     transpose,
     vec_mat,
 )
+from reference_cellular import subcell_module, z_element
 from reference_linalg import left_nullspace, mat_identity, mat_mul, mat_pow
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -212,6 +212,17 @@ GOLDEN = [
          "--omega", "1,0", "--c", "0,1"), 0,
         "239bfe509e0ec6782ec26b937322a8719851974f7e52f048ccf4af28050269dc",
         id="verify-relations-trace-e2r4"),
+    # the trace at ell >= 3, where x_j^ell reduction meets the top x-degree
+    pytest.param(
+        ("verify", "trace", "--ell", "3", "--r", "3", "--omega", "0,1,2",
+         "--c", "0,1,1"), 0,
+        "50c7be976192bfcd8f1e568ae1447e6e9b55d89e344e3c1a7193b9bdd7395451",
+        id="verify-trace-e3r3"),
+    pytest.param(
+        ("verify", "trace", "--ell", "4", "--r", "3", "--omega", "3,2,1,0",
+         "--c", "0,1,0,1"), 0,
+        "8a4f8a32c4fdb850f43b7e14f612d39a6258135b6a1f30acf50a77da14e1a731",
+        id="verify-trace-e4r3"),
     pytest.param(
         ("gram", "--ell", "2", "--r", "4", "--omega", "0,1", "--family", "m",
          "--lambda", "[[2,1],[1]]"), 0,
@@ -334,6 +345,35 @@ def test_verify_pairing_stars_each_n_element_once(monkeypatch, capsys):
     assert code == 0
     assert out == "PASS pairing: 48x48 matrix is unitriangular (c=[0, 1])\n"
     assert calls == {"star": 48, "pairing": 0}
+
+
+def test_verify_trace_never_forms_the_witness(monkeypatch, capsys):
+    # one trace_of_product per label and twist, and no full product z or
+    # tau_hat of one: the product route forms z . w^-1 at dimension 3,840
+    # for each of the 144 values of the algebra-e2r5 benchmark
+    import reference_cellular
+
+    calls = {"z_element": 0, "tau_hat": 0, "trace_of_product": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for owner in (cli, cellular, reference_cellular):
+        monkeypatch.setattr(owner, "z_element", counted(
+            "z_element", reference_cellular.z_element), raising=False)
+    for owner in (cli, algebra):
+        monkeypatch.setattr(owner, "tau_hat", counted(
+            "tau_hat", algebra.tau_hat), raising=False)
+    monkeypatch.setattr(cli, "trace_of_product", counted(
+        "trace_of_product", cli.trace_of_product))
+    code, out = run_cli(capsys, "verify", "trace", "--ell", "2", "--r", "3",
+                        "--omega", "1,0", "--c", "0,1")
+    assert code == 0
+    assert out.count("PASS trace") == 11
+    assert calls == {"z_element": 0, "tau_hat": 0, "trace_of_product": 40}
 
 
 def test_mullineux_xi_from_config_or_flag(tmp_path, capsys):
