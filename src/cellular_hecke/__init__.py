@@ -26,7 +26,6 @@ from .cellular import (
     block_of,
     cell_module,
     cell_seed,
-    cellular_element,
     contragredient,
     family_m,
     family_m_xi,

@@ -33,6 +33,16 @@ from x_{j-1}^ell with the same push-through step; elements are immutable
 values and every operation is deterministic. The remaining per-context
 lookup caches fill in lazily and idempotently.
 
+Every permutation product z . v in the kernel (the relabel by Y_b, the
+reduction's z . perm, the exchange step's s . u, ``right_translate`` and
+the warm-up) goes through one index map per left permutation z:
+``combinatorics.perm_then(z)``, an ``operator.itemgetter`` over the
+positions ``perm_mul(z, (0, ..., r-1))``, so ``perm_mul`` stays the one
+definition. The maps are cached on the context by z, at most r! of them
+(a full r! x r! product table grows to hundreds of thousands of entries at
+r = 6). ``Element.__mul__`` looks a map up once per term of h . x^b,
+outside its loop over Y_b, and the exchange step once per s.
+
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
 and every product of integral elements. A coefficient is a ``Fraction`` only
@@ -71,9 +81,11 @@ is that functional summed over the terms of star(k).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import product, takewhile
 from numbers import Rational
+from operator import add
 
 from .combinatorics import (
     Perm,
@@ -81,9 +93,9 @@ from .combinatorics import (
     perm_identity,
     perm_inverse,
     perm_is_valid,
-    perm_mul,
     perm_reduced_word,
     perm_simple,
+    perm_then,
 )
 
 Exps = tuple[int, ...]
@@ -118,6 +130,14 @@ def _exchange(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
     return out
 
 
+class _ThenMaps(dict):
+    """z -> ``perm_then(z)``, compiled on first use: at most r! entries."""
+
+    def __missing__(self, z: Perm) -> Callable[[Perm], Perm]:
+        then = self[z] = perm_then(z)
+        return then
+
+
 class AlgebraContext:
     """
     Fixed (ell, r, omega) with all rewriting caches. Constructing the context
@@ -138,6 +158,7 @@ class AlgebraContext:
         self.omega = omega
         self._push: dict[tuple[Perm, Exps], dict[TermKey, Coef]] = {}
         self._xred: dict[Exps, dict[TermKey, Coef]] = {}
+        self._then: dict[Perm, Callable[[Perm], Perm]] = _ThenMaps()
         self._basis: list[TermKey] | None = None
         self._basis_index: dict[TermKey, int] | None = None
         self._xl = self._warm_up()
@@ -214,6 +235,7 @@ class AlgebraContext:
                     for k in range(len(poly) - 1)] + [poly[-1]]
         # x_1^ell = -sum_{k<ell} poly[k] x_1^k
         ident = perm_identity(r)
+        then = self._then
         xl: list[dict[TermKey, Coef]] = [{
             ((k,) + (0,) * (r - 1), ident): -poly[k]
             for k in range(ell) if poly[k]
@@ -225,9 +247,9 @@ class AlgebraContext:
             s = perm_simple(r, j - 1)
             cur: dict[TermKey, Coef] = {}
             for (c, u), coef in xl[j - 2].items():
-                us = perm_mul(u, s)
+                us = then[u](s)
                 for (c2, z), c3 in self._push_through(s, c).items():
-                    _acc(cur, (c2, perm_mul(z, us)), coef * c3)
+                    _acc(cur, (c2, then[z](us)), coef * c3)
             for m in range(ell):
                 e = [0] * r
                 e[j - 2], e[j - 1] = ell - 1 - m, m
@@ -245,8 +267,7 @@ class AlgebraContext:
         rest[over] -= self.ell
         out: dict[TermKey, Coef] = {}
         for (c, u), coef in self._xl[over].items():
-            self._put(out, tuple(a + b for a, b in zip(rest, c)), u, coef,
-                      0)
+            self._put(out, tuple(map(add, rest, c)), u, coef, 0)
         # highest x-degree first, so a floor cuts the list at one place
         out = dict(sorted(out.items(), key=lambda t: -sum(t[0][0])))
         self._xred[exps] = out
@@ -260,13 +281,13 @@ class AlgebraContext:
             return got
         cur: dict[TermKey, Coef] = {(exps, perm_identity(self.r)): 1}
         for i in reversed(perm_reduced_word(w)):
-            s = perm_simple(self.r, i)
+            s_then = self._then[perm_simple(self.r, i)]
             nxt: dict[TermKey, Coef] = {}
             for (c, u), coef in cur.items():
                 for alpha, beta, eps, icoef in _exchange(c[i - 1], c[i]):
                     c2 = list(c)
                     c2[i - 1], c2[i] = alpha, beta
-                    self._put(nxt, tuple(c2), perm_mul(s, u) if eps else u,
+                    self._put(nxt, tuple(c2), s_then(u) if eps else u,
                               coef * icoef, 0)
             cur = nxt
         self._push[key] = cur
@@ -292,8 +313,7 @@ class AlgebraContext:
             if need > 0:
                 pushed = [t for t in pushed if sum(t[0][0]) >= need]
             for (c, u), c3 in pushed:
-                self._put(hb, tuple(p + q for p, q in zip(a, c)), u, c1 * c3,
-                          floor)
+                self._put(hb, tuple(map(add, a, c)), u, c1 * c3, floor)
         return hb
 
     def _put(self, out: dict[TermKey, Coef], exps: Exps, perm: Perm,
@@ -312,8 +332,9 @@ class AlgebraContext:
             if floor:
                 # _x_reduce lists its terms by degree, highest first
                 reduced = takewhile(lambda t: sum(t[0][0]) >= floor, reduced)
+            then = self._then
             for (d, z), c2 in reduced:
-                _acc(out, (d, perm_mul(z, perm)), coef * c2)
+                _acc(out, (d, then[z](perm)), coef * c2)
 
     def __repr__(self) -> str:
         return f"AlgebraContext(ell={self.ell}, r={self.r}, omega={self.omega})"
@@ -381,12 +402,14 @@ class Element:
             # self . other = sum_b (self . x^b) . Y_b with Y_b = sum_v c2 v:
             # build hb = self . x^b once per distinct b, then relabel by each v
             ctx = self.ctx
+            then = ctx._then
             out: dict[TermKey, Coef] = {}
             for b, right in _by_x(other).items():
                 hb = ctx._times_x(self.terms, b, 0)
                 for (d, z), c4 in hb.items():
+                    zv = then[z]
                     for v, c2 in right:
-                        _acc(out, (d, perm_mul(z, v)), c4 * c2)
+                        _acc(out, (d, zv(v)), c4 * c2)
             return Element(ctx, out)
         if not isinstance(other, Rational):
             return NotImplemented
@@ -434,8 +457,9 @@ def right_translate(h: Element, v: Perm) -> Element:
     The product h . v by a permutation v on the right: x^a . w . v is the
     normal-form monomial x^a . (wv), so the terms are only relabeled.
     """
+    then = h.ctx._then
     return Element(
-        h.ctx, {(a, perm_mul(w, v)): c for (a, w), c in h.terms.items()}
+        h.ctx, {(a, then[w](v)): c for (a, w), c in h.terms.items()}
     )
 
 

@@ -49,7 +49,6 @@ from .combinatorics import (
     perm_sign,
     row_reading_tableau,
     standard_tableaux,
-    tableau_shape,
 )
 from .linalg import (
     Matrix,
@@ -167,13 +166,19 @@ def pi_bracket(ctx: AlgebraContext, lam: Multipartition,
                omega: tuple[int, ...] | None = None) -> Element:
     """
     Ordered product of the block factors: the i-th factor kills the first
-    a_i variables at the (i+1)-st parameter, i = 1..ell-1.
+    a_i variables at the (i+1)-st parameter, i = 1..ell-1. It depends on
+    ``lam`` only through its bracket, so it is built once per (bracket,
+    parameters) on the context and shared by every seed, whatever its twist.
     """
-    om = ctx.omega if omega is None else omega
+    om = ctx.omega if omega is None else tuple(omega)
     a = bracket(lam)
-    out = ctx.one()
-    for i in range(1, ctx.ell):
-        out = out * _pi_factor(ctx, a[i], om[i])
+    cache = vars(ctx).setdefault("_pi_brackets", {})
+    out = cache.get((a, om))
+    if out is None:
+        out = ctx.one()
+        for i in range(1, ctx.ell):
+            out = out * _pi_factor(ctx, a[i], om[i])
+        cache[(a, om)] = out
     return out
 
 
@@ -212,16 +217,6 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
     if family.kind == "mxi":
         return pi_bracket(ctx, lam, om) * x_lambda_c(ctx, lam, (0,) * ell)
     return pi_tilde_bracket(ctx, lam, om) * y_lambda_c(ctx, lam, (0,) * ell)
-
-
-def cellular_element(ctx: AlgebraContext, family: BasisFamily,
-                     s: Tableau, t: Tableau) -> Element:
-    """d(s)^{-1} . seed(shape) . d(t) for standard s, t of a common shape."""
-    lam = tableau_shape(s)
-    if tableau_shape(t) != lam:
-        raise ValueError("tableaux have different shapes")
-    left = ctx.from_permutation(perm_inverse(d_of(s)))
-    return right_translate(left * cell_seed(ctx, family, lam), d_of(t))
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +318,7 @@ class FamilyRealization:
 
 
 def realization(ctx: AlgebraContext, family: BasisFamily) -> FamilyRealization:
-    cache = getattr(ctx, "_cellular_realizations", None)
-    if cache is None:
-        cache = {}
-        ctx._cellular_realizations = cache
+    cache = vars(ctx).setdefault("_cellular_realizations", {})
     if family not in cache:
         cache[family] = FamilyRealization(ctx, family)
     return cache[family]

@@ -46,7 +46,8 @@ from .combinatorics import (
     perm_inverse,
     standard_tableaux,
     tableau_conjugate,
-    tableau_dominance_ge,
+    up_shapes,
+    up_shapes_dominate,
     w_lambda,
 )
 from .label_maps import (
@@ -363,7 +364,10 @@ def suite_pairing(cfg: JobConfig) -> tuple[bool, list[str]]:
              for li, si, ti in real_m.cells]
     conj = {t: tableau_conjugate(t) for ts in tabs for t in ts}
     duals = [(conj[u], conj[v]) for _, u, v in cells]
-    dominates = functools.cache(tableau_dominance_ge)
+    # conjugation permutes the tableaux, so this covers both sides
+    ups = {t: up_shapes(t) for t in conj}
+    dominates = functools.cache(
+        lambda a, b: up_shapes_dominate(ups[a], ups[b]))
     # pairing(m, n) = tau(m . star(n)): each n-element is starred once, and
     # each checked value sums m's trace functional over star(n)'s terms
     starred = [star(elem) for elem in real_n.elements]

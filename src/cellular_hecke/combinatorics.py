@@ -18,7 +18,9 @@ that every downstream computation is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from functools import lru_cache
+from operator import itemgetter
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -138,10 +140,6 @@ def dominance_ge(lam: Multipartition, mu: Multipartition) -> bool:
     return True
 
 
-def dominance_gt(lam: Multipartition, mu: Multipartition) -> bool:
-    return lam != mu and dominance_ge(lam, mu)
-
-
 # ---------------------------------------------------------------------------
 # permutations (right action, 1-based one-line notation)
 
@@ -157,6 +155,20 @@ def perm_is_valid(w: tuple[int, ...]) -> bool:
 def perm_mul(u: Perm, v: Perm) -> Perm:
     """Composite "u then v": ``(i)(uv) = ((i)u)v``."""
     return tuple([v[i - 1] for i in u])
+
+
+def perm_then(u: Perm) -> Callable[[Perm], Perm]:
+    """
+    ``v -> perm_mul(u, v)`` compiled into one index map: entry i of uv is the
+    entry of v at position (i)u - 1, and those positions are
+    ``perm_mul(u, (0, 1, ..., r-1))``.
+    """
+    at = perm_mul(u, tuple(range(len(u))))
+    if len(at) == 1:
+        # itemgetter with a single index returns the entry, not a 1-tuple
+        (i,) = at
+        return lambda v: (v[i],)
+    return itemgetter(*at)
 
 
 def perm_inverse(w: Perm) -> Perm:
@@ -215,21 +227,6 @@ def all_perms(r: int) -> list[Perm]:
 
 def tableau_shape(t: Tableau) -> Multipartition:
     return tuple(tuple(len(row) for row in comp) for comp in t)
-
-
-def is_standard_tableau(t: Tableau) -> bool:
-    entries = sorted(e for comp in t for row in comp for e in row)
-    if entries != list(range(1, len(entries) + 1)):
-        return False
-    for comp in t:
-        for i, row in enumerate(comp):
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                return False
-            if i + 1 < len(comp):
-                below = comp[i + 1]
-                if any(row[j] >= below[j] for j in range(len(below))):
-                    return False
-    return True
 
 
 def row_reading_tableau(lam: Multipartition) -> Tableau:
@@ -305,13 +302,6 @@ def tableau_entry_positions(t: Tableau) -> dict[int, tuple[int, int, int]]:
     return pos
 
 
-def tableau_apply(t: Tableau, w: Perm) -> Tableau:
-    """Right action of ``w`` on the entries of ``t``."""
-    return tuple(
-        tuple(tuple(w[e - 1] for e in row) for row in comp) for comp in t
-    )
-
-
 def d_of(t: Tableau) -> Perm:
     """The unique permutation with ``row_reading_tableau(shape) . w == t``."""
     lam = tableau_shape(t)
@@ -346,7 +336,15 @@ def tableau_dominance_ge(s: Tableau, t: Tableau) -> bool:
     """
     if len(s) != len(t):
         raise ValueError("tableaux have different numbers of components")
-    us, ut = up_shapes(s), up_shapes(t)
+    return up_shapes_dominate(up_shapes(s), up_shapes(t))
+
+
+def up_shapes_dominate(us: list[Multipartition],
+                       ut: list[Multipartition]) -> bool:
+    """
+    ``tableau_dominance_ge`` read from the two tableaux' up-shapes, for a
+    caller that compares each tableau many times and computes them once.
+    """
     if len(us) != len(ut):
         raise ValueError("tableaux have different sizes")
     return all(dominance_ge(a, b) for a, b in zip(us, ut))
@@ -414,7 +412,7 @@ def rsk_insert(word: tuple[int, ...] | list[int]) -> tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# contents / residues (used for block bookkeeping)
+# contents (used for block bookkeeping)
 
 
 def content_multiset(lam: Multipartition, omega: tuple[int, ...]) -> tuple[int, ...]:
@@ -425,12 +423,3 @@ def content_multiset(lam: Multipartition, omega: tuple[int, ...]) -> tuple[int, 
             for j in range(part):
                 out.append(omega[k] + j - i)
     return tuple(sorted(out))
-
-
-def residue_sequence(t: Tableau, omega: tuple[int, ...]) -> tuple[int, ...]:
-    """Residue of the box holding each of 1..r in turn."""
-    pos = tableau_entry_positions(t)
-    r = len(pos)
-    return tuple(
-        omega[pos[i][0]] + pos[i][2] - pos[i][1] for i in range(1, r + 1)
-    )

@@ -134,14 +134,6 @@ def emit_jsonl(rows: list[dict]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def parse_jsonl(data: bytes) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in data.decode("utf-8").splitlines()
-        if line.strip()
-    ]
-
-
 def emit_csv(rows: list[dict], fieldnames: list[str] | None = None) -> bytes:
     if fieldnames is None:
         fieldnames = sorted({k for row in rows for k in row})

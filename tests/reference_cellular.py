@@ -1,12 +1,13 @@
 """
-Cellular constructions that only the tests use, as references: the pairing
-witness z of a label as a full algebra product, and the right ideal it
-generates. ``verify trace`` reads tau(z . w^-1) with
+Cellular constructions that only the tests use, as references: a single
+cellular element of a family, the pairing witness z of a label as a full
+algebra product, and the right ideal it generates. ``verify trace`` reads tau(z . w^-1) with
 ``algebra.trace_of_product`` and never forms z.
 """
 
 from cellular_hecke.algebra import AlgebraContext, Element, right_translate
 from cellular_hecke.cellular import (
+    BasisFamily,
     ModuleRealization,
     cell_seed,
     family_m,
@@ -14,12 +15,25 @@ from cellular_hecke.cellular import (
 )
 from cellular_hecke.combinatorics import (
     Multipartition,
+    Tableau,
     conjugate,
     d_of,
+    perm_inverse,
     standard_tableaux,
+    tableau_shape,
     w_lambda,
 )
 from cellular_hecke.linalg import Matrix, rank, solve_rows
+
+
+def cellular_element(ctx: AlgebraContext, family: BasisFamily,
+                     s: Tableau, t: Tableau) -> Element:
+    """d(s)^{-1} . seed(shape) . d(t) for standard s, t of a common shape."""
+    lam = tableau_shape(s)
+    if tableau_shape(t) != lam:
+        raise ValueError("tableaux have different shapes")
+    left = ctx.from_permutation(perm_inverse(d_of(s)))
+    return right_translate(left * cell_seed(ctx, family, lam), d_of(t))
 
 
 def z_element(ctx: AlgebraContext, c: tuple[int, ...],

@@ -20,7 +20,6 @@ from cellular_hecke.algebra import (
 )
 from cellular_hecke.cellular import (
     cell_module,
-    cellular_element,
     contragredient,
     family_m,
     family_m_xi,
@@ -54,7 +53,7 @@ from cellular_hecke.label_maps import (
     xi_context,
 )
 from cellular_hecke.linalg import rank
-from reference_cellular import z_element
+from reference_cellular import cellular_element, z_element
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

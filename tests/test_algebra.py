@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -32,7 +33,9 @@ from cellular_hecke.combinatorics import (
     enumerate_multipartitions,
     perm_identity,
     perm_inverse,
+    perm_is_valid,
     perm_mul,
+    perm_then,
 )
 
 CONTEXTS = [(1, 4, (0,)), (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1, 5)),
@@ -379,6 +382,54 @@ def test_cell_seed_products_match_pairwise_reference():
                 prod = a * b
                 assert prod.terms == pairwise_product(a, b).terms
                 assert _all_int(prod.terms)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_compiled_product_agrees_with_perm_mul(r):
+    # itemgetter with one index returns the entry, so r = 1 is its own case
+    perms = all_perms(r)
+    then = AlgebraContext(1, r, (0,))._then
+    for z in perms:
+        zv = perm_then(z)
+        for v in perms:
+            want = perm_mul(z, v)
+            assert zv(v) == want and type(zv(v)) is tuple
+            assert then[z](v) == want
+    assert len(then) == math.factorial(r)
+
+
+def _basis_sum(rng: random.Random, ctx: AlgebraContext, terms: int) -> Element:
+    """Up to ``terms`` basis monomials with small nonzero int coefficients."""
+    basis = ctx.basis()
+    return Element(ctx, {basis[rng.randrange(len(basis))]: rng.choice(
+        [-2, -1, 1, 3]) for _ in range(terms)})
+
+
+def test_products_at_r5_match_pairwise_reference_and_associate():
+    # the rings above stop at r = 3; every permutation product here goes
+    # through the compiled maps, the reference through perm_mul
+    ctx = AlgebraContext(2, 5, (1, 0))
+    rng = random.Random(3)
+    for _ in range(40):
+        h, k = _basis_sum(rng, ctx, 3), _basis_sum(rng, ctx, 3)
+        assert (h * k).terms == pairwise_product(h, k).terms
+    for _ in range(20):
+        a, b, c = (_basis_sum(rng, ctx, 1) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+    for v in rng.sample(all_perms(5), 10):
+        h = _basis_sum(rng, ctx, 4)
+        assert right_translate(h, v) == h * ctx.from_permutation(v)
+
+
+def test_compiled_maps_are_one_per_left_permutation():
+    # one map per permutation z of S_5, never one entry per pair (z, v):
+    # a full product table fills to hundreds of thousands at (2,6)
+    ctx = AlgebraContext(2, 5, (1, 0))
+    rng = random.Random(4)
+    for _ in range(60):
+        _basis_sum(rng, ctx, 2) * _basis_sum(rng, ctx, 2)
+    assert 1 < len(ctx._then) <= math.factorial(5)
+    assert all(perm_is_valid(z) and len(z) == 5 for z in ctx._then)
 
 
 # the ring contexts, plus one with ell >= 3 and r >= 3, where x_j^ell

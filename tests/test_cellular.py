@@ -16,7 +16,6 @@ from cellular_hecke.cellular import (
     block_of,
     cell_module,
     cell_seed,
-    cellular_element,
     contragredient,
     family_m,
     family_m_xi,
@@ -38,7 +37,6 @@ from cellular_hecke.combinatorics import (
     enumerate_multipartitions,
     perm_identity,
     perm_inverse,
-    residue_sequence,
     row_reading_tableau,
     standard_tableaux,
     w_lambda,
@@ -49,7 +47,8 @@ from cellular_hecke.linalg import (
     transpose,
     vec_mat,
 )
-from reference_cellular import subcell_module, z_element
+from reference_cellular import cellular_element, subcell_module, z_element
+from reference_combinatorics import dominance_gt, residue_sequence
 from reference_linalg import left_nullspace, mat_identity, mat_mul, mat_pow
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -202,6 +201,20 @@ class TestSeeds:
     def test_pi_empty_first_component(self, ctx22):
         assert pi_bracket(ctx22, ((), (2,))) == ctx22.one()
 
+    def test_pi_built_once_per_bracket_on_its_context(self):
+        # every twist and every label with the same bracket shares one
+        # product; a new context builds its own, so counts repeat per context
+        ctx = AlgebraContext(3, 3, (0, 1, 2))
+        pi = pi_bracket(ctx, ((2,), (1,), ()))
+        assert pi_bracket(ctx, ((1, 1), (1,), ())) is pi
+        assert pi_bracket(ctx, ((2,), (), (1,))) is not pi
+        for c in itertools.product((0, 1), repeat=3):
+            assert cell_seed(ctx, family_m(c), ((2,), (1,), ())) == \
+                pi * x_lambda_c(ctx, ((2,), (1,), ()), c)
+        fresh = AlgebraContext(3, 3, (0, 1, 2))
+        assert pi_bracket(fresh, ((2,), (1,), ())) is not pi
+        assert pi_bracket(fresh, ((2,), (1,), ())).terms == pi.terms
+
     def test_seed_example(self, ctx22):
         seed = cell_seed(ctx22, family_m((0, 0)), ((1,), (1,)))
         assert seed == ctx22.generator_x(1) - ctx22.one()
@@ -294,8 +307,6 @@ class TestCellularBases:
     def test_triangular_action(self, ctx22, ctx13):
         """Other-label terms in a cell-times-generator expansion are
         strictly dominance-higher; same-label terms keep the left index."""
-        from cellular_hecke.combinatorics import dominance_gt
-
         for ctx in (ctx22, ctx13):
             gens = [ctx.generator_s(i) for i in range(1, ctx.r)] + \
                    [ctx.generator_x(k) for k in range(1, ctx.r + 1)]

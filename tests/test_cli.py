@@ -9,7 +9,13 @@ import pytest
 
 from cellular_hecke import algebra, cellular, cli
 from cellular_hecke.cli import main
-from cellular_hecke.serialization import parse_config, parse_jsonl
+from cellular_hecke.combinatorics import (
+    enumerate_multipartitions,
+    standard_tableaux,
+    up_shapes,
+)
+from cellular_hecke.serialization import parse_config
+from reference_serialization import parse_jsonl
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +218,12 @@ GOLDEN = [
          "--omega", "1,0", "--c", "0,1"), 0,
         "239bfe509e0ec6782ec26b937322a8719851974f7e52f048ccf4af28050269dc",
         id="verify-relations-trace-e2r4"),
+    # the algebra-e2r5 invocation of bench/run.py, same digest
+    pytest.param(
+        ("verify", "relations", "trace", "--ell", "2", "--r", "5",
+         "--omega", "1,0", "--c", "0,1"), 0,
+        "0792d02e5c4392731e2879675f157e92b147cc7f6dc607f359c1caa2385f3980",
+        id="verify-relations-trace-e2r5"),
     # the trace at ell >= 3, where x_j^ell reduction meets the top x-degree
     pytest.param(
         ("verify", "trace", "--ell", "3", "--r", "3", "--omega", "0,1,2",
@@ -345,6 +357,20 @@ def test_verify_pairing_stars_each_n_element_once(monkeypatch, capsys):
     assert code == 0
     assert out == "PASS pairing: 48x48 matrix is unitriangular (c=[0, 1])\n"
     assert calls == {"star": 48, "pairing": 0}
+
+
+def test_verify_pairing_reads_up_shapes_once_per_tableau(monkeypatch, capsys):
+    # the dominance filter compares each tableau with many others; its
+    # up-shapes are computed once, not once per comparison
+    calls = []
+    monkeypatch.setattr(cli, "up_shapes",
+                        lambda t: calls.append(t) or up_shapes(t))
+    code, out = run_cli(capsys, "verify", "pairing", "--ell", "2", "--r", "3",
+                        "--omega", "1,0", "--c", "0,1")
+    assert code == 0
+    tableaux = [t for lam in enumerate_multipartitions(2, 3)
+                for t in standard_tableaux(lam)]
+    assert sorted(calls) == sorted(tableaux)
 
 
 def test_verify_trace_never_forms_the_witness(monkeypatch, capsys):

@@ -11,7 +11,6 @@ from cellular_hecke.combinatorics import (
     d_of,
     dominance_ge,
     enumerate_multipartitions,
-    is_standard_tableau,
     mp_size,
     perm_identity,
     perm_inverse,
@@ -19,17 +18,20 @@ from cellular_hecke.combinatorics import (
     perm_mul,
     perm_reduced_word,
     perm_simple,
-    residue_sequence,
     row_reading_tableau,
     rsk_insert,
     standard_tableaux,
-    tableau_apply,
     tableau_conjugate,
     tableau_dominance_ge,
     tableau_shape,
     trim,
     w_bracket,
     w_lambda,
+)
+from reference_combinatorics import (
+    is_standard_tableau,
+    residue_sequence,
+    tableau_apply,
 )
 
 

