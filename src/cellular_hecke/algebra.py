@@ -14,34 +14,52 @@ integral parameters omega. Every element is kept in normal form on the basis
 
     x_1^{a_1} ... x_r^{a_r} . w        0 <= a_i <= ell-1,  w in S_r,
 
-of size ell^r * r!. Every product of elements runs through one loop,
-``Element.__mul__``, built on the identity k = sum_b x^b . Y_b, where Y_b
-is the group-algebra part of k's terms with x-part b; by linearity h . k =
-sum_b (h . x^b) . Y_b. For each distinct b the loop's step
-(``AlgebraContext._times_x``) pushes x^b to the left through each of h's
-permutations with the mixed relations (``_push_through``) and writes every
-resulting term through ``AlgebraContext._put``, so like terms of h . x^b
-combine once; then the loop relabels that normal form by each permutation
-of Y_b, because a permutation on the right only relabels terms
-(``right_translate`` is that product). A seed is a polynomial in x times a
-Young sum of permutations, so many of its terms share an x-part. ``_put``
-is the one place the normal form is enforced: every rewrite writes its
-terms through it, and it sends an overflowing x-part to ``_x_reduce``,
-which rewrites powers x_j^ell through cached expansions. The x_j^ell cache
-is populated once at context construction (warm-up), which builds x_j^ell
-from x_{j-1}^ell with the same push-through step; elements are immutable
-values and every operation is deterministic. The remaining per-context
-lookup caches fill in lazily and idempotently.
+of size ell^r * r!.
 
-Every permutation product z . v in the kernel (the relabel by Y_b, the
-reduction's z . perm, the exchange step's s . u, ``right_translate`` and
-the warm-up) goes through one index map per left permutation z:
-``combinatorics.perm_then(z)``, an ``operator.itemgetter`` over the
-positions ``perm_mul(z, (0, ..., r-1))``, so ``perm_mul`` stays the one
-definition. The maps are cached on the context by z, at most r! of them
-(a full r! x r! product table grows to hundreds of thousands of entries at
-r = 6). ``Element.__mul__`` looks a map up once per term of h . x^b,
-outside its loop over Y_b, and the exchange step once per s.
+A basis monomial is keyed by its position in that basis, an ``int``. The
+exponent vectors are coded 0..ell^r - 1 in the sorted order of
+``product(range(ell), repeat=r)`` (a_1 is the leading base-ell digit) and
+the permutations 0..r! - 1 in ``all_perms(r)`` order (the identity is 0);
+x^a . w has key code(a) * r! + code(w), so the order of keys is the
+lexicographic order of the (a, w) pairs. ``AlgebraContext.key`` codes a
+monomial, ``AlgebraContext.monomial`` decodes a key, and ``basis()`` is
+the range of keys. ``Element.terms`` maps keys to coefficients, and the
+linear algebra boundary (``to_vector``, ``FamilyRealization.expand``) uses
+a key as its column.
+
+Every product of elements runs through one loop, ``Element.__mul__``,
+built on the identity k = sum_b x^b . Y_b, where Y_b is the group-algebra
+part of k's terms with x-part b; by linearity h . k = sum_b (h . x^b) . Y_b.
+For each distinct b the loop's step (``AlgebraContext._times_x``) pushes
+x^b to the left through each of h's permutations with the mixed relations
+(``_push_through``) and adds the exponents of each pushed term to those of
+the left term, so like terms of h . x^b combine once; then the loop
+relabels that normal form by each permutation of Y_b, because a permutation
+on the right only relabels terms (``right_translate`` is that product).
+
+The kernel runs on codes through four tables on the context:
+
+- ``_rows``: z . v is ``_rows[z][v]``, one list of r! codes per left
+  permutation z, built from ``combinatorics.perm_mul`` the first time z
+  occurs (so at most r! rows, and ``perm_mul`` stays the one definition).
+  ``Element.__mul__`` looks a row up once per term of h . x^b, outside its
+  loop over Y_b.
+- ``_sums``: x^a . x^c is ``_sums[code(a) * ell^r + code(c)]``, filled on
+  first use: the key of x^(a+c) . 1 when every exponent of a + c is below
+  ell, else the reduction list of the overflowing vector a + c, the normal
+  form of x^(a+c) as (code(d), code(z), coef) terms of x^d . z. Times u on
+  the right, such a term has key code(d) * r! + ``_rows[z][u]``. Each
+  reduction list is built once per vector by ``_x_reduce`` (cached in
+  ``_xred``) and shared by every (a, c) with that sum.
+- ``_deg``: the x-degree |a| = a_1 + ... + a_r of each exponent code.
+- ``_push``: the normal form of w . x^b as (code(c), code(u), coef) terms
+  of x^c . u, by code(w) * ell^r + code(b).
+
+The exchange steps of ``_push_through``, the warm-up and ``_x_reduce`` run
+once per cache entry on tuples, and keep only coded results. The reduction
+of x_j^ell is built once at context construction (warm-up), from
+x_{j-1}^ell with the same push-through step; every other cache fills in
+lazily and idempotently, and elements are immutable values.
 
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
@@ -66,24 +84,25 @@ relabels,
                        in h . x^b.
 
 Only terms of h . x^b at the top x-degree r(ell-1) reach that coefficient,
-and no rewrite raises the x-degree |a| = a_1 + ... + a_r: an exchange step
-keeps it or lowers it by 1, and reducing x_j^ell lowers it strictly. So a
-term whose x-degree is already below the floor r(ell-1) can be dropped as
-soon as it appears: a left term x^a . w when |a| + |b| is below it, a term
-x^c . u of w . x^b when |a| + |c| is, and a term of the reduction of an
-overflowing x^(a+c) when its own degree is. ``AlgebraContext._times_x``
-is the per-b step of every product, with floor 0 in ``Element.__mul__`` and
-floor r(ell-1) in ``trace_of_product`` (tau(h . k) without forming h . k)
-and ``trace_functional`` (the functional k -> tau(h . k) on the whole basis,
-from one pruned h . x^b per x-monomial b). pairing(h, k) = tau(h . star(k))
-is that functional summed over the terms of star(k).
+and no rewrite raises the x-degree: an exchange step keeps it or lowers it
+by 1, and reducing x_j^ell lowers it strictly. So a term whose x-degree is
+already below the floor r(ell-1) can be dropped as soon as it appears: a
+left term x^a . w when |a| + |b| is below it, a term x^c . u of w . x^b
+when |a| + |c| is, and a term of the reduction of an overflowing x^(a+c)
+when its own degree is (a reduction list is sorted by degree, highest
+first, so the floor cuts it at one place). Every floor test reads ``_deg``.
+``AlgebraContext._times_x`` is the per-b step of every product, with floor
+0 in ``Element.__mul__`` and floor r(ell-1) in ``trace_of_product``
+(tau(h . k) without forming h . k) and ``trace_functional`` (the functional
+k -> tau(h . k) on the whole basis, from one pruned h . x^b per x-monomial
+b). pairing(h, k) = tau(h . star(k)) is that functional summed over the
+terms of star(k).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import product
 from numbers import Rational
 from operator import add
 
@@ -93,14 +112,15 @@ from .combinatorics import (
     perm_identity,
     perm_inverse,
     perm_is_valid,
+    perm_mul,
     perm_reduced_word,
     perm_simple,
-    perm_then,
 )
 
 Exps = tuple[int, ...]
-TermKey = tuple[Exps, Perm]
 Coef = int | Fraction
+# (code of x-part, code of permutation, coef): one term x^c . u
+Coded = list[tuple[int, int, Coef]]
 
 # s.x^p.y^q -> sum coef * x^alpha y^beta s^eps, for adjacent variables x, y.
 # Independent of the position of the reflection and of the context.
@@ -130,12 +150,18 @@ def _exchange(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
     return out
 
 
-class _ThenMaps(dict):
-    """z -> ``perm_then(z)``, compiled on first use: at most r! entries."""
+class _Rows(dict):
+    """z -> [code of z . v for each v in S_r], built on first use."""
 
-    def __missing__(self, z: Perm) -> Callable[[Perm], Perm]:
-        then = self[z] = perm_then(z)
-        return then
+    def __init__(self, perms: list[Perm], code: dict[Perm, int]):
+        super().__init__()
+        self.perms = perms
+        self.code = code
+
+    def __missing__(self, z: int) -> list[int]:
+        u, code = self.perms[z], self.code
+        row = self[z] = [code[perm_mul(u, v)] for v in self.perms]
+        return row
 
 
 class AlgebraContext:
@@ -156,12 +182,29 @@ class AlgebraContext:
         self.ell = ell
         self.r = r
         self.omega = omega
-        self._push: dict[tuple[Perm, Exps], dict[TermKey, Coef]] = {}
-        self._xred: dict[Exps, dict[TermKey, Coef]] = {}
-        self._then: dict[Perm, Callable[[Perm], Perm]] = _ThenMaps()
-        self._basis: list[TermKey] | None = None
-        self._basis_index: dict[TermKey, int] | None = None
+        self._perms = all_perms(r)
+        self._perm_code = {w: i for i, w in enumerate(self._perms)}
+        self._inverse = [self._perm_code[perm_inverse(w)] for w in self._perms]
+        self._exps = list(product(range(ell), repeat=r))
+        self._exps_code = {a: i for i, a in enumerate(self._exps)}
+        self._deg = [sum(a) for a in self._exps]
+        self._rows = _Rows(self._perms, self._perm_code)
+        self._sums: dict[int, int | Coded] = {}
+        self._push: dict[int, Coded] = {}
+        self._xred: dict[Exps, Coded] = {}
         self._xl = self._warm_up()
+
+    # -- monomial keys ----------------------------------------------------
+
+    def key(self, exps: Exps, w: Perm) -> int:
+        """The key of the basis monomial x^exps . w."""
+        return (self._exps_code[tuple(exps)] * len(self._perms)
+                + self._perm_code[tuple(w)])
+
+    def monomial(self, key: int) -> tuple[Exps, Perm]:
+        """The (exponents, permutation) of the basis monomial with this key."""
+        a, w = divmod(key, len(self._perms))
+        return self._exps[a], self._perms[w]
 
     # -- construction of elements -------------------------------------------
 
@@ -174,16 +217,18 @@ class AlgebraContext:
     def from_permutation(self, w: Perm) -> "Element":
         if not perm_is_valid(w) or len(w) != self.r:
             raise ValueError(f"not a permutation of 1..{self.r}: {w}")
-        return Element(self, {((0,) * self.r, tuple(w)): 1})
+        return Element(self, {self._perm_code[tuple(w)]: 1})
 
     def from_x_monomial(self, exps: tuple[int, ...]) -> "Element":
         """x_1^{a_1}...x_r^{a_r}, reduced if any a_i >= ell."""
         exps = tuple(int(a) for a in exps)
         if len(exps) != self.r or any(a < 0 for a in exps):
             raise ValueError(f"bad exponent vector {exps}")
-        out: dict[TermKey, Coef] = {}
-        self._put(out, exps, perm_identity(self.r), 1, 0)
-        return Element(self, out)
+        if max(exps) < self.ell:
+            return Element(self, {self.key(exps, perm_identity(self.r)): 1})
+        n = len(self._perms)
+        return Element(self,
+                       {d * n + z: c for d, z, c in self._x_reduce(exps)})
 
     def generator_s(self, i: int) -> "Element":
         return self.from_permutation(perm_simple(self.r, i))
@@ -198,103 +243,111 @@ class AlgebraContext:
     # -- normal-form basis ----------------------------------------------------
 
     def dimension(self) -> int:
-        n = 1
-        for i in range(1, self.r + 1):
-            n *= i
-        return n * self.ell ** self.r
+        return len(self._exps) * len(self._perms)
 
-    def basis(self) -> list[TermKey]:
-        """All (exponents, permutation) keys, in a fixed order."""
-        if self._basis is None:
-            exps = sorted(product(range(self.ell), repeat=self.r))
-            perms = all_perms(self.r)
-            self._basis = [(e, w) for e in exps for w in perms]
-            self._basis_index = {key: i for i, key in enumerate(self._basis)}
-        return self._basis
-
-    def basis_index(self) -> dict[TermKey, int]:
-        self.basis()
-        return self._basis_index
+    def basis(self) -> range:
+        """All monomial keys, in basis order."""
+        return range(self.dimension())
 
     def to_vector(self, h: "Element") -> list[Fraction]:
-        idx = self.basis_index()
-        vec = [Fraction(0)] * len(idx)
+        vec = [Fraction(0)] * self.dimension()
         for key, coef in h.terms.items():
-            vec[idx[key]] = Fraction(coef)
+            vec[key] = Fraction(coef)
         return vec
 
     # -- rewriting machinery --------------------------------------------------
 
-    def _warm_up(self) -> list[dict[TermKey, Coef]]:
+    def _warm_up(self) -> list[dict[int, Coef]]:
         ell, r = self.ell, self.r
+        n, perms, code = len(self._perms), self._perms, self._perm_code
         # monic expansion of (X - omega_1)...(X - omega_ell)
         poly = [1]
         for w in self.omega:
             poly = [0] + poly
             poly = [poly[k] - w * poly[k + 1] if k + 1 < len(poly) else poly[k]
                     for k in range(len(poly) - 1)] + [poly[-1]]
-        # x_1^ell = -sum_{k<ell} poly[k] x_1^k
-        ident = perm_identity(r)
-        then = self._then
-        xl: list[dict[TermKey, Coef]] = [{
-            ((k,) + (0,) * (r - 1), ident): -poly[k]
-            for k in range(ell) if poly[k]
+        # x_1^ell = -sum_{k<ell} poly[k] x_1^k; x_1^k has code k * ell^(r-1)
+        xl: list[dict[int, Coef]] = [{
+            k * ell ** (r - 1) * n: -poly[k] for k in range(ell) if poly[k]
         }]
         # x_j^ell = s.x_{j-1}^ell.s + sum_m x_{j-1}^{ell-1-m} x_j^m s, with
         # s = s_{j-1}. x_{j-1}^ell involves x_1..x_{j-1} only, so s.x^c never
         # overflows and _push_through needs no _x_reduce (nor _xl) here.
         for j in range(2, r + 1):
             s = perm_simple(r, j - 1)
-            cur: dict[TermKey, Coef] = {}
-            for (c, u), coef in xl[j - 2].items():
-                us = then[u](s)
-                for (c2, z), c3 in self._push_through(s, c).items():
-                    _acc(cur, (c2, then[z](us)), coef * c3)
+            cur: dict[int, Coef] = {}
+            for key, coef in xl[j - 2].items():
+                c, u = divmod(key, n)
+                us = perm_mul(perms[u], s)
+                for c2, z, c3 in self._push_through(code[s], c):
+                    _acc(cur, c2 * n + code[perm_mul(perms[z], us)],
+                         coef * c3)
             for m in range(ell):
                 e = [0] * r
                 e[j - 2], e[j - 1] = ell - 1 - m, m
-                _acc(cur, (tuple(e), s), 1)
+                _acc(cur, self._exps_code[tuple(e)] * n + code[s], 1)
             xl.append(cur)
         return xl
 
-    def _x_reduce(self, exps: Exps) -> dict[TermKey, Coef]:
-        """Normal form of the commutative monomial x^exps."""
+    def _x_reduce(self, exps: Exps) -> Coded:
+        """Normal form of the commutative monomial x^exps, some a_j >= ell."""
         got = self._xred.get(exps)
         if got is not None:
             return got
+        n, rows = len(self._perms), self._rows
         over = next(j for j, a in enumerate(exps) if a >= self.ell)
         rest = list(exps)
         rest[over] -= self.ell
-        out: dict[TermKey, Coef] = {}
-        for (c, u), coef in self._xl[over].items():
-            self._put(out, tuple(map(add, rest, c)), u, coef, 0)
+        out: dict[int, Coef] = {}
+        for key, coef in self._xl[over].items():
+            c, u = divmod(key, n)
+            e = tuple(map(add, rest, self._exps[c]))
+            if max(e) < self.ell:
+                _acc(out, self._exps_code[e] * n + u, coef)
+            else:
+                for d, z, c2 in self._x_reduce(e):
+                    _acc(out, d * n + rows[z][u], coef * c2)
         # highest x-degree first, so a floor cuts the list at one place
-        out = dict(sorted(out.items(), key=lambda t: -sum(t[0][0])))
-        self._xred[exps] = out
-        return out
+        deg = self._deg
+        terms = [(*divmod(key, n), coef) for key, coef in out.items()]
+        got = self._xred[exps] = sorted(terms, key=lambda t: -deg[t[0]])
+        return got
 
-    def _push_through(self, w: Perm, exps: Exps) -> dict[TermKey, Coef]:
-        """Normal form of w . x^exps (x's pushed to the left of the perm)."""
-        key = (w, exps)
-        got = self._push.get(key)
+    def _push_through(self, w: int, b: int) -> Coded:
+        """Normal form of w . x^b (x's pushed to the left of the perm)."""
+        got = self._push.get(w * len(self._exps) + b)
         if got is not None:
             return got
-        cur: dict[TermKey, Coef] = {(exps, perm_identity(self.r)): 1}
-        for i in reversed(perm_reduced_word(w)):
-            s_then = self._then[perm_simple(self.r, i)]
-            nxt: dict[TermKey, Coef] = {}
+        # exchange steps on tuples; the exponents stay below ell
+        cur: dict[tuple[Exps, Perm], Coef] = {
+            (self._exps[b], perm_identity(self.r)): 1}
+        for i in reversed(perm_reduced_word(self._perms[w])):
+            s = perm_simple(self.r, i)
+            nxt: dict[tuple[Exps, Perm], Coef] = {}
             for (c, u), coef in cur.items():
                 for alpha, beta, eps, icoef in _exchange(c[i - 1], c[i]):
                     c2 = list(c)
                     c2[i - 1], c2[i] = alpha, beta
-                    self._put(nxt, tuple(c2), s_then(u) if eps else u,
-                              coef * icoef, 0)
+                    _acc(nxt, (tuple(c2), perm_mul(s, u) if eps else u),
+                         coef * icoef)
             cur = nxt
-        self._push[key] = cur
-        return cur
+        xcode, pcode = self._exps_code, self._perm_code
+        got = self._push[w * len(self._exps) + b] = [
+            (xcode[c], pcode[u], coef) for (c, u), coef in cur.items()]
+        return got
 
-    def _times_x(self, terms: dict[TermKey, Coef], b: Exps,
-                 floor: int) -> dict[TermKey, Coef]:
+    def _sum(self, a: int, c: int) -> int | Coded:
+        """``_sums`` at (a, c): x^(a+c) . 1 as a key, or its reduction list."""
+        e = tuple(map(add, self._exps[a], self._exps[c]))
+        if max(e) < self.ell:
+            got = self._exps_code[e] * len(self._perms)
+        else:
+            got = self._x_reduce(e)
+        self._sums[a * len(self._exps) + c] = got
+        return got
+
+    def _times_x(self, terms: dict[int, Coef], b: int,
+                 floor: int) -> dict[int, Coef]:
         """
         Normal form of (sum of ``terms``) . x^b, less terms that cannot reach
         x-degree ``floor``: rewriting never raises the x-degree, so a left
@@ -303,47 +356,45 @@ class AlgebraContext:
         x^(a+c) below ``floor`` are dropped. Every term of degree at least
         ``floor`` is exact; floor 0 keeps them all.
         """
-        hb: dict[TermKey, Coef] = {}
-        room = sum(b)
-        for (a, w), c1 in terms.items():
-            need = floor - sum(a) if floor else 0
+        n, m = len(self._perms), len(self._exps)
+        deg, rows, sums = self._deg, self._rows, self._sums
+        hb: dict[int, Coef] = {}
+        room = deg[b]
+        for key, c1 in terms.items():
+            a, w = divmod(key, n)
+            need = floor - deg[a]
             if need > room:
                 continue
-            pushed = self._push_through(w, b).items()
-            if need > 0:
-                pushed = [t for t in pushed if sum(t[0][0]) >= need]
-            for (c, u), c3 in pushed:
-                self._put(hb, tuple(map(add, a, c)), u, c1 * c3, floor)
-        return hb
-
-    def _put(self, out: dict[TermKey, Coef], exps: Exps, perm: Perm,
-             coef: Coef, floor: int) -> None:
-        """
-        Add coef * x^exps . perm to ``out``, reducing overflowing powers and
-        dropping reduced terms of x-degree below ``floor`` (none at floor 0).
-        The reduction lowers the degree, so at |exps| <= floor all drop.
-        """
-        if max(exps) < self.ell:
-            _acc(out, (exps, perm), coef)
-        else:
-            if floor and sum(exps) <= floor:
-                return
-            reduced = self._x_reduce(exps).items()
-            if floor:
-                # _x_reduce lists its terms by degree, highest first
-                reduced = takewhile(lambda t: sum(t[0][0]) >= floor, reduced)
-            then = self._then
-            for (d, z), c2 in reduced:
-                _acc(out, (d, then[z](perm)), coef * c2)
+            am = a * m
+            for c, u, c3 in self._push_through(w, b):
+                if deg[c] < need:
+                    continue
+                s = sums.get(am + c)
+                if s is None:
+                    s = self._sum(a, c)
+                coef = c1 * c3
+                if type(s) is int:
+                    k = s + u
+                    hb[k] = hb.get(k, 0) + coef
+                    continue
+                # the reduction list runs from the highest degree down
+                for d, z, c2 in s:
+                    if deg[d] < floor:
+                        break
+                    k = d * n + rows[z][u]
+                    hb[k] = hb.get(k, 0) + coef * c2
+        return {k: c for k, c in hb.items() if c}
 
     def __repr__(self) -> str:
         return f"AlgebraContext(ell={self.ell}, r={self.r}, omega={self.omega})"
 
 
-def _by_x(k: "Element") -> dict[Exps, list[tuple[Perm, Coef]]]:
+def _by_x(k: "Element") -> dict[int, list[tuple[int, Coef]]]:
     """k's terms grouped by x-part: b -> [(v, coef) of each x^b . v]."""
-    by_x: dict[Exps, list[tuple[Perm, Coef]]] = {}
-    for (b, v), coef in k.terms.items():
+    n = len(k.ctx._perms)
+    by_x: dict[int, list[tuple[int, Coef]]] = {}
+    for key, coef in k.terms.items():
+        b, v = divmod(key, n)
         by_x.setdefault(b, []).append((v, coef))
     return by_x
 
@@ -358,13 +409,14 @@ def _acc(d: dict, key, val) -> None:
 
 class Element:
     """
-    A finite rational combination of normal-form monomials. Immutable by
-    convention; all arithmetic returns fresh elements.
+    A finite rational combination of normal-form monomials, keyed by
+    ``AlgebraContext.key``. Immutable by convention; all arithmetic returns
+    fresh elements.
     """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: AlgebraContext, terms: dict[TermKey, Coef]):
+    def __init__(self, ctx: AlgebraContext, terms: dict[int, Coef]):
         for coef in terms.values():
             if not isinstance(coef, (int, Fraction)):
                 raise TypeError(f"coefficient {coef!r} is not an int or a "
@@ -402,15 +454,16 @@ class Element:
             # self . other = sum_b (self . x^b) . Y_b with Y_b = sum_v c2 v:
             # build hb = self . x^b once per distinct b, then relabel by each v
             ctx = self.ctx
-            then = ctx._then
-            out: dict[TermKey, Coef] = {}
+            n, rows = len(ctx._perms), ctx._rows
+            out: dict[int, Coef] = {}
             for b, right in _by_x(other).items():
-                hb = ctx._times_x(self.terms, b, 0)
-                for (d, z), c4 in hb.items():
-                    zv = then[z]
+                for key, c4 in ctx._times_x(self.terms, b, 0).items():
+                    z = key % n
+                    row, d = rows[z], key - z
                     for v, c2 in right:
-                        _acc(out, (d, zv(v)), c4 * c2)
-            return Element(ctx, out)
+                        k = d + row[v]
+                        out[k] = out.get(k, 0) + c4 * c2
+            return Element(ctx, {k: c for k, c in out.items() if c})
         if not isinstance(other, Rational):
             return NotImplemented
         coef = other.numerator if other.denominator == 1 else Fraction(other)
@@ -433,7 +486,8 @@ class Element:
         if not self.terms:
             return "0"
         bits = []
-        for (a, w), c in sorted(self.terms.items()):
+        for key, c in sorted(self.terms.items()):
+            a, w = self.ctx.monomial(key)
             xs = ".".join(f"x{i+1}^{e}" for i, e in enumerate(a) if e)
             bits.append(f"{c}*{xs or '1'}*{w}")
         return " + ".join(bits)
@@ -445,10 +499,12 @@ def star(h: Element) -> Element:
     sends x^a . w to w^{-1} . x^a (then renormalizes).
     """
     ctx = h.ctx
-    out: dict[TermKey, Coef] = {}
-    for (a, w), coef in h.terms.items():
-        for key, c2 in ctx._push_through(perm_inverse(w), a).items():
-            _acc(out, key, coef * c2)
+    n, inverse = len(ctx._perms), ctx._inverse
+    out: dict[int, Coef] = {}
+    for key, coef in h.terms.items():
+        a, w = divmod(key, n)
+        for c, u, c2 in ctx._push_through(inverse[w], a):
+            _acc(out, c * n + u, coef * c2)
     return Element(ctx, out)
 
 
@@ -457,32 +513,34 @@ def right_translate(h: Element, v: Perm) -> Element:
     The product h . v by a permutation v on the right: x^a . w . v is the
     normal-form monomial x^a . (wv), so the terms are only relabeled.
     """
-    then = h.ctx._then
-    return Element(
-        h.ctx, {(a, then[w](v)): c for (a, w), c in h.terms.items()}
-    )
+    ctx = h.ctx
+    n, rows, v = len(ctx._perms), ctx._rows, ctx._perm_code[tuple(v)]
+    return Element(ctx, {key - key % n + rows[key % n][v]: c
+                         for key, c in h.terms.items()})
 
 
 def tau_hat(h: Element) -> Fraction:
     """Coefficient of x_1^{ell-1}...x_r^{ell-1} . 1 in normal form."""
     ctx = h.ctx
-    top = ((ctx.ell - 1,) * ctx.r, perm_identity(ctx.r))
+    top = (len(ctx._exps) - 1) * len(ctx._perms)
     return Fraction(h.terms.get(top, 0))
 
 
-def trace_functional(h: Element) -> dict[TermKey, Coef]:
+def trace_functional(h: Element) -> dict[int, Coef]:
     """
     The functional k -> tau(h . k) on the monomial basis, as its nonzero
-    values: at x^b . v it is the coefficient of (top, v^{-1}) in h . x^b,
-    read from the terms of h . x^b that can reach the top x-degree.
+    values by key: at x^b . v it is the coefficient of (top, v^{-1}) in
+    h . x^b, read from the terms of h . x^b that can reach the top x-degree.
     """
     ctx = h.ctx
-    top = (ctx.ell - 1,) * ctx.r
-    out: dict[TermKey, Coef] = {}
-    for b in product(range(ctx.ell), repeat=ctx.r):
-        for (d, z), coef in ctx._times_x(h.terms, b, sum(top)).items():
+    n, inverse = len(ctx._perms), ctx._inverse
+    top = len(ctx._exps) - 1
+    out: dict[int, Coef] = {}
+    for b in range(len(ctx._exps)):
+        for key, coef in ctx._times_x(h.terms, b, ctx._deg[top]).items():
+            d, z = divmod(key, n)
             if d == top:
-                out[(b, perm_inverse(z))] = coef
+                out[b * n + inverse[z]] = coef
     return out
 
 
@@ -494,12 +552,14 @@ def trace_of_product(h: Element, k: Element) -> Fraction:
     """
     h._check(k)
     ctx = h.ctx
-    top = (ctx.ell - 1,) * ctx.r
+    inverse = ctx._inverse
+    top = len(ctx._exps) - 1
+    at_top = top * len(ctx._perms)
     total: Coef = 0
     for b, right in _by_x(k).items():
-        hb = ctx._times_x(h.terms, b, sum(top))
+        hb = ctx._times_x(h.terms, b, ctx._deg[top])
         for v, coef in right:
-            total += coef * hb.get((top, perm_inverse(v)), 0)
+            total += coef * hb.get(at_top + inverse[v], 0)
     return Fraction(total)
 
 
@@ -563,24 +623,28 @@ _SAMPLE_SEED = 0
 
 def verify_basis(ctx: AlgebraContext) -> bool:
     """
-    Confirm the normal-form basis: size ell^r * r!, closure of sampled basis
-    products under the normal form, and associativity on sampled triples.
+    Confirm the normal-form basis: ell^r * r! distinct monomials, closure of
+    sampled basis products under the normal form (every key of a product
+    decodes to exponents below ell and a permutation of 1..r), and
+    associativity on sampled triples.
     """
     import random
 
     basis = ctx.basis()
-    if len(basis) != ctx.dimension():
+    n = len(basis)
+    if n != ctx.dimension() or len(set(map(ctx.monomial, basis))) != n:
         return False
     rng = random.Random(_SAMPLE_SEED)
-    n = len(basis)
 
     def elem(i: int) -> Element:
         return Element(ctx, {basis[i]: 1})
 
     for _ in range(_PAIR_SAMPLE):
         i, j = rng.randrange(n), rng.randrange(n)
-        prod = elem(i) * elem(j)
-        for (a, w) in prod.terms:
+        for key in (elem(i) * elem(j)).terms:
+            if type(key) is not int or not 0 <= key < n:
+                return False
+            a, w = ctx.monomial(key)
             if len(a) != ctx.r or any(not 0 <= e < ctx.ell for e in a):
                 return False
             if not perm_is_valid(w):

@@ -137,7 +137,7 @@ def young_sum(ctx: AlgebraContext, lam: Multipartition,
         terms = {}
         for w in row_stabilizer(lam, i):
             coef = perm_sign(w) if use_sign[i] else 1
-            terms[((0,) * ctx.r, w)] = coef
+            terms[ctx.key((0,) * ctx.r, w)] = coef
         out = out * Element(ctx, terms)
     return out
 
@@ -287,9 +287,8 @@ class FamilyRealization:
         Coordinates of ``h`` at the given (li, si, ti) cells, read from the
         inverse rows of its terms at the cells' columns only.
         """
-        idx = self.ctx.basis_index()
         inv = self.change_of_basis_inv
-        rows = [(coef, inv[idx[key]]) for key, coef in h.terms.items()]
+        rows = [(coef, inv[key]) for key, coef in h.terms.items()]
         cols = [self.cell_index[cell] for cell in cells]
         return [sum((coef * row[col] for coef, row in rows if row[col]),
                     Fraction(0))
@@ -383,7 +382,8 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     unit = [Fraction(int(u == top)) for u in range(len(tabs))]
     by_perm: dict[Perm, Vector] = {}
     column = [Fraction(0)] * len(tabs)
-    for (exps, w), coef in real.element(li, top, top).terms.items():
+    for key, coef in real.element(li, top, top).terms.items():
+        exps, w = ctx.monomial(key)
         if w not in by_perm:
             by_perm[w] = by_word(w, unit)
         v = by_perm[w]

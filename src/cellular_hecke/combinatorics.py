@@ -18,9 +18,7 @@ that every downstream computation is reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from functools import lru_cache
-from operator import itemgetter
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -155,20 +153,6 @@ def perm_is_valid(w: tuple[int, ...]) -> bool:
 def perm_mul(u: Perm, v: Perm) -> Perm:
     """Composite "u then v": ``(i)(uv) = ((i)u)v``."""
     return tuple([v[i - 1] for i in u])
-
-
-def perm_then(u: Perm) -> Callable[[Perm], Perm]:
-    """
-    ``v -> perm_mul(u, v)`` compiled into one index map: entry i of uv is the
-    entry of v at position (i)u - 1, and those positions are
-    ``perm_mul(u, (0, 1, ..., r-1))``.
-    """
-    at = perm_mul(u, tuple(range(len(u))))
-    if len(at) == 1:
-        # itemgetter with a single index returns the entry, not a 1-tuple
-        (i,) = at
-        return lambda v: (v[i],)
-    return itemgetter(*at)
 
 
 def perm_inverse(w: Perm) -> Perm:

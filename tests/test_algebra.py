@@ -33,9 +33,12 @@ from cellular_hecke.combinatorics import (
     enumerate_multipartitions,
     perm_identity,
     perm_inverse,
-    perm_is_valid,
     perm_mul,
-    perm_then,
+)
+from reference_algebra import (
+    decode,
+    pairwise_product,
+    reference_product,
 )
 
 CONTEXTS = [(1, 4, (0,)), (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1, 5)),
@@ -125,7 +128,8 @@ def test_overflowing_monomial_reduces(ctx22):
     # x1^2 = x1 at omega = (0, 1); never stored with exponent 2
     h = ctx22.from_x_monomial((2, 0))
     assert h == ctx22.generator_x(1)
-    for (a, _w) in h.terms:
+    for key in h.terms:
+        a, _w = ctx22.monomial(key)
         assert all(e < ctx22.ell for e in a)
 
 
@@ -165,8 +169,9 @@ def test_structure_constants_symmetric_in_omega():
             assert pa.terms == pb.terms
 
 
-# sha256 over the sorted terms of every basis-pair product; a change to the
-# product kernel that moves any structure constant changes it
+# sha256 over the sorted (exponents, permutation) terms of every basis-pair
+# product; a change to the product kernel that moves any structure constant
+# changes it
 STRUCTURE_CONSTANTS_SHA256 = (
     "7d4a9ee6b54b61acc2053822376dfe283572ccf8e790fa65e0608aa446657993")
 
@@ -178,7 +183,7 @@ def test_structure_constants_golden():
         units = [Element(ctx, {key: 1}) for key in ctx.basis()]
         for a in units:
             for b in units:
-                terms = sorted((a * b).terms.items())
+                terms = sorted(decode(a * b).items())
                 digest.update(repr(terms).encode() + b"\n")
     assert digest.hexdigest() == STRUCTURE_CONSTANTS_SHA256
 
@@ -206,15 +211,16 @@ def test_non_rational_scalar_rejected(ctx22):
     with pytest.raises(TypeError):
         s1 * complex(1, 0)
     assert s1 * Fraction(4, 2) == s1 + s1
-    assert type((s1 * Fraction(4, 2)).terms[((0, 0), (2, 1))]) is int
+    assert type((s1 * Fraction(4, 2)).terms[ctx22.key((0, 0), (2, 1))]) \
+        is int
 
 
 def test_float_coefficient_rejected(ctx22):
-    key = ((0, 0), (2, 1))
+    key = ctx22.key((0, 0), (2, 1))
     with pytest.raises(TypeError, match="0.5"):
         Element(ctx22, {key: 0.5}) * ctx22.generator_x(1)
     with pytest.raises(TypeError):
-        Element(ctx22, {key: 1, ((1, 0), (1, 2)): 2.0})
+        Element(ctx22, {key: 1, ctx22.key((1, 0), (1, 2)): 2.0})
     assert Element(ctx22, {key: 1}) == ctx22.generator_s(1)
     assert Element(ctx22, {key: Fraction(1, 2)}) * 2 == ctx22.generator_s(1)
 
@@ -236,12 +242,14 @@ def test_coefficients_stay_int_until_the_linalg_boundary(ell, r, omega, c, xi):
         a = Element(ctx, {basis[rng.randrange(len(basis))]: 1})
         b = Element(ctx, {basis[rng.randrange(len(basis))]: -2})
         prods.append(a * b * ctx.generator_x(r))
-    assert ctx._xred and ctx._push
+    assert ctx._xred and ctx._push and ctx._sums
     assert all(type(v) is int for terms in _EXCHANGE.values()
                for term in terms for v in term)
     assert all(_all_int(t) for t in ctx._xl)
-    assert all(_all_int(t) for t in ctx._push.values())
-    assert all(_all_int(t) for t in ctx._xred.values())
+    coded = [*ctx._push.values(), *ctx._xred.values(),
+             *(s for s in ctx._sums.values() if type(s) is list)]
+    assert all(type(v) is int for terms in coded for term in terms
+               for v in term)
     assert all(_all_int(h.terms) for h in prods)
     for fam in (family_m(c), family_n(c), family_m_xi(xi), family_n_xi(xi)):
         for lam in enumerate_multipartitions(ell, r):
@@ -317,24 +325,6 @@ def test_right_translate_is_the_product_by_a_permutation(pair):
     assert right_translate(h, v) == h * h.ctx.from_permutation(v)
 
 
-def pairwise_product(h: Element, k: Element) -> Element:
-    """
-    Reference product, one push-through per (left term, right term) pair;
-    ``Element.__mul__`` pushes each distinct right x-part once instead.
-    """
-    # (x^a w)(x^b v) = x^a (w x^b) v: push x^b through w, then put
-    # every term of x^a x^c u v straight into the one output dict
-    ctx = h.ctx
-    out = {}
-    for (a, w), c1 in h.terms.items():
-        for (b, v), c2 in k.terms.items():
-            c12 = c1 * c2
-            for (c, u), c3 in ctx._push_through(w, b).items():
-                ctx._put(out, tuple(p + q for p, q in zip(a, c)),
-                         perm_mul(u, v), c12 * c3, 0)
-    return Element(ctx, out)
-
-
 def _shared_x_element(draw, ctx: AlgebraContext) -> Element:
     """A sum of x^b . v over at most three x-parts b, mixed int/Fraction."""
     xs = draw(st.lists(st.sampled_from(sorted(product(range(ctx.ell),
@@ -346,7 +336,7 @@ def _shared_x_element(draw, ctx: AlgebraContext) -> Element:
                                unique=True)):
             q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
             if q:
-                terms[(b, v)] = q.numerator if q.denominator == 1 else q
+                terms[ctx.key(b, v)] = q.numerator if q.denominator == 1 else q
     return Element(ctx, terms)
 
 
@@ -375,7 +365,7 @@ def test_cell_seed_products_match_pairwise_reference():
                  for lam in enumerate_multipartitions(ell, r)]
         # the seeds are built with products too: check that their terms
         # still share x-parts, so the grouping is exercised
-        assert sum(len({b for b, _ in s.terms}) for s in seeds) \
+        assert sum(len({ctx.monomial(k)[0] for k in s.terms}) for s in seeds) \
             < sum(len(s.terms) for s in seeds)
         for a in seeds:
             for b in seeds:
@@ -386,16 +376,14 @@ def test_cell_seed_products_match_pairwise_reference():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_compiled_product_agrees_with_perm_mul(r):
-    # itemgetter with one index returns the entry, so r = 1 is its own case
+    # every row entry z . v decodes to perm_mul(z, v), all of S_r
+    ctx = AlgebraContext(1, r, (0,))
     perms = all_perms(r)
-    then = AlgebraContext(1, r, (0,))._then
-    for z in perms:
-        zv = perm_then(z)
-        for v in perms:
-            want = perm_mul(z, v)
-            assert zv(v) == want and type(zv(v)) is tuple
-            assert then[z](v) == want
-    assert len(then) == math.factorial(r)
+    for z, u in enumerate(perms):
+        row = ctx._rows[z]
+        for v, w in enumerate(perms):
+            assert perms[row[v]] == perm_mul(u, w)
+    assert len(ctx._rows) == math.factorial(r)
 
 
 def _basis_sum(rng: random.Random, ctx: AlgebraContext, terms: int) -> Element:
@@ -422,14 +410,21 @@ def test_products_at_r5_match_pairwise_reference_and_associate():
 
 
 def test_compiled_maps_are_one_per_left_permutation():
-    # one map per permutation z of S_5, never one entry per pair (z, v):
-    # a full product table fills to hundreds of thousands at (2,6)
+    # one row of r! codes per left permutation z of S_5, each built the first
+    # time z occurs and then kept
     ctx = AlgebraContext(2, 5, (1, 0))
     rng = random.Random(4)
-    for _ in range(60):
+    for _ in range(30):
         _basis_sum(rng, ctx, 2) * _basis_sum(rng, ctx, 2)
-    assert 1 < len(ctx._then) <= math.factorial(5)
-    assert all(perm_is_valid(z) and len(z) == 5 for z in ctx._then)
+    built = {z: id(row) for z, row in ctx._rows.items()}
+    for _ in range(30):
+        _basis_sum(rng, ctx, 2) * _basis_sum(rng, ctx, 2)
+    assert 1 < len(built) <= len(ctx._rows) <= math.factorial(5)
+    assert all(id(ctx._rows[z]) == i for z, i in built.items())
+    for z, row in ctx._rows.items():
+        assert type(z) is int and 0 <= z < math.factorial(5)
+        assert type(row) is list and len(row) == math.factorial(5)
+        assert all(type(v) is int for v in row)
 
 
 # the ring contexts, plus one with ell >= 3 and r >= 3, where x_j^ell
@@ -522,3 +517,71 @@ def test_functional_pairing_matches_pairing_on_random_pairs_e2r4():
         h2 = elems_n[rng.randrange(len(elems_n))]
         assert _functional_pairing(trace_functional(h1), h2) \
             == pairing(h1, h2)
+
+
+@pytest.mark.parametrize("ell,r,omega", CONTEXTS)
+def test_keys_code_the_basis_in_order(ell, r, omega):
+    # key order is the order of the (exponents, permutation) pairs
+    ctx = AlgebraContext(ell, r, omega)
+    pairs = [(e, w) for e in sorted(product(range(ell), repeat=r))
+             for w in all_perms(r)]
+    assert [ctx.monomial(key) for key in ctx.basis()] == pairs
+    assert [ctx.key(e, w) for e, w in pairs] == list(ctx.basis())
+    assert ctx.one().terms == {ctx.key((0,) * r, perm_identity(r)): 1}
+
+
+# omega = 0, 1, 2 cut to length ell
+_REFERENCE_CONTEXTS = [(1, 3), (3, 1), (2, 3), (3, 2), (2, 4), (2, 5), (3, 3)]
+
+
+def _random_sum(rng: random.Random, ctx: AlgebraContext) -> Element:
+    """Up to three x-parts with up to four permutations each, so the
+    grouped loop sees shared x-parts; int and Fraction coefficients."""
+    perms = all_perms(ctx.r)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        b = tuple(rng.randrange(ctx.ell) for _ in range(ctx.r))
+        for _ in range(rng.randint(1, 4)):
+            q = rng.choice([-2, -1, 1, 3, Fraction(1, 2), Fraction(-2, 3)])
+            terms[ctx.key(b, rng.choice(perms))] = q
+    return Element(ctx, terms)
+
+
+@pytest.mark.parametrize("ell,r", _REFERENCE_CONTEXTS)
+def test_coded_product_matches_tuple_reference(ell, r):
+    ctx = AlgebraContext(ell, r, (0, 1, 2)[:ell])
+    rng = random.Random(10 * ell + r)
+    for _ in range(30):
+        h, k = _random_sum(rng, ctx), _random_sum(rng, ctx)
+        assert decode(h * k) == reference_product(h, k)
+        assert decode(k * h) == reference_product(k, h)
+
+
+@pytest.mark.parametrize("ell,r", _REFERENCE_CONTEXTS)
+def test_pruned_traces_match_tuple_reference(ell, r):
+    # trace_of_product and trace_functional run the product step at the top
+    # x-degree; the reference forms the whole product
+    ctx = AlgebraContext(ell, r, (0, 1, 2)[:ell])
+    top = ((ell - 1,) * r, perm_identity(r))
+    rng = random.Random(20 * ell + r)
+    for _ in range(15):
+        h, k = _random_sum(rng, ctx), _random_sum(rng, ctx)
+        assert trace_of_product(h, k) \
+            == Fraction(reference_product(h, k).get(top, 0))
+        phi = trace_functional(h)
+        keys = ctx.basis()
+        for key in rng.sample(keys, min(len(keys), 12)):
+            unit = Element(ctx, {key: 1})
+            assert phi.get(key, 0) \
+                == reference_product(h, unit).get(top, 0), key
+
+
+@pytest.mark.parametrize("bad", ["past the end", "negative"])
+def test_verify_basis_rejects_a_key_outside_the_basis(monkeypatch, bad):
+    # a product step that writes a term outside the basis must fail the
+    # closure check, not raise or wrap around
+    ctx = AlgebraContext(2, 2, (0, 1))
+    assert verify_basis(ctx)
+    key = ctx.dimension() if bad == "past the end" else -1
+    monkeypatch.setattr(ctx, "_times_x", lambda terms, b, floor: {key: 1})
+    assert verify_basis(ctx) is False
