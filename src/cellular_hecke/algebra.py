@@ -53,13 +53,17 @@ The kernel runs on codes through four tables on the context:
   ``_xred``) and shared by every (a, c) with that sum.
 - ``_deg``: the x-degree |a| = a_1 + ... + a_r of each exponent code.
 - ``_push``: the normal form of w . x^b as (code(c), code(u), coef) terms
-  of x^c . u, by code(w) * ell^r + code(b).
+  of x^c . u, by code(w) * ell^r + code(b). An entry is one exchange step
+  from the entry of a one-shorter permutation: w = s_i . w' with i the
+  first letter of w's reduced word, so w . x^b = s_i . (w' . x^b), and s_i
+  passes each term of w' . x^b by the exchange table, on codes. Filling
+  the entry of w fills those of the shorter permutations on its way.
 
-The exchange steps of ``_push_through``, the warm-up and ``_x_reduce`` run
-once per cache entry on tuples, and keep only coded results. The reduction
-of x_j^ell is built once at context construction (warm-up), from
-x_{j-1}^ell with the same push-through step; every other cache fills in
-lazily and idempotently, and elements are immutable values.
+The warm-up and ``_x_reduce`` work once per cache entry and keep only
+coded results. The reduction of x_j^ell is built once at context
+construction (warm-up), from x_{j-1}^ell with the same push-through step;
+every other cache fills in lazily and idempotently, and elements are
+immutable values.
 
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
@@ -103,6 +107,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 from numbers import Rational
 from operator import add
 
@@ -314,26 +319,38 @@ class AlgebraContext:
         return got
 
     def _push_through(self, w: int, b: int) -> Coded:
-        """Normal form of w . x^b (x's pushed to the left of the perm)."""
-        got = self._push.get(w * len(self._exps) + b)
+        """
+        Normal form of w . x^b (x's pushed to the left of the perm), by one
+        exchange step from the entry of a one-shorter permutation: with i
+        the first letter of w's reduced word, w = s_i . w' and w . x^b is
+        s_i . (w' . x^b). In each term x^c . u of w' . x^b, s_i passes the
+        x-part as s_i . x_i^p x_{i+1}^q = sum x_i^alpha x_{i+1}^beta s_i^eps
+        and s_i^eps then multiplies u on the left. The identity's entry is
+        x^b . 1; the recursion is at most l(w) deep.
+        """
+        m = len(self._exps)
+        got = self._push.get(w * m + b)
         if got is not None:
             return got
-        # exchange steps on tuples; the exponents stay below ell
-        cur: dict[tuple[Exps, Perm], Coef] = {
-            (self._exps[b], perm_identity(self.r)): 1}
-        for i in reversed(perm_reduced_word(self._perms[w])):
-            s = perm_simple(self.r, i)
-            nxt: dict[tuple[Exps, Perm], Coef] = {}
-            for (c, u), coef in cur.items():
-                for alpha, beta, eps, icoef in _exchange(c[i - 1], c[i]):
-                    c2 = list(c)
-                    c2[i - 1], c2[i] = alpha, beta
-                    _acc(nxt, (tuple(c2), perm_mul(s, u) if eps else u),
-                         coef * icoef)
-            cur = nxt
-        xcode, pcode = self._exps_code, self._perm_code
-        got = self._push[w * len(self._exps) + b] = [
-            (xcode[c], pcode[u], coef) for (c, u), coef in cur.items()]
+        if w == 0:
+            got = self._push[b] = [(b, 0, 1)]
+            return got
+        i = perm_reduced_word(self._perms[w])[0]
+        si = self._rows[self._perm_code[perm_simple(self.r, i)]]
+        # x_i and x_{i+1} are the base-ell digits of weight ell^(r-i) and
+        # ell^(r-i-1) of an exponent code; the exponents stay below ell
+        low = self.ell ** (self.r - i - 1)
+        high = low * self.ell
+        exps = self._exps
+        acc: dict[tuple[int, int], Coef] = {}
+        for c, u, coef in self._push_through(si[w], b):
+            p, q = exps[c][i - 1], exps[c][i]
+            rest = c - p * high - q * low
+            for alpha, beta, eps, icoef in _exchange(p, q):
+                _acc(acc, (rest + alpha * high + beta * low,
+                           si[u] if eps else u), coef * icoef)
+        got = self._push[w * m + b] = [
+            (c, u, coef) for (c, u), coef in acc.items()]
         return got
 
     def _sum(self, a: int, c: int) -> int | Coded:
@@ -619,6 +636,22 @@ def defining_relations(ctx: AlgebraContext) -> list[tuple[str, Element]]:
 _PAIR_SAMPLE = 300
 _TRIPLE_SAMPLE = 200
 _SAMPLE_SEED = 0
+
+# Largest algebra dimension ell^r * r! that the normal-form checks
+# (``verify_basis``, ``defining_relations``, the trace suite) accept.
+# (2,6), 46,080, passes in about 6 s; (7,4), 57,624, and (2,7), 645,120, run
+# past 90 s, the first at 2 GiB. The cost grows faster with ell than with
+# the dimension: (3,5), 29,160, is admitted and takes about 95 s.
+MAX_NORMAL_FORM_DIM = 50_000
+
+
+def check_normal_form_size(ell: int, r: int) -> None:
+    """Raise ValueError when H(ell, r) is above ``MAX_NORMAL_FORM_DIM``."""
+    n = ell ** r * factorial(r)
+    if n > MAX_NORMAL_FORM_DIM:
+        raise ValueError(
+            f"ell={ell}, r={r}: the algebra has dimension {n}, above the "
+            f"limit {MAX_NORMAL_FORM_DIM} for the normal-form checks")
 
 
 def verify_basis(ctx: AlgebraContext) -> bool:

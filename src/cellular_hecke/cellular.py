@@ -130,15 +130,20 @@ def young_sum(ctx: AlgebraContext, lam: Multipartition,
               use_sign: tuple[bool, ...]) -> Element:
     """
     Product over components of the row-stabilizer sums of the top tableau,
-    trivial or sign-weighted per component.
+    trivial or sign-weighted per component. Built once per (label, signs)
+    on the context and shared by every seed that asks for it.
     """
-    out = ctx.one()
-    for i in range(len(lam)):
-        terms = {}
-        for w in row_stabilizer(lam, i):
-            coef = perm_sign(w) if use_sign[i] else 1
-            terms[ctx.key((0,) * ctx.r, w)] = coef
-        out = out * Element(ctx, terms)
+    cache = vars(ctx).setdefault("_young_sums", {})
+    out = cache.get((lam, use_sign))
+    if out is None:
+        out = ctx.one()
+        for i in range(len(lam)):
+            terms = {}
+            for w in row_stabilizer(lam, i):
+                coef = perm_sign(w) if use_sign[i] else 1
+                terms[ctx.key((0,) * ctx.r, w)] = coef
+            out = out * Element(ctx, terms)
+        cache[(lam, use_sign)] = out
     return out
 
 

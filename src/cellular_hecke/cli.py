@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import crystal as crystal_mod
 from .algebra import (
     AlgebraContext,
+    check_normal_form_size,
     defining_relations,
     right_translate,
     star,
@@ -71,7 +72,7 @@ from .serialization import (
 )
 
 SUITES = ("relations", "trace", "pairing", "cellular", "main1", "main2", "duality")
-# the suites that build a cellular realization, so are size-limited
+# the suites that build a cellular realization, so meet its lower size limit
 REALIZING_SUITES = ("pairing", "cellular", "main1", "main2", "duality")
 
 
@@ -184,6 +185,7 @@ def cmd_list(cfg: JobConfig) -> bytes:
 
 
 def cmd_check_basis(cfg: JobConfig) -> tuple[bytes, int]:
+    check_normal_form_size(cfg.ell, cfg.r)
     ctx = context_from_config(cfg)
     basis_ok = verify_basis(ctx)
     relations_ok = all(el.is_zero() for _, el in defining_relations(ctx))
@@ -597,6 +599,8 @@ def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
     if any(name in REALIZING_SUITES and not reasons[name] for name in names):
         # refused before any suite runs, not after the cheap ones
         check_realization_size(cfg.ell, cfg.r)
+    # every suite builds the context; refused before it is built
+    check_normal_form_size(cfg.ell, cfg.r)
     out_lines = []
     all_ok = True
     for name in names:

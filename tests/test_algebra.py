@@ -37,6 +37,7 @@ from cellular_hecke.combinatorics import (
 )
 from reference_algebra import (
     decode,
+    kernel,
     pairwise_product,
     reference_product,
 )
@@ -574,6 +575,36 @@ def test_pruned_traces_match_tuple_reference(ell, r):
             unit = Element(ctx, {key: 1})
             assert phi.get(key, 0) \
                 == reference_product(h, unit).get(top, 0), key
+
+
+@pytest.mark.parametrize("ell,r", [(2, 3), (3, 3), (2, 4), (2, 5)])
+def test_push_through_matches_whole_word_reference(ell, r):
+    # each entry is one exchange step from the entry of a one-shorter
+    # permutation; the reference pushes x^b through w's whole reduced word
+    ctx = AlgebraContext(ell, r, (0, 1, 2)[:ell])
+    ref = kernel(ctx)
+    for w, perm in enumerate(ctx._perms):
+        for b, exps in enumerate(ctx._exps):
+            got = ctx._push_through(w, b)
+            assert len({(c, u) for c, u, _ in got}) == len(got)
+            assert all(type(coef) is int and coef for _, _, coef in got)
+            assert {(ctx._exps[c], ctx._perms[u]): coef
+                    for c, u, coef in got} == ref.push_through(perm, exps), \
+                (perm, exps)
+
+
+@pytest.mark.parametrize("ell,r", [(3, 3), (2, 4)])
+def test_push_entries_do_not_depend_on_fill_order(ell, r):
+    # an entry's term order reaches the order of product terms, so two
+    # contexts filled in opposite orders must hold the same lists
+    up, down = (AlgebraContext(ell, r, (0, 1, 2)[:ell]) for _ in range(2))
+    pairs = list(product(range(len(up._perms)), range(len(up._exps))))
+    for w, b in pairs:
+        up._push_through(w, b)
+    for w, b in reversed(pairs):
+        down._push_through(w, b)
+    assert list(up._push) != list(down._push)
+    assert up._push == down._push
 
 
 @pytest.mark.parametrize("bad", ["past the end", "negative"])

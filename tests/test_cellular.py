@@ -25,11 +25,13 @@ from cellular_hecke.cellular import (
     pi_bracket,
     pi_tilde_bracket,
     realization,
+    row_stabilizer,
     simple_module,
     simple_of,
     simples_table,
     x_lambda_c,
     y_lambda_c,
+    young_sum,
 )
 from cellular_hecke.combinatorics import (
     conjugate,
@@ -37,6 +39,7 @@ from cellular_hecke.combinatorics import (
     enumerate_multipartitions,
     perm_identity,
     perm_inverse,
+    perm_sign,
     row_reading_tableau,
     standard_tableaux,
     w_lambda,
@@ -214,6 +217,28 @@ class TestSeeds:
         fresh = AlgebraContext(3, 3, (0, 1, 2))
         assert pi_bracket(fresh, ((2,), (1,), ())) is not pi
         assert pi_bracket(fresh, ((2,), (1,), ())).terms == pi.terms
+
+    def test_young_sum_built_once_per_label_and_signs(self):
+        # the m- and n-seeds of every twist ask for the same sums; a new
+        # context builds its own, equal to the product built term by term
+        ctx = AlgebraContext(2, 4, (0, 1))
+        fresh = AlgebraContext(2, 4, (0, 1))
+        for lam in enumerate_multipartitions(2, 4):
+            for signs in itertools.product((False, True), repeat=2):
+                got = young_sum(ctx, lam, signs)
+                assert young_sum(ctx, lam, signs) is got
+                again = young_sum(fresh, lam, signs)
+                assert again is not got and again.terms == got.terms
+                built = ctx.one()
+                for i, sign in enumerate(signs):
+                    part = ctx.zero()
+                    for w in row_stabilizer(lam, i):
+                        part = part + ctx.from_permutation(w) * (
+                            perm_sign(w) if sign else 1)
+                    built = built * part
+                assert got == built, (lam, signs)
+        lam = ((2,), (1, 1))
+        assert x_lambda_c(ctx, lam, (1, 0)) is y_lambda_c(ctx, lam, (0, 1))
 
     def test_seed_example(self, ctx22):
         seed = cell_seed(ctx22, family_m((0, 0)), ((1,), (1,)))

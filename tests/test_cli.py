@@ -524,6 +524,36 @@ def test_size_limit_applies_only_to_realizing_suites(monkeypatch, capsys):
                                 "cellular realization\n")
 
 
+def test_normal_form_checks_above_the_size_limit_refused(capsys):
+    start = time.perf_counter()
+    code = main(["verify", "relations", "--ell", "2", "--r", "8",
+                 "--omega", "1,0"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: ell=2, r=8: the algebra has dimension "
+                            "10321920, above the limit 50000 for the "
+                            "normal-form checks\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("verb", [("check-basis",), ("verify", "relations"),
+                                  ("verify", "trace"),
+                                  ("verify", "relations", "trace")])
+def test_normal_form_size_limit_checked_before_any_suite(monkeypatch, capsys,
+                                                         verb):
+    # with the limit below dim H(2,2) = 8 nothing runs: no suite note on
+    # stderr, only the error
+    monkeypatch.setattr(algebra, "MAX_NORMAL_FORM_DIM", 5)
+    assert main([*verb, "--ell", "2", "--r", "2", "--omega", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ell=2, r=2: the algebra has dimension "
+                            "8, above the limit 5 for the normal-form "
+                            "checks\n")
+
+
 def test_config_defaults_do_not_count_as_given(tmp_path, capsys):
     # the file sets no c or xi, so a flag that changes ell must not clash
     # with the file's defaulted c and xi
