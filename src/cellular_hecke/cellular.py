@@ -244,6 +244,14 @@ def check_realization_size(ell: int, r: int) -> None:
             f"limit {MAX_REALIZATION_DIM} for a cellular realization")
 
 
+def check_label(ell: int, r: int, lam: Multipartition) -> None:
+    """Raise ValueError when ``lam`` is not a label of H(ell, r)."""
+    if lam not in enumerate_multipartitions(ell, r):
+        raise ValueError(
+            f"lambda {[list(p) for p in lam]} is not a label at "
+            f"ell={ell}, r={r}: need {ell} partitions of total size {r}")
+
+
 class FamilyRealization:
     """
     Every cellular element of one family expanded over the monomial basis,
@@ -313,11 +321,7 @@ class FamilyRealization:
                 for ti in range(n)]
 
     def label_index(self, lam: Multipartition) -> int:
-        if lam not in self.labels:
-            raise ValueError(
-                f"lambda {[list(p) for p in lam]} is not a label at "
-                f"ell={self.ctx.ell}, r={self.ctx.r}: need {self.ctx.ell} "
-                f"partitions of total size {self.ctx.r}")
+        check_label(self.ctx.ell, self.ctx.r, lam)
         return self.labels.index(lam)
 
 

@@ -30,12 +30,12 @@ from .cellular import (
     BasisFamily,
     cell_module,
     cell_seed,
+    check_label,
     check_realization_size,
     contragredient,
     family_m,
     family_m_xi,
     family_n,
-    family_n_xi,
     intertwiner_dim,
     realization,
     simple_of,
@@ -71,7 +71,6 @@ from .serialization import (
     parse_config,
 )
 
-SUITES = ("relations", "trace", "pairing", "cellular", "main1", "main2", "duality")
 # the suites that build a cellular realization, so meet its lower size limit
 REALIZING_SUITES = ("pairing", "cellular", "main1", "main2", "duality")
 
@@ -159,13 +158,9 @@ def resolve_config(args) -> tuple[JobConfig, bool]:
 
 def family_from_config(cfg: JobConfig, name: str | None = None) -> BasisFamily:
     kind = name or cfg.family
-    if kind == "m":
-        return family_m(cfg.c)
-    if kind == "n":
-        return family_n(cfg.c)
-    if kind == "mxi":
-        return family_m_xi(cfg.xi)
-    return family_n_xi(cfg.xi)
+    if kind in ("m", "n"):
+        return BasisFamily(kind, c=cfg.c)
+    return BasisFamily(kind, xi=cfg.xi)
 
 
 def context_from_config(cfg: JobConfig) -> AlgebraContext:
@@ -200,10 +195,11 @@ def cmd_check_basis(cfg: JobConfig) -> tuple[bytes, int]:
 
 
 def cmd_gram(cfg: JobConfig, lam_text: str) -> bytes:
-    ctx = context_from_config(cfg)
     fam = family_from_config(cfg)
     lam = mp_from_lists(json.loads(lam_text))
-    module = cell_module(ctx, fam, lam)
+    check_realization_size(cfg.ell, cfg.r)
+    check_label(cfg.ell, cfg.r, lam)
+    module = cell_module(context_from_config(cfg), fam, lam)
     rows = [
         {"lambda": mp_to_lists(lam), "family": fam.label(), "i": i,
          "row": module.gram[i]}
@@ -213,12 +209,14 @@ def cmd_gram(cfg: JobConfig, lam_text: str) -> bytes:
 
 
 def cmd_simples(cfg: JobConfig) -> bytes:
+    check_realization_size(cfg.ell, cfg.r)
     rows = simples_table(context_from_config(cfg), family_from_config(cfg))
     return emit(rows, cfg.format,
                 fieldnames=["lambda", "family", "dim_cell", "dim_simple", "block"])
 
 
 def cmd_blocks(cfg: JobConfig) -> bytes:
+    check_realization_size(cfg.ell, cfg.r)
     by_alpha: dict[tuple, list] = {}
     for row in simples_table(context_from_config(cfg), family_from_config(cfg)):
         by_alpha.setdefault(tuple(row["block"]), []).append(row["lambda"])
@@ -280,8 +278,9 @@ def cmd_mullineux(cfg: JobConfig, lam_text: str, xi_given: bool) -> bytes:
 
 
 def cmd_match(cfg: JobConfig, name_a: str, name_b: str) -> bytes:
-    ctx = context_from_config(cfg)
-    table = match_simples(ctx, family_from_config(cfg, name_a),
+    check_realization_size(cfg.ell, cfg.r)
+    table = match_simples(context_from_config(cfg),
+                          family_from_config(cfg, name_a),
                           family_from_config(cfg, name_b))
     rows = [
         {"from": mp_to_lists(a), "to": mp_to_lists(b), "certified": True}
@@ -301,8 +300,7 @@ def _all_twists(ell: int) -> list[tuple[int, ...]]:
     return out
 
 
-def suite_relations(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
+def suite_relations(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     for name, el in defining_relations(ctx):
@@ -320,8 +318,7 @@ def suite_relations(cfg: JobConfig) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def suite_trace(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
+def suite_trace(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     twists = _all_twists(cfg.ell)
@@ -357,8 +354,7 @@ def suite_trace(cfg: JobConfig) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def suite_pairing(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
+def suite_pairing(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
     real_m = realization(ctx, family_m(cfg.c))
     real_n = realization(ctx, family_n(cfg.c))
     tabs = real_m.tableaux
@@ -404,10 +400,8 @@ def suite_pairing(cfg: JobConfig) -> tuple[bool, list[str]]:
     return not bad, lines
 
 
-def suite_cellular(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
-    fams = [family_m(cfg.c), family_n(cfg.c),
-            family_m_xi(cfg.xi), family_n_xi(cfg.xi)]
+def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+    fams = [family_from_config(cfg, kind) for kind in ("m", "n", "mxi", "nxi")]
     lines = []
     ok = True
     for fam in fams:
@@ -458,8 +452,7 @@ def _left_index_independent(ctx, real) -> bool:
     return True
 
 
-def suite_main1(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
+def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     crystal_labels = crystal_mod.nonzero_labels(cfg.omega, cfg.r)
@@ -511,11 +504,11 @@ def _not_applicable(name: str, cfg: JobConfig) -> str | None:
     return None
 
 
-def suite_main2(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
+def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
     xi = cfg.xi if cfg.xi != tuple(range(1, cfg.ell + 1)) \
         else tuple(range(cfg.ell, 0, -1))
-    fam_xi, fam_1 = family_m_xi(xi), family_m_xi(tuple(range(1, cfg.ell + 1)))
+    # m[0,...,0] has the seeds of m_xi at xi = identity; main1 realizes it
+    fam_xi, fam_1 = family_m_xi(xi), family_m((0,) * cfg.ell)
     xctx = xi_context(cfg.omega, xi, size=cfg.r)
     lines = []
     ok = True
@@ -552,8 +545,7 @@ def suite_main2(cfg: JobConfig) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def suite_duality(cfg: JobConfig) -> tuple[bool, list[str]]:
-    ctx = context_from_config(cfg)
+def suite_duality(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     for c in _all_twists(cfg.ell):
@@ -583,6 +575,7 @@ _SUITE_FNS = {
     "main2": suite_main2,
     "duality": suite_duality,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
@@ -599,8 +592,9 @@ def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
     if any(name in REALIZING_SUITES and not reasons[name] for name in names):
         # refused before any suite runs, not after the cheap ones
         check_realization_size(cfg.ell, cfg.r)
-    # every suite builds the context; refused before it is built
+    # every suite shares the context; refused before it is built
     check_normal_form_size(cfg.ell, cfg.r)
+    ctx = context_from_config(cfg)
     out_lines = []
     all_ok = True
     for name in names:
@@ -613,7 +607,7 @@ def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
               flush=True)
         start = time.perf_counter()
         try:
-            ok, lines = _SUITE_FNS[name](cfg)
+            ok, lines = _SUITE_FNS[name](cfg, ctx)
         finally:
             print(f" {time.perf_counter() - start:.2f} s", file=sys.stderr)
         out_lines.extend(lines)

@@ -244,12 +244,21 @@ class TestSeeds:
         seed = cell_seed(ctx22, family_m((0, 0)), ((1,), (1,)))
         assert seed == ctx22.generator_x(1) - ctx22.one()
 
-    def test_zero_twist_matches_identity_xi(self, ctx22):
-        for lam in enumerate_multipartitions(2, 2):
-            assert cell_seed(ctx22, family_m((0, 0)), lam) == \
-                cell_seed(ctx22, family_m_xi((1, 2)), lam)
-            assert cell_seed(ctx22, family_n((0, 0)), lam) == \
-                cell_seed(ctx22, family_n_xi((1, 2)), lam)
+    @pytest.mark.parametrize("ell,r,omega", [
+        (2, 2, (0, 1)), (2, 3, (1, 0)), (3, 2, (2, 1, 0)),
+    ])
+    def test_zero_twist_matches_identity_xi(self, ell, r, omega):
+        # `verify main2` realizes m[0,...,0] in place of m_xi at the
+        # identity xi, so the two must give the same cellular elements
+        ctx = AlgebraContext(ell, r, omega)
+        zero, identity = (0,) * ell, perm_identity(ell)
+        for plain, twisted in ((family_m, family_m_xi),
+                               (family_n, family_n_xi)):
+            for lam in enumerate_multipartitions(ell, r):
+                assert cell_seed(ctx, plain(zero), lam) == \
+                    cell_seed(ctx, twisted(identity), lam)
+            assert realization(ctx, plain(zero)).elements == \
+                realization(ctx, twisted(identity)).elements
 
 
 class TestCellularBases:

@@ -315,8 +315,9 @@ def test_verify_pairing_reports_each_failing_pair(monkeypatch):
     # pairing family m with itself is not unitriangular; the FAIL lines
     # name each failing pair in the suite's order, with its value
     monkeypatch.setattr(cli, "family_n", cli.family_m)
-    ok, lines = cli.suite_pairing(parse_config(json.dumps(
-        {"ell": 2, "r": 2, "omega": [1, 0], "c": [0, 1]})))
+    cfg = parse_config(json.dumps(
+        {"ell": 2, "r": 2, "omega": [1, 0], "c": [0, 1]}))
+    ok, lines = cli.suite_pairing(cfg, cli.context_from_config(cfg))
     assert not ok
     two, one_one, one_and_one = [[2], []], [[1, 1], []], [[1], [1]]
     pairs = (
@@ -480,6 +481,71 @@ def test_realization_above_the_size_limit_refused(capsys):
                             "524880, above the limit 2000 for a cellular "
                             "realization\n")
     assert elapsed < 1.0
+
+
+_REALIZATION_LIMIT_E1R9 = ("error: ell=1, r=9: the algebra has dimension "
+                           "362880, above the limit 2000 for a cellular "
+                           "realization\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    pytest.param(("simples", "--ell", "1", "--r", "9", "--omega", "0"),
+                 _REALIZATION_LIMIT_E1R9, id="simples"),
+    pytest.param(("blocks", "--ell", "1", "--r", "9", "--omega", "0"),
+                 _REALIZATION_LIMIT_E1R9, id="blocks"),
+    pytest.param(("gram", "--ell", "1", "--r", "9", "--omega", "0",
+                  "--lambda", "[[9]]"),
+                 _REALIZATION_LIMIT_E1R9, id="gram"),
+    pytest.param(("match", "--ell", "1", "--r", "9", "--omega", "0",
+                  "--familyA", "m", "--familyB", "n"),
+                 _REALIZATION_LIMIT_E1R9, id="match"),
+    pytest.param(("gram", "--ell", "3", "--r", "4", "--omega", "0,1,2",
+                  "--lambda", "[[1],[2]]"),
+                 "error: lambda [[1], [2]] is not a label at ell=3, r=4: "
+                 "need 3 partitions of total size 4\n",
+                 id="gram-label-outside-the-algebra"),
+])
+def test_unanswerable_input_refused_before_the_context_is_built(
+        monkeypatch, capsys, argv, err):
+    # the warm-up alone takes seconds at r = 9 and grows about r-fold per
+    # strand, so no context may be built for input that is refused anyway
+    def no_context(*args):
+        raise AssertionError("the context was built before the refusal")
+
+    monkeypatch.setattr(cli, "AlgebraContext", no_context)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_verify_all_builds_one_context_and_each_family_once(monkeypatch,
+                                                            capsys):
+    # the suites share the run's context, and with it every realization:
+    # ten distinct families at ell = 2, main2's identity-ordered family
+    # being main1's m[0,0]
+    contexts, families = [], []
+    build_context = cli.AlgebraContext
+    realize = cellular.FamilyRealization.__init__
+
+    def counted_context(*args):
+        contexts.append(args)
+        return build_context(*args)
+
+    def counted_realization(self, ctx, family):
+        families.append(family.label())
+        realize(self, ctx, family)
+
+    monkeypatch.setattr(cli, "AlgebraContext", counted_context)
+    monkeypatch.setattr(cellular.FamilyRealization, "__init__",
+                        counted_realization)
+    code, out = run_cli(capsys, "verify", "all", "--ell", "2", "--r", "3",
+                        "--omega", "1,0", "--c", "0,1", "--xi", "2,1")
+    assert code == 0 and "FAIL" not in out
+    assert contexts == [(2, 3, (1, 0))]
+    assert sorted(families) == sorted(
+        [f"{kind}[{c}]" for kind in "mn" for c in ("0,0", "0,1", "1,0", "1,1")]
+        + ["mxi[2,1]", "nxi[2,1]"])
 
 
 def test_verify_cellular_above_the_size_limit_is_an_error(capsys):
