@@ -39,25 +39,33 @@ on the right only relabels terms (``right_translate`` is that product).
 
 The kernel runs on codes through four tables on the context:
 
-- ``_rows``: z . v is ``_rows[z][v]``, one list of r! codes per left
-  permutation z, built from ``combinatorics.perm_mul`` the first time z
-  occurs (so at most r! rows, and ``perm_mul`` stays the one definition).
-  ``Element.__mul__`` looks a row up once per term of h . x^b, outside its
-  loop over Y_b.
+- ``_rows``: z . v is ``_rows[z][v]``, one tuple of r! codes per left
+  permutation z, built the first time z occurs (so at most r! rows). The
+  identity and the r - 1 simple reflections take theirs from
+  ``combinatorics.perm_mul``, the one definition of the product. Any
+  other z is s_i . z' with i the first letter of z's reduced word
+  (``_first``, cached per permutation), as in ``_push_through``, so its
+  row is s_i's row read at each entry of z''s row. ``Element.__mul__``
+  looks a row up once per term of h . x^b, outside its loop over Y_b. A
+  row is a tuple of ints, so the garbage collector stops scanning it, and
+  the reduction lists that hold it, after one pass.
 - ``_sums``: x^a . x^c is ``_sums[code(a) * ell^r + code(c)]``, filled on
   first use: the key of x^(a+c) . 1 when every exponent of a + c is below
   ell, else the reduction list of the overflowing vector a + c, the normal
-  form of x^(a+c) as (code(d), code(z), coef) terms of x^d . z. Times u on
-  the right, such a term has key code(d) * r! + ``_rows[z][u]``. Each
-  reduction list is built once per vector by ``_x_reduce`` (cached in
-  ``_xred``) and shared by every (a, c) with that sum.
+  form of x^(a+c) as (code(d) * r!, ``_rows[z]``, coef) terms of x^d . z.
+  Times u on the right, such a term has key code(d) * r! + ``_rows[z][u]``.
+  Each reduction list is built once per vector by ``_x_reduce`` (cached
+  in ``_xred``) and shared by every (a, c) with that sum; its terms hold
+  the row objects of ``_rows`` and the ints of ``_xn`` (code(d) * r! by
+  code(d)), so a list holds no copy of either.
 - ``_deg``: the x-degree |a| = a_1 + ... + a_r of each exponent code.
 - ``_push``: the normal form of w . x^b as (code(c), code(u), coef) terms
   of x^c . u, by code(w) * ell^r + code(b). An entry is one exchange step
   from the entry of a one-shorter permutation: w = s_i . w' with i the
   first letter of w's reduced word, so w . x^b = s_i . (w' . x^b), and s_i
-  passes each term of w' . x^b by the exchange table, on codes. Filling
-  the entry of w fills those of the shorter permutations on its way.
+  passes each term of w' . x^b by the exchange table, on codes, summed on
+  the key code(c) * r! + code(u). Filling the entry of w fills those of
+  the shorter permutations on its way.
 
 The warm-up and ``_x_reduce`` work once per cache entry and keep only
 coded results. The reduction of x_j^ell is built once at context
@@ -126,6 +134,8 @@ Exps = tuple[int, ...]
 Coef = int | Fraction
 # (code of x-part, code of permutation, coef): one term x^c . u
 Coded = list[tuple[int, int, Coef]]
+# (code(d) * r!, row of z, coef): one term x^d . z of a reduction list
+Reduced = list[tuple[int, tuple[int, ...], Coef]]
 
 # s.x^p.y^q -> sum coef * x^alpha y^beta s^eps, for adjacent variables x, y.
 # Independent of the position of the reflection and of the context.
@@ -155,18 +165,16 @@ def _exchange(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
     return out
 
 
-class _Rows(dict):
-    """z -> [code of z . v for each v in S_r], built on first use."""
+class _Table(dict):
+    """A dict that fills each missing key with ``fill(key)`` on first use."""
 
-    def __init__(self, perms: list[Perm], code: dict[Perm, int]):
+    def __init__(self, fill):
         super().__init__()
-        self.perms = perms
-        self.code = code
+        self.fill = fill
 
-    def __missing__(self, z: int) -> list[int]:
-        u, code = self.perms[z], self.code
-        row = self[z] = [code[perm_mul(u, v)] for v in self.perms]
-        return row
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
 
 
 class AlgebraContext:
@@ -193,10 +201,16 @@ class AlgebraContext:
         self._exps = list(product(range(ell), repeat=r))
         self._exps_code = {a: i for i, a in enumerate(self._exps)}
         self._deg = [sum(a) for a in self._exps]
-        self._rows = _Rows(self._perms, self._perm_code)
-        self._sums: dict[int, int | Coded] = {}
+        # the code of s_i at i - 1
+        self._simple = [self._perm_code[perm_simple(r, i)]
+                        for i in range(1, r)]
+        self._first = _Table(lambda w: perm_reduced_word(self._perms[w])[0])
+        self._rows: dict[int, tuple[int, ...]] = _Table(self._row)
+        n = len(self._perms)
+        self._xn = [d * n for d in range(len(self._exps))]
+        self._sums: dict[int, int | Reduced] = {}
         self._push: dict[int, Coded] = {}
-        self._xred: dict[Exps, Coded] = {}
+        self._xred: dict[Exps, Reduced] = {}
         self._xl = self._warm_up()
 
     # -- monomial keys ----------------------------------------------------
@@ -231,9 +245,9 @@ class AlgebraContext:
             raise ValueError(f"bad exponent vector {exps}")
         if max(exps) < self.ell:
             return Element(self, {self.key(exps, perm_identity(self.r)): 1})
-        n = len(self._perms)
+        # the identity has code 0, so row[0] is the code of z
         return Element(self,
-                       {d * n + z: c for d, z, c in self._x_reduce(exps)})
+                       {dn + row[0]: c for dn, row, c in self._x_reduce(exps)})
 
     def generator_s(self, i: int) -> "Element":
         return self.from_permutation(perm_simple(self.r, i))
@@ -261,6 +275,19 @@ class AlgebraContext:
         return vec
 
     # -- rewriting machinery --------------------------------------------------
+
+    def _row(self, z: int) -> tuple[int, ...]:
+        """
+        ``_rows`` at z: the code of z . v for each v in S_r. The rows of the
+        identity and of each simple reflection come from ``perm_mul``; any
+        other z is s_i . z' with i the first letter of its reduced word, so
+        z . v = s_i . (z' . v) reads s_i's row at z''s row.
+        """
+        if z == 0 or z in self._simple:
+            u, code = self._perms[z], self._perm_code
+            return tuple([code[perm_mul(u, v)] for v in self._perms])
+        si = self._rows[self._simple[self._first[z] - 1]]
+        return tuple([si[x] for x in self._rows[si[z]]])
 
     def _warm_up(self) -> list[dict[int, Coef]]:
         ell, r = self.ell, self.r
@@ -294,12 +321,12 @@ class AlgebraContext:
             xl.append(cur)
         return xl
 
-    def _x_reduce(self, exps: Exps) -> Coded:
+    def _x_reduce(self, exps: Exps) -> Reduced:
         """Normal form of the commutative monomial x^exps, some a_j >= ell."""
         got = self._xred.get(exps)
         if got is not None:
             return got
-        n, rows = len(self._perms), self._rows
+        n, rows, xn = len(self._perms), self._rows, self._xn
         over = next(j for j, a in enumerate(exps) if a >= self.ell)
         rest = list(exps)
         rest[over] -= self.ell
@@ -308,14 +335,15 @@ class AlgebraContext:
             c, u = divmod(key, n)
             e = tuple(map(add, rest, self._exps[c]))
             if max(e) < self.ell:
-                _acc(out, self._exps_code[e] * n + u, coef)
+                _acc(out, xn[self._exps_code[e]] + u, coef)
             else:
-                for d, z, c2 in self._x_reduce(e):
-                    _acc(out, d * n + rows[z][u], coef * c2)
+                for dn, row, c2 in self._x_reduce(e):
+                    _acc(out, dn + row[u], coef * c2)
         # highest x-degree first, so a floor cuts the list at one place
         deg = self._deg
-        terms = [(*divmod(key, n), coef) for key, coef in out.items()]
-        got = self._xred[exps] = sorted(terms, key=lambda t: -deg[t[0]])
+        terms = sorted(out.items(), key=lambda t: -deg[t[0] // n])
+        got = self._xred[exps] = [(xn[k // n], rows[k % n], coef)
+                                  for k, coef in terms]
         return got
 
     def _push_through(self, w: int, b: int) -> Coded:
@@ -335,29 +363,32 @@ class AlgebraContext:
         if w == 0:
             got = self._push[b] = [(b, 0, 1)]
             return got
-        i = perm_reduced_word(self._perms[w])[0]
-        si = self._rows[self._perm_code[perm_simple(self.r, i)]]
+        i = self._first[w]
+        si = self._rows[self._simple[i - 1]]
         # x_i and x_{i+1} are the base-ell digits of weight ell^(r-i) and
-        # ell^(r-i-1) of an exponent code; the exponents stay below ell
+        # ell^(r-i-1) of an exponent code; the exponents stay below ell.
+        # Terms accumulate on the key code(c) * r! + code(u).
+        n = len(self._perms)
         low = self.ell ** (self.r - i - 1)
         high = low * self.ell
         exps = self._exps
-        acc: dict[tuple[int, int], Coef] = {}
+        acc: dict[int, Coef] = {}
         for c, u, coef in self._push_through(si[w], b):
             p, q = exps[c][i - 1], exps[c][i]
             rest = c - p * high - q * low
             for alpha, beta, eps, icoef in _exchange(p, q):
-                _acc(acc, (rest + alpha * high + beta * low,
-                           si[u] if eps else u), coef * icoef)
+                k = ((rest + alpha * high + beta * low) * n
+                     + (si[u] if eps else u))
+                _acc(acc, k, coef * icoef)
         got = self._push[w * m + b] = [
-            (c, u, coef) for (c, u), coef in acc.items()]
+            (*divmod(k, n), coef) for k, coef in acc.items()]
         return got
 
-    def _sum(self, a: int, c: int) -> int | Coded:
+    def _sum(self, a: int, c: int) -> int | Reduced:
         """``_sums`` at (a, c): x^(a+c) . 1 as a key, or its reduction list."""
         e = tuple(map(add, self._exps[a], self._exps[c]))
         if max(e) < self.ell:
-            got = self._exps_code[e] * len(self._perms)
+            got = self._xn[self._exps_code[e]]
         else:
             got = self._x_reduce(e)
         self._sums[a * len(self._exps) + c] = got
@@ -371,10 +402,11 @@ class AlgebraContext:
         term x^a . w with |a| + |b| < floor, a pushed term x^c . u of
         w . x^b with |a| + |c| < floor, and a term of the reduction of
         x^(a+c) below ``floor`` are dropped. Every term of degree at least
-        ``floor`` is exact; floor 0 keeps them all.
+        ``floor`` is exact; floor 0 keeps them all. Terms whose coefficients
+        cancel stay in the result with coefficient 0.
         """
         n, m = len(self._perms), len(self._exps)
-        deg, rows, sums = self._deg, self._rows, self._sums
+        deg, sums = self._deg, self._sums
         hb: dict[int, Coef] = {}
         room = deg[b]
         for key, c1 in terms.items():
@@ -395,12 +427,12 @@ class AlgebraContext:
                     hb[k] = hb.get(k, 0) + coef
                     continue
                 # the reduction list runs from the highest degree down
-                for d, z, c2 in s:
-                    if deg[d] < floor:
+                for dn, row, c2 in s:
+                    if floor and deg[dn // n] < floor:
                         break
-                    k = d * n + rows[z][u]
+                    k = dn + row[u]
                     hb[k] = hb.get(k, 0) + coef * c2
-        return {k: c for k, c in hb.items() if c}
+        return hb
 
     def __repr__(self) -> str:
         return f"AlgebraContext(ell={self.ell}, r={self.r}, omega={self.omega})"
@@ -424,6 +456,9 @@ def _acc(d: dict, key, val) -> None:
         del d[key]
 
 
+_COEF_TYPES = frozenset((int, Fraction))
+
+
 class Element:
     """
     A finite rational combination of normal-form monomials, keyed by
@@ -434,10 +469,13 @@ class Element:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: AlgebraContext, terms: dict[int, Coef]):
-        for coef in terms.values():
-            if not isinstance(coef, (int, Fraction)):
-                raise TypeError(f"coefficient {coef!r} is not an int or a "
-                                f"Fraction")
+        # one pass over the types in C; the slower test only to reject one,
+        # or to accept a subclass such as bool
+        if not _COEF_TYPES.issuperset(map(type, terms.values())):
+            for coef in terms.values():
+                if not isinstance(coef, (int, Fraction)):
+                    raise TypeError(f"coefficient {coef!r} is not an int or "
+                                    f"a Fraction")
         self.ctx = ctx
         self.terms = terms
 
@@ -475,6 +513,8 @@ class Element:
             out: dict[int, Coef] = {}
             for b, right in _by_x(other).items():
                 for key, c4 in ctx._times_x(self.terms, b, 0).items():
+                    if not c4:
+                        continue
                     z = key % n
                     row, d = rows[z], key - z
                     for v, c2 in right:
@@ -556,7 +596,7 @@ def trace_functional(h: Element) -> dict[int, Coef]:
     for b in range(len(ctx._exps)):
         for key, coef in ctx._times_x(h.terms, b, ctx._deg[top]).items():
             d, z = divmod(key, n)
-            if d == top:
+            if d == top and coef:
                 out[b * n + inverse[z]] = coef
     return out
 
@@ -639,9 +679,9 @@ _SAMPLE_SEED = 0
 
 # Largest algebra dimension ell^r * r! that the normal-form checks
 # (``verify_basis``, ``defining_relations``, the trace suite) accept.
-# (2,6), 46,080, passes in about 6 s; (7,4), 57,624, and (2,7), 645,120, run
+# (2,6), 46,080, passes in about 4 s; (7,4), 57,624, and (2,7), 645,120, run
 # past 90 s, the first at 2 GiB. The cost grows faster with ell than with
-# the dimension: (3,5), 29,160, is admitted and takes about 95 s.
+# the dimension: (3,5), 29,160, is admitted and takes about 85 s.
 MAX_NORMAL_FORM_DIM = 50_000
 
 
@@ -657,15 +697,27 @@ def check_normal_form_size(ell: int, r: int) -> None:
 def verify_basis(ctx: AlgebraContext) -> bool:
     """
     Confirm the normal-form basis: ell^r * r! distinct monomials, closure of
-    sampled basis products under the normal form (every key of a product
-    decodes to exponents below ell and a permutation of 1..r), and
-    associativity on sampled triples.
+    sampled basis products under the normal form, and associativity on
+    sampled triples.
+
+    Closure means that every key of a product decodes to exponents below
+    ell and a permutation of 1..r. ``monomial(key)`` is
+    ``(_exps[key // r!], _perms[key % r!])``, so every key in
+    ``range(dimension())`` decodes to one entry of each table, and the
+    decode predicate is the same test on every key. It is tested once on
+    every entry of ``_exps`` and ``_perms``, and each product key only for
+    its type and range.
     """
     import random
 
     basis = ctx.basis()
     n = len(basis)
     if n != ctx.dimension() or len(set(map(ctx.monomial, basis))) != n:
+        return False
+    if any(len(a) != ctx.r or any(not 0 <= e < ctx.ell for e in a)
+           for a in ctx._exps):
+        return False
+    if not all(map(perm_is_valid, ctx._perms)):
         return False
     rng = random.Random(_SAMPLE_SEED)
 
@@ -676,11 +728,6 @@ def verify_basis(ctx: AlgebraContext) -> bool:
         i, j = rng.randrange(n), rng.randrange(n)
         for key in (elem(i) * elem(j)).terms:
             if type(key) is not int or not 0 <= key < n:
-                return False
-            a, w = ctx.monomial(key)
-            if len(a) != ctx.r or any(not 0 <= e < ctx.ell for e in a):
-                return False
-            if not perm_is_valid(w):
                 return False
     for _ in range(_TRIPLE_SAMPLE):
         i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)

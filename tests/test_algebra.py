@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -247,10 +249,15 @@ def test_coefficients_stay_int_until_the_linalg_boundary(ell, r, omega, c, xi):
     assert all(type(v) is int for terms in _EXCHANGE.values()
                for term in terms for v in term)
     assert all(_all_int(t) for t in ctx._xl)
-    coded = [*ctx._push.values(), *ctx._xred.values(),
-             *(s for s in ctx._sums.values() if type(s) is list)]
-    assert all(type(v) is int for terms in coded for term in terms
-               for v in term)
+    # push entries are (code(c), code(u), coef); reduction lists, in
+    # ``_xred`` and shared by ``_sums``, are (code(d) * r!, row of z, coef)
+    assert all(type(v) is int for terms in ctx._push.values()
+               for term in terms for v in term)
+    reduced = [*ctx._xred.values(),
+               *(s for s in ctx._sums.values() if type(s) is not int)]
+    assert all(type(dn) is int and type(coef) is int
+               and all(type(v) is int for v in row)
+               for terms in reduced for dn, row, coef in terms)
     assert all(_all_int(h.terms) for h in prods)
     for fam in (family_m(c), family_n(c), family_m_xi(xi), family_n_xi(xi)):
         for lam in enumerate_multipartitions(ell, r):
@@ -424,7 +431,7 @@ def test_compiled_maps_are_one_per_left_permutation():
     assert all(id(ctx._rows[z]) == i for z, i in built.items())
     for z, row in ctx._rows.items():
         assert type(z) is int and 0 <= z < math.factorial(5)
-        assert type(row) is list and len(row) == math.factorial(5)
+        assert type(row) is tuple and len(row) == math.factorial(5)
         assert all(type(v) is int for v in row)
 
 
@@ -593,6 +600,29 @@ def test_push_through_matches_whole_word_reference(ell, r):
                 (perm, exps)
 
 
+@pytest.mark.parametrize("ell,r", [(2, 3), (3, 3), (2, 4), (2, 5)])
+def test_reduction_lists_match_tuple_reference(ell, r):
+    # every vector a + c that overflows, with a and c in the basis; each
+    # stored term holds the shared code(d) * r! and the row of z itself
+    ctx = AlgebraContext(ell, r, (0, 1, 2)[:ell])
+    ref = kernel(ctx)
+    n = len(ctx._perms)
+    for exps in product(range(2 * ell - 1), repeat=r):
+        if max(exps) < ell:
+            continue
+        got = ctx._x_reduce(exps)
+        assert got is ctx._xred[exps]
+        for dn, row, _ in got:
+            assert dn is ctx._xn[dn // n] and dn % n == 0
+            assert row is ctx._rows[row[0]]
+        degs = [ctx._deg[dn // n] for dn, _, _ in got]
+        assert degs == sorted(degs, reverse=True), exps
+        assert all(type(coef) is int and coef for _, _, coef in got)
+        assert {ctx.monomial(dn + row[0]): coef for dn, row, coef in got} \
+            == ref.x_reduce(exps), exps
+        assert len(got) == len(ref.x_reduce(exps))
+
+
 @pytest.mark.parametrize("ell,r", [(3, 3), (2, 4)])
 def test_push_entries_do_not_depend_on_fill_order(ell, r):
     # an entry's term order reaches the order of product terms, so two
@@ -616,3 +646,28 @@ def test_verify_basis_rejects_a_key_outside_the_basis(monkeypatch, bad):
     key = ctx.dimension() if bad == "past the end" else -1
     monkeypatch.setattr(ctx, "_times_x", lambda terms, b, floor: {key: 1})
     assert verify_basis(ctx) is False
+
+
+@pytest.mark.parametrize("bad", ["exponent", "permutation"])
+def test_verify_basis_rejects_a_bad_decode_table(bad):
+    # the closure check tests the decode predicate on the _exps and _perms
+    # tables, which every key in range decodes through
+    ctx = AlgebraContext(2, 2, (0, 1))
+    assert verify_basis(ctx)
+    if bad == "exponent":
+        ctx._exps[1] = (0, 2)
+    else:
+        ctx._perms[1] = (1, 1)
+    assert verify_basis(ctx) is False
+
+
+def test_coefficient_type_check_falls_back_per_coefficient(ctx22):
+    # bool is a subclass of int that the one-pass type test does not list
+    one, s1 = ctx22.key((0, 0), (1, 2)), ctx22.key((0, 0), (2, 1))
+    assert Element(ctx22, {one: True}) == ctx22.one()
+    assert Element(ctx22, {one: 1, s1: True}) \
+        == ctx22.one() + ctx22.generator_s(1)
+    for bad in (0.5, complex(1, 0), Decimal(3)):
+        msg = f"coefficient {bad!r} is not an int or a Fraction"
+        with pytest.raises(TypeError, match=f"^{re.escape(msg)}$"):
+            Element(ctx22, {one: 1, s1: bad})
