@@ -24,8 +24,8 @@ x^a . w has key code(a) * r! + code(w), so the order of keys is the
 lexicographic order of the (a, w) pairs. ``AlgebraContext.key`` codes a
 monomial, ``AlgebraContext.monomial`` decodes a key, and ``basis()`` is
 the range of keys. ``Element.terms`` maps keys to coefficients, and the
-linear algebra boundary (``to_vector``, ``FamilyRealization.expand``) uses
-a key as its column.
+linear algebra boundary (the change of basis of ``FamilyRealization`` and
+its ``expand``) uses a key as its column.
 
 Every product of elements runs through one loop, ``Element.__mul__``,
 built on the identity k = sum_b x^b . Y_b, where Y_b is the group-algebra
@@ -84,9 +84,11 @@ held as an ``int`` or as an integral ``Fraction``, depending on where
 ``Fraction`` contributions to it cancel, with the same value and hash.
 Nothing is ever a float: a non-integral omega raises ValueError, and a
 non-rational scalar or an ``Element`` coefficient that is not an int or a
-Fraction raises TypeError. The linear algebra boundary converts:
-``AlgebraContext.to_vector``, ``tau_hat`` and ``trace_of_product`` return
-``Fraction`` values.
+Fraction raises TypeError. ``tau_hat`` and ``trace_of_product`` return
+``Fraction`` values. A family's change of basis, its inverse and the
+cell-module actions stay in ``int`` as well; ``cellular.cell_module``
+converts its finished matrices to ``Fraction``, the type of the linear
+algebra that reads them.
 
 The trace tau (``tau_hat``) reads the coefficient of the top monomial
 x_1^{ell-1}...x_r^{ell-1} . 1. Since a permutation v on the right only
@@ -267,12 +269,6 @@ class AlgebraContext:
     def basis(self) -> range:
         """All monomial keys, in basis order."""
         return range(self.dimension())
-
-    def to_vector(self, h: "Element") -> list[Fraction]:
-        vec = [Fraction(0)] * self.dimension()
-        for key, coef in h.terms.items():
-            vec[key] = Fraction(coef)
-        return vec
 
     # -- rewriting machinery --------------------------------------------------
 

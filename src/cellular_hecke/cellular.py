@@ -33,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import AlgebraContext, Element, right_translate
 from .combinatorics import (
@@ -47,6 +48,7 @@ from .combinatorics import (
     perm_is_valid,
     perm_reduced_word,
     perm_sign,
+    perm_simple,
     row_reading_tableau,
     standard_tableaux,
 )
@@ -230,8 +232,10 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
 
 # Largest algebra dimension ell^r * r! that gets a realization. The block
 # triangular inverse is no longer the wall (2.6 s at (3,4), 12 s at (2,5));
-# memory is: the change of basis and its inverse are dense n x n, 353 MiB at
-# (2,5). (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
+# memory is: the change of basis and its inverse are dense n x n lists, and
+# building one realization at (2,5) peaks at about 300 MiB even with their
+# entries small ints. (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does
+# not.
 MAX_REALIZATION_DIM = 2000
 
 
@@ -256,9 +260,12 @@ class FamilyRealization:
     """
     Every cellular element of one family expanded over the monomial basis,
     with the inverse change of basis cached. Built once per (context, family)
-    and immutable afterwards. ``expand(h, cells)`` is the one reader of
-    cellular coordinates: the cell-module actions go through it, and the Gram
-    form is read from those actions.
+    and immutable afterwards. The change of basis has a row per element, its
+    coefficients at the monomial keys, and both it and its inverse are dense
+    ``int`` matrices (an entry of the inverse is a ``Fraction`` only if it is
+    not integral, which no family has shown). ``expand(h, cells)`` is the one
+    reader of cellular coordinates: the generator actions go through it, and
+    the Gram form is read from those actions.
     """
 
     def __init__(self, ctx: AlgebraContext, family: BasisFamily):
@@ -273,7 +280,8 @@ class FamilyRealization:
         ]
         self.cells: list[tuple[int, int, int]] = []
         self.elements: list[Element] = []
-        matrix_rows: list[list[Fraction]] = []
+        matrix_rows: list[list[int]] = []
+        n = ctx.dimension()
         for li, lam in enumerate(self.labels):
             seed = cell_seed(ctx, family, lam)
             tabs = self.tableaux[li]
@@ -283,7 +291,10 @@ class FamilyRealization:
                     elem = right_translate(left, d_of(t))
                     self.cells.append((li, si, ti))
                     self.elements.append(elem)
-                    matrix_rows.append(ctx.to_vector(elem))
+                    row = [0] * n
+                    for key, coef in elem.terms.items():
+                        row[key] = coef
+                    matrix_rows.append(row)
         self.cell_index = {cell: i for i, cell in enumerate(self.cells)}
         self.change_of_basis: Matrix = matrix_rows
         try:
@@ -295,30 +306,42 @@ class FamilyRealization:
             ) from exc
 
     def expand(self, h: Element,
-               cells: list[tuple[int, int, int]]) -> list[Fraction]:
+               cells: list[tuple[int, int, int]]) -> list[int | Fraction]:
         """
         Coordinates of ``h`` at the given (li, si, ti) cells, read from the
-        inverse rows of its terms at the cells' columns only.
+        inverse rows of its terms at the cells' columns only. They are summed
+        as they come: ``int`` when ``h`` and the inverse are integral.
         """
         inv = self.change_of_basis_inv
         rows = [(coef, inv[key]) for key, coef in h.terms.items()]
         cols = [self.cell_index[cell] for cell in cells]
-        return [sum((coef * row[col] for coef, row in rows if row[col]),
-                    Fraction(0))
+        return [sum([coef * row[col] for coef, row in rows if row[col]])
                 for col in cols]
 
     def element(self, li: int, si: int, ti: int) -> Element:
         return self.elements[self.cell_index[(li, si, ti)]]
 
-    def action(self, li: int, left: int, h: Element) -> Matrix:
+    def action(self, li: int, left: int, g: int) -> Matrix:
         """
-        Right multiplication by ``h`` on the cells (li, left, *): row t holds
-        the (li, left, u) coordinates of element(li, left, t) * h.
+        Right multiplication by the generator ``g`` on the cells
+        (li, left, *): g = 0..r-2 is s_1..s_{r-1} and g = r-1..2r-2 is
+        x_1..x_r. Row t holds the (li, left, u) coordinates of
+        element(li, left, t) times the generator, formed by a relabel for
+        s_i (``right_translate``) and by a product for x_k.
         """
+        r = self.ctx.r
+        if not 0 <= g < 2 * r - 1:
+            raise ValueError(f"generator index {g} out of range 0..{2 * r - 2}")
         n = len(self.tableaux[li])
+        elems = [self.element(li, left, ti) for ti in range(n)]
+        if g < r - 1:
+            s = perm_simple(r, g + 1)
+            products = [right_translate(elem, s) for elem in elems]
+        else:
+            x = self.ctx.generator_x(g - r + 2)
+            products = [elem * x for elem in elems]
         cells = [(li, left, ui) for ui in range(n)]
-        return [self.expand(self.element(li, left, ti) * h, cells)
-                for ti in range(n)]
+        return [self.expand(h, cells) for h in products]
 
     def label_index(self, lam: Multipartition) -> int:
         check_label(self.ctx.ell, self.ctx.r, lam)
@@ -362,35 +385,41 @@ class CellModuleRealization(ModuleRealization):
 def cell_module(ctx: AlgebraContext, family: BasisFamily,
                 lam: Multipartition) -> CellModuleRealization:
     """
-    Cell module of the family at ``lam``: the generator action is read off
-    the cellular expansion of (top-row cell element) * generator, keeping
-    only same-label coefficients with the left tableau fixed. The Gram form
-    uses no algebra product: <s,t> = rho(m_{t,top})_{s,top} for the action
-    rho, evaluated on the seed's terms and d(t)^{-1} by the generator
-    matrices along reduced words.
+    Cell module of the family at ``lam``, built once per (family, label) on
+    the context and shared by every caller after that. The generator action
+    is read off the cellular expansion of (top-row cell element) * generator
+    (``FamilyRealization.action``), keeping only same-label coefficients with
+    the left tableau fixed. The Gram form uses no algebra product:
+    <s,t> = rho(m_{t,top})_{s,top} for the action rho, evaluated on the
+    seed's terms and d(t)^{-1} by the generator matrices along reduced words.
+    Actions and Gram column are computed in ``int``; the module's matrices
+    are then converted to ``Fraction`` once, one object per distinct value.
     """
     real = realization(ctx, family)
     li = real.label_index(lam)
+    cache = vars(ctx).setdefault("_cell_modules", {})
+    module = cache.get((family, lam))
+    if module is not None:
+        return module
     tabs = real.tableaux[li]
     top = real.top_index[li]
-    s_action = [real.action(li, top, ctx.generator_s(i))
-                for i in range(1, ctx.r)]
-    x_action = [real.action(li, top, ctx.generator_x(k))
-                for k in range(1, ctx.r + 1)]
+    r = ctx.r
+    actions = [real.action(li, top, g) for g in range(2 * r - 1)]
+    s_action, x_action = actions[:r - 1], actions[r - 1:]
 
-    # column t of the Gram matrix is rho(d(t)^{-1}) . rho(seed) . e_top; a
-    # column vector v goes to rho(h) . v as vec_mat(v, transpose(rho(h)))
-    s_cols = [transpose(m) for m in s_action]
-    x_cols = [transpose(m) for m in x_action]
+    # column t of the Gram matrix is rho(d(t)^{-1}) . rho(seed) . e_top, and
+    # rho(h) sends a column vector v to the matrix product rho(h) . v
+    def times(mat: Matrix, v: Vector) -> Vector:
+        return [sum(map(mul, row, v)) for row in mat]
 
     def by_word(w: Perm, v: Vector) -> Vector:
         for i in reversed(perm_reduced_word(w)):
-            v = vec_mat(v, s_cols[i - 1])
+            v = times(s_action[i - 1], v)
         return v
 
-    unit = [Fraction(int(u == top)) for u in range(len(tabs))]
+    unit = [int(u == top) for u in range(len(tabs))]
     by_perm: dict[Perm, Vector] = {}
-    column = [Fraction(0)] * len(tabs)
+    column = [0] * len(tabs)
     for key, coef in real.element(li, top, top).terms.items():
         exps, w = ctx.monomial(key)
         if w not in by_perm:
@@ -398,13 +427,23 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
         v = by_perm[w]
         for k, a in enumerate(exps):
             for _ in range(a):
-                v = vec_mat(v, x_cols[k])
+                v = times(x_action[k], v)
         column = [y + coef * z for y, z in zip(column, v)]
     gram = transpose([by_word(perm_inverse(d_of(t)), column) for t in tabs])
-    return CellModuleRealization(
-        ctx=ctx, s_action=s_action, x_action=x_action,
-        family=family, label=lam, basis=tabs, gram=gram,
+
+    shared = {x: Fraction(x)
+              for x in {x for mat in actions + [gram] for row in mat
+                        for x in row}}
+
+    def fractions(mat: Matrix) -> Matrix:
+        return [[shared[x] for x in row] for row in mat]
+
+    module = cache[(family, lam)] = CellModuleRealization(
+        ctx=ctx, s_action=[fractions(m) for m in s_action],
+        x_action=[fractions(m) for m in x_action],
+        family=family, label=lam, basis=tabs, gram=fractions(gram),
     )
+    return module
 
 
 def simple_module(module: CellModuleRealization) -> ModuleRealization:

@@ -441,13 +441,17 @@ def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]
 
 
 def _left_index_independent(ctx, real) -> bool:
-    gens = [ctx.generator_s(i) for i in range(1, ctx.r)] + \
-           [ctx.generator_x(k) for k in range(1, ctx.r + 1)]
-    for li, tabs in enumerate(real.tableaux):
-        for gen in gens:
-            ref = real.action(li, 0, gen)
-            if any(real.action(li, si, gen) != ref
-                   for si in range(1, len(tabs))):
+    """
+    Every left index gives each generator the action of the cell module,
+    which holds the actions at the top left index: only the other left
+    indices are computed here.
+    """
+    for li, (lam, tabs) in enumerate(zip(real.labels, real.tableaux)):
+        module = cell_module(ctx, real.family, lam)
+        top = real.top_index[li]
+        for g, ref in enumerate(module.s_action + module.x_action):
+            if any(real.action(li, si, g) != ref
+                   for si in range(len(tabs)) if si != top):
                 return False
     return True
 

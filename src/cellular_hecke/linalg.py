@@ -1,18 +1,21 @@
 """
 Exact linear algebra over the rationals.
 
-Matrices are lists of lists of ``fractions.Fraction`` (rows), and vectors
-are row vectors, the only convention: a matrix acts as v.a. There is one
-elimination kernel, ``rref``; rank, ``inverse`` and the one solve all run
-on it. The solve is ``solve_rows``: it writes a whole batch of vectors in
-the coordinates of a basis from one elimination.
+Matrices are lists of rows of exact rationals, and vectors are row
+vectors, the only convention: a matrix acts as v.a. ``rref`` and the solve
+return ``fractions.Fraction`` entries; ``inverse`` returns each entry as it
+solved it, an ``int`` when integral. There is one elimination kernel,
+``rref``; rank, ``inverse`` and the one solve all run on it. The solve is
+``solve_rows``: it writes a whole batch of vectors in the coordinates of a
+basis from one elimination.
 
 ``inverse`` first puts its matrix in block triangular form (a perfect
 matching, then strongly connected components) and eliminates only inside
 the diagonal blocks, with ``rref``; the rest is substitution. The change of
 basis of a family falls apart into blocks of at most 7 rows up to
 (ell, r) = (3, 4) (92 at (2, 5)), and both it and its inverse are integral,
-so that substitution runs on ``int`` entries.
+so that substitution runs on ``int`` entries and the inverse comes back in
+``int``.
 
 ``rref`` is a sparse Gauss-Jordan: rows are dicts of their nonzero entries,
 with a column -> rows index. The reduced row echelon form of a matrix is
@@ -233,7 +236,8 @@ def inverse(a: Matrix) -> Matrix:
     """
     Inverse of a square matrix, solved block by block in block triangular
     form; raises SingularMatrixError. ``a`` is left unchanged, and the result
-    is dense, every entry a ``Fraction``.
+    is dense, each entry an ``int`` when it is integral (0 included) and a
+    ``Fraction`` otherwise.
 
     Row i of a . Y = I reads sum_j a[i][j] Y[j] = e_i. A perfect matching
     gives each row i a column c(i) with a[i][c(i)] != 0, whose Y row that
@@ -243,7 +247,7 @@ def inverse(a: Matrix) -> Matrix:
     lower triangular form (Duff & Reid 1978; Pothen & Fan 1990): each block
     subtracts the Y rows already solved from its unit right-hand sides and
     multiplies by the inverse of its diagonal block, read from ``rref``.
-    Integral entries stay ``int`` throughout.
+    Integral entries stay ``int`` throughout, in the result too.
     """
     n = len(a)
     rows = [{j: _exact(x) for j, x in enumerate(row) if x} for row in a]
@@ -278,16 +282,10 @@ def inverse(a: Matrix) -> Matrix:
                     for c, y in part.items():
                         acc[c] = acc.get(c, 0) + f * y
             solved[j] = {c: _exact(y) for c, y in acc.items() if y}
-    zero = Fraction(0)
-    shared: dict[int, Fraction] = {}
     out = []
     for j in range(n):
-        row = [zero] * n
+        row = [0] * n
         for c, x in solved[j].items():
-            if type(x) is int:
-                if x not in shared:
-                    shared[x] = Fraction(x)
-                x = shared[x]
             row[c] = x
         out.append(row)
     return out

@@ -158,6 +158,14 @@ def kernel(ctx: AlgebraContext) -> ReferenceKernel:
     return _KERNELS[params]
 
 
+def to_vector(ctx: AlgebraContext, h: Element) -> list[Fraction]:
+    """``h`` as a dense row over the monomial keys, every entry a Fraction."""
+    vec = [Fraction(0)] * ctx.dimension()
+    for key, coef in h.terms.items():
+        vec[key] = Fraction(coef)
+    return vec
+
+
 def decode(h: Element) -> Terms:
     """The terms of ``h`` keyed by (exponents, permutation)."""
     return {h.ctx.monomial(key): c for key, c in h.terms.items()}

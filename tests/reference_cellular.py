@@ -24,6 +24,7 @@ from cellular_hecke.combinatorics import (
     w_lambda,
 )
 from cellular_hecke.linalg import Matrix, rank, solve_rows
+from reference_algebra import to_vector
 
 
 def cellular_element(ctx: AlgebraContext, family: BasisFamily,
@@ -53,12 +54,12 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
     z = z_element(ctx, c, lam)
     basis = [right_translate(z, d_of(t))
              for t in standard_tableaux(conjugate(lam))]
-    vectors = [ctx.to_vector(h) for h in basis]
+    vectors = [to_vector(ctx, h) for h in basis]
     if rank(vectors) != len(basis):
         raise ValueError("pairing-witness translates are dependent")
 
     def action_matrix(gen: Element) -> Matrix:
-        return solve_rows([ctx.to_vector(h * gen) for h in basis], vectors)
+        return solve_rows([to_vector(ctx, h * gen) for h in basis], vectors)
 
     return ModuleRealization(
         ctx,

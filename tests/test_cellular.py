@@ -50,6 +50,7 @@ from cellular_hecke.linalg import (
     transpose,
     vec_mat,
 )
+from reference_algebra import to_vector
 from reference_cellular import cellular_element, subcell_module, z_element
 from reference_combinatorics import dominance_gt, residue_sequence
 from reference_linalg import left_nullspace, mat_identity, mat_mul, mat_pow
@@ -307,10 +308,15 @@ class TestCellularBases:
             repeats = shuffled[:5] * 2 + real.cells[:1] * 3
 
             def check(h, cells):
-                dense = vec_mat(ctx.to_vector(h), inv)
+                dense = vec_mat(to_vector(ctx, h), inv)
                 got = real.expand(h, cells)
                 assert got == [dense[real.cell_index[cell]] for cell in cells]
-                assert all(type(x) is Fraction for x in got)
+                # the inverse is integral here, so an integral h expands in
+                # int; a scaled h may give Fraction coordinates
+                if all(type(c) is int for c in h.terms.values()):
+                    assert all(type(x) is int for x in got)
+                else:
+                    assert {type(x) for x in got} <= {int, Fraction}
 
             for el in real.elements:
                 for gen in gens:
@@ -384,6 +390,34 @@ class TestCellularBases:
                         rows.append(mat)
                     assert all(m == rows[0] for m in rows)
 
+    @pytest.mark.parametrize("ell,r,c,xi", [
+        (2, 3, (0, 1), (2, 1)),
+        (3, 2, (0, 1, 1), (2, 3, 1)),
+        (2, 4, (1, 0), (2, 1)),
+    ], ids=["e2r3", "e3r2", "e2r4"])
+    def test_action_matches_expanded_products(self, ell, r, c, xi):
+        """action(li, left, g) relabels for s_i and multiplies for x_k; at
+        every cell and generator it equals the expansion of
+        element(li, left, t) * generator formed by the algebra product."""
+        ctx = AlgebraContext(ell, r, tuple(range(ell)))
+        gens = [ctx.generator_s(i) for i in range(1, r)] + \
+               [ctx.generator_x(k) for k in range(1, r + 1)]
+        for fam in [family_m(c), family_n(c), family_m_xi(xi),
+                    family_n_xi(xi)]:
+            real = realization(ctx, fam)
+            for li, tabs in enumerate(real.tableaux):
+                for left in range(len(tabs)):
+                    cells = [(li, left, ui) for ui in range(len(tabs))]
+                    for g, gen in enumerate(gens):
+                        want = [real.expand(real.element(li, left, ti) * gen,
+                                            cells)
+                                for ti in range(len(tabs))]
+                        assert real.action(li, left, g) == want, \
+                            (fam, li, left, g)
+        for g in (-1, len(gens)):
+            with pytest.raises(ValueError, match="generator index"):
+                real.action(0, 0, g)
+
 
 class TestTraceAndPairing:
     def test_z_trace_is_one_all_twists(self, ctx22):
@@ -403,6 +437,27 @@ class TestCellModules:
         mod = cell_module(ctx13, family_m((0,)), ((1, 1, 1),))
         assert mod.dim == 1
         assert all(m == [[Fraction(-1)]] for m in mod.s_action)
+
+    def test_built_once_per_family_and_label(self):
+        ctx = AlgebraContext(2, 3, (0, 1))
+        for lam in enumerate_multipartitions(2, 3):
+            mod = cell_module(ctx, family_m((0, 1)), lam)
+            assert cell_module(ctx, family_m((0, 1)), lam) is mod
+        other = AlgebraContext(2, 3, (0, 1))
+        assert cell_module(other, family_m((0, 1)), lam) is not mod
+        assert cell_module(other, family_m((0, 1)), lam).gram == mod.gram
+
+    def test_matrices_are_shared_fractions(self):
+        # computed in int, converted once: every entry a Fraction, one
+        # object per distinct value within a module
+        ctx = AlgebraContext(2, 3, (1, 0))
+        for fam in families_for(ctx):
+            for lam in enumerate_multipartitions(2, 3):
+                mod = cell_module(ctx, fam, lam)
+                entries = [x for mat in mod.s_action + mod.x_action
+                           + [mod.gram] for row in mat for x in row]
+                assert all(type(x) is Fraction for x in entries)
+                assert len({id(x) for x in entries}) == len(set(entries))
 
     def test_generator_matrices_satisfy_relations(self, ctx22):
         for fam in [family_m((0, 1)), family_n((1, 0)), family_n_xi((2, 1))]:

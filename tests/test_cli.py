@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -301,6 +302,18 @@ GOLDEN = [
          "--c", "0,1"), 0,
         "9850b0707809e7c47a46e1a9eb8b5428b039f305a12751aa211b9bc891c160af",
         id="verify-pairing-e2r4"),
+    # the simples-e3r3 invocation of bench/run.py, same digest
+    pytest.param(
+        ("simples", "--ell", "3", "--r", "3", "--omega", "0,1,2",
+         "--family", "m"), 0,
+        "95ff41b34aa5deca11c3b51556336739421af7c411107c83bad5b3cd2328200e",
+        id="simples-e3r3-m"),
+    # every suite at (4,3): 32 realizations in duality, 384 x 384 each
+    pytest.param(
+        ("verify", "all", "--ell", "4", "--r", "3", "--omega", "3,2,1,0",
+         "--c", "0,1,0,1", "--xi", "2,3,4,1"), 0,
+        "7e308c0aa53d3f4df73c2e305cdac2e00d964f78a96ed7ea84fd3429dedee718",
+        id="verify-all-e4r3"),
 ]
 
 
@@ -546,6 +559,80 @@ def test_verify_all_builds_one_context_and_each_family_once(monkeypatch,
     assert sorted(families) == sorted(
         [f"{kind}[{c}]" for kind in "mn" for c in ("0,0", "0,1", "1,0", "1,1")]
         + ["mxi[2,1]", "nxi[2,1]"])
+
+
+REFEREE_E2R3 = {"ell": 2, "r": 3, "omega": [1, 0], "c": [0, 1], "xi": [2, 1]}
+
+
+def test_verify_all_leaves_the_cached_cell_modules_unchanged():
+    # every suite reads the one cell module per (family, label) on the
+    # context; none may change its matrices, and a second run builds none
+    cfg = parse_config(json.dumps(REFEREE_E2R3))
+    ctx = cli.context_from_config(cfg)
+
+    def run_all():
+        for name in cli.SUITES:
+            assert cli._not_applicable(name, cfg) is None
+            ok, _ = cli._SUITE_FNS[name](cfg, ctx)
+            assert ok, name
+
+    run_all()
+    cached = dict(ctx._cell_modules)
+    assert len(cached) > 40
+    before = {key: copy.deepcopy((m.s_action, m.x_action, m.gram))
+              for key, m in cached.items()}
+    run_all()
+    assert ctx._cell_modules.keys() == cached.keys()
+    fresh = cli.context_from_config(cfg)
+    for (fam, lam), mod in cached.items():
+        assert ctx._cell_modules[(fam, lam)] is mod
+        assert (mod.s_action, mod.x_action, mod.gram) == before[(fam, lam)]
+        new = cellular.cell_module(fresh, fam, lam)
+        assert (new.s_action, new.x_action, new.gram) == before[(fam, lam)]
+
+
+def _left_index_target(ctx, fam):
+    """A label with two or more tableaux and a left index other than top."""
+    real = cellular.realization(ctx, fam)
+    li = next(i for i, tabs in enumerate(real.tableaux) if len(tabs) > 1)
+    left = next(s for s in range(len(real.tableaux[li]))
+                if s != real.top_index[li])
+    return real, li, left
+
+
+def test_verify_cellular_fails_on_a_perturbed_left_index(monkeypatch):
+    cfg = parse_config(json.dumps(REFEREE_E2R3))
+    ctx = cli.context_from_config(cfg)
+    real, li, left = _left_index_target(ctx, cellular.family_m(cfg.c))
+    action = cellular.FamilyRealization.action
+    g = 2 * cfg.r - 2       # x_r
+
+    def perturbed(self, li_, left_, g_):
+        mat = action(self, li_, left_, g_)
+        if (self, li_, left_, g_) == (real, li, left, g):
+            mat[-1][-1] += 1
+        return mat
+
+    monkeypatch.setattr(cellular.FamilyRealization, "action", perturbed)
+    ok, lines = cli.suite_cellular(cfg, ctx)
+    assert not ok
+    assert lines == ["FAIL cellular: action coefficients depend on the left "
+                     "index (m[0,1])"]
+
+
+def test_verify_cellular_fails_on_a_perturbed_cell_module():
+    # the top left index's actions are read from the cached cell module,
+    # so a wrong module matrix must fail the check, not pass unseen
+    cfg = parse_config(json.dumps(REFEREE_E2R3))
+    ctx = cli.context_from_config(cfg)
+    fam = cellular.family_n(cfg.c)
+    real, li, _ = _left_index_target(ctx, fam)
+    mod = cellular.cell_module(ctx, fam, real.labels[li])
+    mod.s_action[0][0][0] += 1
+    ok, lines = cli.suite_cellular(cfg, ctx)
+    assert not ok
+    assert lines == ["FAIL cellular: action coefficients depend on the left "
+                     "index (n[0,1])"]
 
 
 def test_verify_cellular_above_the_size_limit_is_an_error(capsys):

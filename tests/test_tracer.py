@@ -42,7 +42,8 @@ def test_tracer_runs_and_matches_untraced_stdout(capsysbinary):
 
 def test_inverse_is_wrapped_where_the_realization_reads_it():
     # the tracer's linalg.inverse span patches every module binding the same
-    # function, and cob_inv_nnz / cob_inv_max_bits read the dense inverse
+    # function, and cob_inv_nnz / cob_inv_max_bits read the dense inverse,
+    # whose entries are int when integral and Fraction otherwise
     assert cellular.inverse is linalg.inverse
     ctx = AlgebraContext(2, 2, (0, 1))
     real = cellular.realization(ctx, cellular.family_m((0, 1)))
@@ -50,4 +51,5 @@ def test_inverse_is_wrapped_where_the_realization_reads_it():
     n = ctx.dimension()
     assert isinstance(inv, list) and len(inv) == n
     assert all(isinstance(row, list) and len(row) == n for row in inv)
-    assert all(type(x) is Fraction for row in inv for x in row)
+    assert all(type(x) is (int if x.denominator == 1 else Fraction)
+               for row in inv for x in row)
