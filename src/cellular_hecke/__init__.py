@@ -57,11 +57,9 @@ from .combinatorics import (
     standard_tableaux,
     tableau_conjugate,
     tableau_dominance_ge,
-    w_bracket,
     w_lambda,
 )
 from .crystal import (
-    DEFAULT_ORIENTATION,
     Window,
     ZeroOneTuple,
     component_of_empty,

@@ -69,9 +69,9 @@ The kernel runs on codes through four tables on the context:
 
 The warm-up and ``_x_reduce`` work once per cache entry and keep only
 coded results. The reduction of x_j^ell is built once at context
-construction (warm-up), from x_{j-1}^ell with the same push-through step;
-every other cache fills in lazily and idempotently, and elements are
-immutable values.
+construction (warm-up), from x_{j-1}^ell by one product in
+``Element.__mul__`` and a relabel; every other cache fills in lazily and
+idempotently, and elements are immutable values.
 
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
@@ -286,8 +286,7 @@ class AlgebraContext:
         return tuple([si[x] for x in self._rows[si[z]]])
 
     def _warm_up(self) -> list[dict[int, Coef]]:
-        ell, r = self.ell, self.r
-        n, perms, code = len(self._perms), self._perms, self._perm_code
+        ell, r, n = self.ell, self.r, len(self._perms)
         # monic expansion of (X - omega_1)...(X - omega_ell)
         poly = [1]
         for w in self.omega:
@@ -299,22 +298,17 @@ class AlgebraContext:
             k * ell ** (r - 1) * n: -poly[k] for k in range(ell) if poly[k]
         }]
         # x_j^ell = s.x_{j-1}^ell.s + sum_m x_{j-1}^{ell-1-m} x_j^m s, with
-        # s = s_{j-1}. x_{j-1}^ell involves x_1..x_{j-1} only, so s.x^c never
-        # overflows and _push_through needs no _x_reduce (nor _xl) here.
+        # s = s_{j-1}. x_{j-1}^ell involves x_1..x_{j-1} only, so the product
+        # s.x_{j-1}^ell never overflows and needs no _x_reduce (nor _xl).
         for j in range(2, r + 1):
             s = perm_simple(r, j - 1)
-            cur: dict[int, Coef] = {}
-            for key, coef in xl[j - 2].items():
-                c, u = divmod(key, n)
-                us = perm_mul(perms[u], s)
-                for c2, z, c3 in self._push_through(code[s], c):
-                    _acc(cur, c2 * n + code[perm_mul(perms[z], us)],
-                         coef * c3)
+            tail: dict[int, Coef] = {}
             for m in range(ell):
                 e = [0] * r
                 e[j - 2], e[j - 1] = ell - 1 - m, m
-                _acc(cur, self._exps_code[tuple(e)] * n + code[s], 1)
-            xl.append(cur)
+                tail[self.key(e, s)] = 1
+            head = self.from_permutation(s) * Element(self, xl[j - 2])
+            xl.append((right_translate(head, s) + Element(self, tail)).terms)
         return xl
 
     def _x_reduce(self, exps: Exps) -> Reduced:

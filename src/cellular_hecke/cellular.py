@@ -170,30 +170,29 @@ def _pi_factor(ctx: AlgebraContext, a: int, w: int) -> Element:
 
 
 def pi_bracket(ctx: AlgebraContext, lam: Multipartition,
-               omega: tuple[int, ...] | None = None) -> Element:
+               omega: tuple[int, ...]) -> Element:
     """
     Ordered product of the block factors: the i-th factor kills the first
-    a_i variables at the (i+1)-st parameter, i = 1..ell-1. It depends on
-    ``lam`` only through its bracket, so it is built once per (bracket,
-    parameters) on the context and shared by every seed, whatever its twist.
+    a_i variables at the (i+1)-st entry of ``omega``, i = 1..ell-1, for the
+    parameter vector of a family (``family_omega``). It depends on ``lam``
+    only through its bracket, so it is built once per (bracket, omega) on
+    the context and shared by every seed, whatever its twist.
     """
-    om = ctx.omega if omega is None else tuple(omega)
     a = bracket(lam)
     cache = vars(ctx).setdefault("_pi_brackets", {})
-    out = cache.get((a, om))
+    out = cache.get((a, omega))
     if out is None:
         out = ctx.one()
         for i in range(1, ctx.ell):
-            out = out * _pi_factor(ctx, a[i], om[i])
-        cache[(a, om)] = out
+            out = out * _pi_factor(ctx, a[i], omega[i])
+        cache[(a, omega)] = out
     return out
 
 
 def pi_tilde_bracket(ctx: AlgebraContext, lam: Multipartition,
-                     omega: tuple[int, ...] | None = None) -> Element:
-    """Companion product running through the parameters in reverse order."""
-    om = ctx.omega if omega is None else omega
-    return pi_bracket(ctx, lam, tuple(reversed(om)))
+                     omega: tuple[int, ...]) -> Element:
+    """Companion product running through ``omega`` in reverse order."""
+    return pi_bracket(ctx, lam, tuple(reversed(omega)))
 
 
 def family_omega(ctx: AlgebraContext, family: BasisFamily) -> tuple[int, ...]:
@@ -273,6 +272,7 @@ class FamilyRealization:
         self.ctx = ctx
         self.family = family
         self.labels = enumerate_multipartitions(ctx.ell, ctx.r)
+        self._label_indices = {lam: li for li, lam in enumerate(self.labels)}
         self.tableaux = [standard_tableaux(lam) for lam in self.labels]
         self.top_index = [
             tabs.index(row_reading_tableau(lam))
@@ -344,8 +344,12 @@ class FamilyRealization:
         return [self.expand(h, cells) for h in products]
 
     def label_index(self, lam: Multipartition) -> int:
-        check_label(self.ctx.ell, self.ctx.r, lam)
-        return self.labels.index(lam)
+        """Position of ``lam`` in ``labels``; ValueError for a non-label."""
+        try:
+            return self._label_indices[lam]
+        except (KeyError, TypeError):
+            check_label(self.ctx.ell, self.ctx.r, lam)
+            raise
 
 
 def realization(ctx: AlgebraContext, family: BasisFamily) -> FamilyRealization:

@@ -346,20 +346,6 @@ def tableau_conjugate(t: Tableau) -> Tableau:
     return tuple(out)
 
 
-def w_bracket(lam: Multipartition) -> Perm:
-    """
-    Block-reversing permutation of the component blocks: the i-th block of
-    1..r (of size a_i - a_{i-1}) is translated to start at r - a_i + 1.
-    """
-    a = bracket(lam)
-    r = a[-1]
-    images = [0] * r
-    for i in range(1, len(a)):
-        for l in range(1, a[i] - a[i - 1] + 1):
-            images[a[i - 1] + l - 1] = r - a[i] + l
-    return tuple(images)
-
-
 def w_lambda(lam: Multipartition) -> Perm:
     """``d`` of the minimal (column reading) tableau."""
     return d_of(column_reading_tableau(lam))

@@ -8,10 +8,13 @@ signature rule: each component contributes '+' when its bits at (j, j+1)
 read (1, 0), '-' for (0, 1); opposite adjacent pairs cancel; f_j acts on the
 component of the first surviving '+', e_j on the last surviving '-'.
 
-The reading order of the components is a parameter ("ltr" reads component 1
-first, "rtl" reads component ell first). The shipped default is the one
-whose reachable labels agree with the Gram-rank computation on the algebra
-side; that agreement is an executed test, not an assumption.
+The components are read last to first (component ell first). That reading
+order is the one whose reachable labels agree with the Gram-rank computation
+on the algebra side, and the agreement is an executed test, not an
+assumption: at ell = 2 for omega = (0,1) and (0,0) at r <= 3 and for (1,0),
+(0,0) and (0,1) at r = 4, and at ell = 3 for omega = (0,0,1) and (0,1,5)
+at r <= 3. Read first to last, the labels already disagree at
+(r, omega) = (2, (0,1)).
 
 Bit tuples are stored in the natural-module picture throughout; components
 attached to a twist value of 1 are converted through the complement
@@ -23,12 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinatorics import Multipartition, is_partition
-
-# Pinned by the crystal vs Gram-rank agreement tests at ell = 2: omega = (0,1)
-# and (0,0) for r <= 3, (1,0), (0,0) and (0,1) at r = 4; the other orientation
-# already disagrees at (r, omega) = (2, (0,1)). Three-component checks run at
-# r <= 2.
-DEFAULT_ORIENTATION = "rtl"
 
 
 @dataclass(frozen=True)
@@ -77,24 +74,16 @@ class ZeroOneTuple:
         return tuple(lo + k for k, b in enumerate(self.bits[i]) if not b)
 
 
-def _component_order(ell: int, orientation: str) -> range:
-    if orientation == "ltr":
-        return range(ell)
-    if orientation == "rtl":
-        return range(ell - 1, -1, -1)
-    raise ValueError(f"unknown orientation {orientation!r}")
-
-
-def _signature(v: ZeroOneTuple, j: int,
-               orientation: str) -> tuple[int | None, int | None]:
+def _signature(v: ZeroOneTuple, j: int) -> tuple[int | None, int | None]:
     """
     Indices of the component to lower (f) and to raise (e) for color j,
-    after cancellation; None when the operator is undefined.
+    after cancellation, reading the components last to first; None when the
+    operator is undefined.
     """
     k = j - v.window.lo
     plus_stack: list[int] = []
     last_minus: int | None = None
-    for i in _component_order(v.ell, orientation):
+    for i in range(v.ell - 1, -1, -1):
         a, b = v.bits[i][k], v.bits[i][k + 1]
         if (a, b) == (1, 0):
             plus_stack.append(i)
@@ -119,23 +108,21 @@ def _flip(v: ZeroOneTuple, i: int, j: int, direction: int) -> ZeroOneTuple:
     return ZeroOneTuple(v.window, tuple(bits))
 
 
-def crystal_f(v: ZeroOneTuple, j: int,
-              orientation: str = DEFAULT_ORIENTATION) -> ZeroOneTuple | None:
+def crystal_f(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
     """Lowering operator of color j; None when undefined."""
     if not v.window.lo <= j < v.window.hi:
         raise ValueError(f"color {j} outside window")
-    comp, _ = _signature(v, j, orientation)
+    comp, _ = _signature(v, j)
     if comp is None:
         return None
     return _flip(v, comp, j, +1)
 
 
-def crystal_e(v: ZeroOneTuple, j: int,
-              orientation: str = DEFAULT_ORIENTATION) -> ZeroOneTuple | None:
+def crystal_e(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
     """Raising operator of color j; None when undefined."""
     if not v.window.lo <= j < v.window.hi:
         raise ValueError(f"color {j} outside window")
-    _, comp = _signature(v, j, orientation)
+    _, comp = _signature(v, j)
     if comp is None:
         return None
     return _flip(v, comp, j, -1)
@@ -218,15 +205,13 @@ def default_window(omega: tuple[int, ...], r: int) -> Window:
 
 
 def component_of_empty(omega: tuple[int, ...], c: tuple[int, ...],
-                       r_max: int, window: Window | None = None,
-                       orientation: str = DEFAULT_ORIENTATION,
-                       ) -> dict[ZeroOneTuple, int]:
+                       r_max: int) -> dict[ZeroOneTuple, int]:
     """
     Breadth-first closure of the empty-label vertex under all lowering
-    operators, up to depth ``r_max``; maps each vertex to its depth.
+    operators, up to depth ``r_max``, in ``default_window(omega, r_max)``;
+    maps each vertex to its depth.
     """
-    if window is None:
-        window = default_window(omega, r_max)
+    window = default_window(omega, r_max)
     start = empty_label(omega, window, c)
     seen: dict[ZeroOneTuple, int] = {start: 0}
     frontier = [start]
@@ -234,7 +219,7 @@ def component_of_empty(omega: tuple[int, ...], c: tuple[int, ...],
         nxt = []
         for v in frontier:
             for j in range(window.lo, window.hi):
-                w = crystal_f(v, j, orientation)
+                w = crystal_f(v, j)
                 if w is not None and w not in seen:
                     seen[w] = depth
                     nxt.append(w)
@@ -242,28 +227,24 @@ def component_of_empty(omega: tuple[int, ...], c: tuple[int, ...],
     return seen
 
 
-def crystal_edges(vertices: dict[ZeroOneTuple, int],
-                  orientation: str = DEFAULT_ORIENTATION,
+def crystal_edges(vertices: dict[ZeroOneTuple, int]
                   ) -> list[tuple[ZeroOneTuple, int, ZeroOneTuple]]:
     """All colored edges of the lowering graph within the given vertex set."""
     out = []
     for v in vertices:
         for j in range(v.window.lo, v.window.hi):
-            w = crystal_f(v, j, orientation)
+            w = crystal_f(v, j)
             if w is not None and w in vertices:
                 out.append((v, j, w))
     return out
 
 
-def nonzero_labels(omega: tuple[int, ...], r: int,
-                   orientation: str = DEFAULT_ORIENTATION,
-                   window: Window | None = None) -> set[Multipartition]:
+def nonzero_labels(omega: tuple[int, ...], r: int) -> set[Multipartition]:
     """
     Labels of the nonvanishing untwisted simple modules: images of the
     depth-r vertices of the empty-label component under gamma.
     """
     ell = len(omega)
     c0 = (0,) * ell
-    seen = component_of_empty(omega, c0, r, window=window,
-                              orientation=orientation)
+    seen = component_of_empty(omega, c0, r)
     return {gamma(v, c0) for v, depth in seen.items() if depth == r}

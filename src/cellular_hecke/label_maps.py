@@ -80,12 +80,12 @@ class XiContext:
         return XiContext(self.omega, tuple(xi), self.lo)
 
 
-def xi_context(omega: tuple[int, ...], xi: Perm,
-               size: int | None = None, lo: int | None = None) -> XiContext:
-    """Context with enough room for labels of total size ``size``."""
-    if lo is None:
-        lo = min(omega) - (size if size is not None else 1)
-    return XiContext(tuple(omega), tuple(xi), lo)
+def xi_context(omega: tuple[int, ...], xi: Perm, size: int) -> XiContext:
+    """
+    Context with enough room for labels of total size ``size``: the base
+    point is lo = min(omega) - size.
+    """
+    return XiContext(tuple(omega), tuple(xi), min(omega) - size)
 
 
 def check_column_strict(cols: Columns) -> None:

@@ -41,6 +41,7 @@ from cellular_hecke.combinatorics import (
 )
 from cellular_hecke.crystal import nonzero_labels
 from cellular_hecke.label_maps import (
+    XiContext,
     A_of_lambda,
     eta,
     gamma_word,
@@ -180,7 +181,7 @@ def test_criterion_5_main1_classification():
             via_gram = gram_nonzero_labels(ctx, family_m((0, 0)))
             assert via_crystal == via_gram, (omega, r)
     report(5, "crystal component labels equal Gram-rank labels at "
-              "omega=(0,1),(0,0), r=1..3 (orientation pinned)", started)
+              "omega=(0,1),(0,0), r=1..3 (reading order pinned)", started)
 
 
 def test_criterion_6_main1_isomorphism():
@@ -212,7 +213,7 @@ def test_criterion_6_main1_isomorphism():
 def test_criterion_7_main2():
     started = time.time()
     # combinatorial half: the worked example, byte for byte
-    xctx = xi_context((3, 2, 2), (2, 1, 3), lo=1)
+    xctx = XiContext((3, 2, 2), (2, 1, 3), 1)
     cols_a = ((3, 1), (4, 3, 1), (3, 1))
     assert gamma_word(cols_a) == (3, 1, 4, 3, 1, 3, 1)
     assert rsk_insert(gamma_word(cols_a)) == ((1, 1, 1), (3, 3, 3), (4,))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cellular_hecke import cellular
 from cellular_hecke.algebra import (
     AlgebraContext,
     right_translate,
@@ -194,30 +195,33 @@ class TestSeeds:
         assert y_lambda_c(ctx22, lam, (0, 0)) == ctx22.one()
 
     def test_pi_single_component_is_one(self, ctx13):
-        assert pi_bracket(ctx13, ((2, 1),)) == ctx13.one()
-        assert pi_tilde_bracket(ctx13, ((2, 1),)) == ctx13.one()
+        assert pi_bracket(ctx13, ((2, 1),), ctx13.omega) == ctx13.one()
+        assert pi_tilde_bracket(ctx13, ((2, 1),), ctx13.omega) == ctx13.one()
 
     def test_pi_first_block(self, ctx22):
         lam = ((1,), (1,))
-        assert pi_bracket(ctx22, lam) == ctx22.generator_x(1) - ctx22.one()
-        assert pi_tilde_bracket(ctx22, lam) == ctx22.generator_x(1)
+        om = ctx22.omega
+        assert pi_bracket(ctx22, lam, om) == \
+            ctx22.generator_x(1) - ctx22.one()
+        assert pi_tilde_bracket(ctx22, lam, om) == ctx22.generator_x(1)
 
     def test_pi_empty_first_component(self, ctx22):
-        assert pi_bracket(ctx22, ((), (2,))) == ctx22.one()
+        assert pi_bracket(ctx22, ((), (2,)), ctx22.omega) == ctx22.one()
 
     def test_pi_built_once_per_bracket_on_its_context(self):
         # every twist and every label with the same bracket shares one
         # product; a new context builds its own, so counts repeat per context
         ctx = AlgebraContext(3, 3, (0, 1, 2))
-        pi = pi_bracket(ctx, ((2,), (1,), ()))
-        assert pi_bracket(ctx, ((1, 1), (1,), ())) is pi
-        assert pi_bracket(ctx, ((2,), (), (1,))) is not pi
+        om = ctx.omega
+        pi = pi_bracket(ctx, ((2,), (1,), ()), om)
+        assert pi_bracket(ctx, ((1, 1), (1,), ()), om) is pi
+        assert pi_bracket(ctx, ((2,), (), (1,)), om) is not pi
         for c in itertools.product((0, 1), repeat=3):
             assert cell_seed(ctx, family_m(c), ((2,), (1,), ())) == \
                 pi * x_lambda_c(ctx, ((2,), (1,), ()), c)
         fresh = AlgebraContext(3, 3, (0, 1, 2))
-        assert pi_bracket(fresh, ((2,), (1,), ())) is not pi
-        assert pi_bracket(fresh, ((2,), (1,), ())).terms == pi.terms
+        assert pi_bracket(fresh, ((2,), (1,), ()), om) is not pi
+        assert pi_bracket(fresh, ((2,), (1,), ()), om).terms == pi.terms
 
     def test_young_sum_built_once_per_label_and_signs(self):
         # the m- and n-seeds of every twist ask for the same sums; a new
@@ -446,6 +450,31 @@ class TestCellModules:
         other = AlgebraContext(2, 3, (0, 1))
         assert cell_module(other, family_m((0, 1)), lam) is not mod
         assert cell_module(other, family_m((0, 1)), lam).gram == mod.gram
+
+    def test_cached_call_enumerates_no_labels(self, monkeypatch):
+        # a hit reads the realization's label -> index dict; a non-label,
+        # hashable or not, still raises the label error
+        ctx = AlgebraContext(2, 2, (0, 1))
+        fam = family_m((0, 1))
+        mods = {lam: cell_module(ctx, fam, lam)
+                for lam in enumerate_multipartitions(2, 2)}
+        calls = []
+        enumerate_all = cellular.enumerate_multipartitions
+
+        def counted(*args):
+            calls.append(args)
+            return enumerate_all(*args)
+
+        monkeypatch.setattr(cellular, "enumerate_multipartitions", counted)
+        for lam, mod in mods.items():
+            assert cell_module(ctx, fam, lam) is mod
+        assert calls == []
+        for bad in [((1,), (2,)), ((2,),), [[1], [1]], ((1,), [1])]:
+            want = (f"lambda {[list(p) for p in bad]} is not a label at "
+                    f"ell=2, r=2: need 2 partitions of total size 2")
+            with pytest.raises(ValueError) as err:
+                cell_module(ctx, fam, bad)
+            assert str(err.value) == want
 
     def test_matrices_are_shared_fractions(self):
         # computed in int, converted once: every entry a Fraction, one

@@ -25,7 +25,6 @@ from cellular_hecke.combinatorics import (
     tableau_dominance_ge,
     tableau_shape,
     trim,
-    w_bracket,
     w_lambda,
 )
 from reference_combinatorics import (
@@ -193,15 +192,6 @@ class TestWordMaps:
     def test_d_of_column_tableau_is_w_lambda(self):
         for lam in enumerate_multipartitions(2, 4):
             assert d_of(column_reading_tableau(lam)) == w_lambda(lam)
-
-    def test_w_bracket_running_example(self):
-        assert w_bracket(((3, 2), (3, 1))) == (5, 6, 7, 8, 9, 1, 2, 3, 4)
-
-    def test_w_bracket_single_component(self):
-        assert w_bracket(((2, 1),)) == perm_identity(3)
-
-    def test_w_bracket_empty_first_component(self):
-        assert w_bracket(((), (2,))) == perm_identity(2)
 
     def test_w_lambda_single_row(self):
         assert w_lambda(((4,),)) == perm_identity(4)

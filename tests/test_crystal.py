@@ -1,5 +1,6 @@
 import pytest
 
+from cellular_hecke import crystal
 from cellular_hecke.algebra import AlgebraContext
 from cellular_hecke.cellular import cell_module, family_m
 from cellular_hecke.combinatorics import (
@@ -8,7 +9,6 @@ from cellular_hecke.combinatorics import (
     partitions,
 )
 from cellular_hecke.crystal import (
-    DEFAULT_ORIENTATION,
     Window,
     ZeroOneTuple,
     component_of_empty,
@@ -143,18 +143,25 @@ class TestClassification:
         assert nonzero_labels(omega, r) == gram_oracle(omega, r)
 
     def test_orientation_flag_is_pinned_by_oracle(self):
-        # the other reading disagrees already at r = 2
-        other = "ltr" if DEFAULT_ORIENTATION == "rtl" else "rtl"
-        assert nonzero_labels((0, 1), 2, orientation=other) \
-            != gram_oracle((0, 1), 2)
+        # reading the components first to last is reading them last to first
+        # on the reversed components (and parameters); that other reading
+        # disagrees with the oracle already at r = 2
+        other = {lam[::-1] for lam in nonzero_labels((1, 0), 2)}
+        assert other != gram_oracle((0, 1), 2)
 
-    def test_window_enlargement_invariance(self):
-        for omega in [(0, 1), (1, 0), (0, 0)]:
-            for r in (1, 2):
-                base = default_window(omega, r)
-                bigger = Window(base.lo - 2, base.hi + 3)
-                assert nonzero_labels(omega, r) \
-                    == nonzero_labels(omega, r, window=bigger)
+    def test_window_enlargement_invariance(self, monkeypatch):
+        def bigger(omega, r):
+            base = default_window(omega, r)
+            return Window(base.lo - 2, base.hi + 3)
+
+        cases = [(omega, r) for omega in [(0, 1), (1, 0), (0, 0)]
+                 for r in (1, 2)]
+        want = {case: nonzero_labels(*case) for case in cases}
+        monkeypatch.setattr(crystal, "default_window", bigger)
+        for omega, r in cases:
+            start = next(iter(component_of_empty(omega, (0, 0), r)))
+            assert start.window == bigger(omega, r)
+            assert nonzero_labels(omega, r) == want[(omega, r)]
 
 
 class TestEdges:
