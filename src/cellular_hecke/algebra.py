@@ -110,7 +110,7 @@ first, so the floor cuts it at one place). Every floor test reads ``_deg``.
 (tau(h . k) without forming h . k) and ``trace_functional`` (the functional
 k -> tau(h . k) on the whole basis, from one pruned h . x^b per x-monomial
 b). pairing(h, k) = tau(h . star(k)) is that functional summed over the
-terms of star(k).
+terms of star(k); ``verify pairing`` sums it over one index of every k.
 """
 
 from __future__ import annotations
@@ -613,7 +613,7 @@ def trace_of_product(h: Element, k: Element) -> Fraction:
 def pairing(h1: Element, h2: Element) -> Fraction:
     """
     The symmetric bilinear form tau_hat(h1 . star(h2)), one pair at a time.
-    ``verify pairing`` reads the same values from ``trace_functional(h1)``.
+    ``verify pairing`` reads a row of them from ``trace_functional(h1)``.
     """
     h1._check(h2)
     return tau_hat(h1 * star(h2))

@@ -39,7 +39,6 @@ from .algebra import AlgebraContext, Element, right_translate
 from .combinatorics import (
     Multipartition,
     Perm,
-    Tableau,
     bracket,
     d_of,
     enumerate_multipartitions,
@@ -379,10 +378,8 @@ class ModuleRealization:
 
 @dataclass
 class CellModuleRealization(ModuleRealization):
-    """A cell module: its label, tableau basis and Gram form."""
-    family: BasisFamily
+    """A cell module: its label and Gram form."""
     label: Multipartition
-    basis: list[Tableau]
     gram: Matrix
 
 
@@ -445,7 +442,7 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     module = cache[(family, lam)] = CellModuleRealization(
         ctx=ctx, s_action=[fractions(m) for m in s_action],
         x_action=[fractions(m) for m in x_action],
-        family=family, label=lam, basis=tabs, gram=fractions(gram),
+        label=lam, gram=fractions(gram),
     )
     return module
 

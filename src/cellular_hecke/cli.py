@@ -9,11 +9,9 @@ error. Output bytes are deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import crystal as crystal_mod
 from .algebra import (
@@ -43,12 +41,11 @@ from .cellular import (
 )
 from .combinatorics import (
     conjugate,
+    count_standard_tableaux,
     enumerate_multipartitions,
     perm_inverse,
-    standard_tableaux,
     tableau_conjugate,
-    up_shapes,
-    up_shapes_dominate,
+    tableau_dominance_ge,
     w_lambda,
 )
 from .label_maps import (
@@ -173,7 +170,7 @@ def context_from_config(cfg: JobConfig) -> AlgebraContext:
 
 def cmd_list(cfg: JobConfig) -> bytes:
     rows = [
-        {"lambda": mp_to_lists(lam), "std": len(standard_tableaux(lam))}
+        {"lambda": mp_to_lists(lam), "std": count_standard_tableaux(lam)}
         for lam in enumerate_multipartitions(cfg.ell, cfg.r)
     ]
     return emit(rows, cfg.format, fieldnames=["lambda", "std"])
@@ -361,30 +358,31 @@ def suite_pairing(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]
     cells = [(real_m.labels[li], tabs[li][si], tabs[li][ti])
              for li, si, ti in real_m.cells]
     conj = {t: tableau_conjugate(t) for ts in tabs for t in ts}
-    duals = [(conj[u], conj[v]) for _, u, v in cells]
-    # conjugation permutes the tableaux, so this covers both sides
-    ups = {t: up_shapes(t) for t in conj}
-    dominates = functools.cache(
-        lambda a, b: up_shapes_dominate(ups[a], ups[b]))
-    # pairing(m, n) = tau(m . star(n)): each n-element is starred once, and
-    # each checked value sums m's trace functional over star(n)'s terms
-    starred = [star(elem) for elem in real_n.elements]
+    # conjugation is an involution that permutes the cells: the diagonal
+    # entry of m_i is at the n-element of its tableaux' conjugates
+    position = {(u, v): j for j, (_, u, v) in enumerate(cells)}
+    # row i of P[i][j] = tau(m_i . star(n_j)) walks m_i's trace functional
+    # through one index key -> [(j, c)] of the starred n-elements
+    index = {}
+    for j, elem in enumerate(real_n.elements):
+        for key, c in star(elem).terms.items():
+            index.setdefault(key, []).append((j, c))
     bad = []
     for elem_m, (lam, s, t) in zip(real_m.elements, cells):
-        # only the diagonal and the pairs below it are checked; conjugation
-        # permutes the cells, so every element has its diagonal check
-        checks = []
-        for j, (up, vp) in enumerate(duals):
-            if (up, vp) == (s, t):
-                checks.append((j, 1, "diagonal"))
-            elif not (dominates(up, s) and dominates(vp, t)):
-                checks.append((j, 0, "below-diagonal"))
-        phi = trace_functional(elem_m)
-        for j, want, where in checks:
-            val = Fraction(sum(c * phi.get(key, 0)
-                               for key, c in starred[j].terms.items()))
-            if val != want:
-                bad.append((lam, cells[j][0], str(val), where))
+        diagonal = position[(conj[s], conj[t])]
+        row = {diagonal: 0}
+        for key, f in trace_functional(elem_m).items():
+            for j, c in index.get(key, ()):
+                row[j] = row.get(j, 0) + f * c
+        # a pair below the diagonal must be 0, so only a nonzero one is tested
+        for j in sorted(row):
+            mu, u, v = cells[j]
+            if j == diagonal:
+                if row[j] != 1:
+                    bad.append((lam, mu, str(row[j]), "diagonal"))
+            elif row[j] and not (tableau_dominance_ge(conj[u], s)
+                                 and tableau_dominance_ge(conj[v], t)):
+                bad.append((lam, mu, str(row[j]), "below-diagonal"))
     lines = [
         "FAIL pairing: " + json.dumps(
             {"lambda": mp_to_lists(lam), "mu": mp_to_lists(mu),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial, prod
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -276,14 +277,14 @@ def standard_tableaux(lam: Multipartition) -> list[Tableau]:
     return list(gen(lam))
 
 
-def tableau_entry_positions(t: Tableau) -> dict[int, tuple[int, int, int]]:
-    """Map entry -> (component, row, column), all 0-based."""
-    pos = {}
-    for ci, comp in enumerate(t):
-        for ri, row in enumerate(comp):
-            for cj, e in enumerate(row):
-                pos[e] = (ci, ri, cj)
-    return pos
+def count_standard_tableaux(lam: Multipartition) -> int:
+    """``len(standard_tableaux(lam))``: r! over every box's hook length."""
+    hooks = 1
+    for p in lam:
+        cols = conjugate_partition(p)
+        hooks *= prod(part - j + cols[j] - i - 1
+                      for i, part in enumerate(p) for j in range(part))
+    return factorial(mp_size(lam)) // hooks
 
 
 def d_of(t: Tableau) -> Perm:
@@ -301,15 +302,9 @@ def d_of(t: Tableau) -> Perm:
 
 def up_shapes(t: Tableau) -> list[Multipartition]:
     """Shapes of the sub-tableaux of entries <= i, for i = 1..r."""
-    lam = tableau_shape(t)
-    pos = tableau_entry_positions(t)
-    counts = [[0] * len(p) for p in lam]
-    out = []
-    for i in range(1, mp_size(lam) + 1):
-        ci, ri, _ = pos[i]
-        counts[ci][ri] += 1
-        out.append(tuple(trim(tuple(c)) for c in counts))
-    return out
+    return [tuple(trim(tuple(sum(e <= i for e in row) for row in comp))
+                  for comp in t)
+            for i in range(1, mp_size(tableau_shape(t)) + 1)]
 
 
 def tableau_dominance_ge(s: Tableau, t: Tableau) -> bool:
@@ -317,18 +312,11 @@ def tableau_dominance_ge(s: Tableau, t: Tableau) -> bool:
     Dominance on standard tableaux: every up-shape of ``s`` dominates the
     corresponding up-shape of ``t``. Defined whenever the two tableaux share
     the same number of components and the same size (shapes may differ).
+    ``verify pairing`` asks it only where its pairing matrix is nonzero.
     """
     if len(s) != len(t):
         raise ValueError("tableaux have different numbers of components")
-    return up_shapes_dominate(up_shapes(s), up_shapes(t))
-
-
-def up_shapes_dominate(us: list[Multipartition],
-                       ut: list[Multipartition]) -> bool:
-    """
-    ``tableau_dominance_ge`` read from the two tableaux' up-shapes, for a
-    caller that compares each tableau many times and computes them once.
-    """
+    us, ut = up_shapes(s), up_shapes(t)
     if len(us) != len(ut):
         raise ValueError("tableaux have different sizes")
     return all(dominance_ge(a, b) for a, b in zip(us, ut))

@@ -10,7 +10,6 @@ from cellular_hecke.combinatorics import (
     Perm,
     Tableau,
     dominance_ge,
-    tableau_entry_positions,
 )
 
 
@@ -42,8 +41,6 @@ def tableau_apply(t: Tableau, w: Perm) -> Tableau:
 
 def residue_sequence(t: Tableau, omega: tuple[int, ...]) -> tuple[int, ...]:
     """Residue of the box holding each of 1..r in turn."""
-    pos = tableau_entry_positions(t)
-    r = len(pos)
-    return tuple(
-        omega[pos[i][0]] + pos[i][2] - pos[i][1] for i in range(1, r + 1)
-    )
+    residue = {e: omega[ci] + cj - ri for ci, comp in enumerate(t)
+               for ri, row in enumerate(comp) for cj, e in enumerate(row)}
+    return tuple(residue[i] for i in range(1, len(residue) + 1))

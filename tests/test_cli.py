@@ -11,11 +11,11 @@ import pytest
 from cellular_hecke import algebra, cellular, cli
 from cellular_hecke.cli import main
 from cellular_hecke.combinatorics import (
-    enumerate_multipartitions,
-    standard_tableaux,
-    up_shapes,
+    conjugate,
+    tableau_conjugate,
+    tableau_dominance_ge,
 )
-from cellular_hecke.serialization import parse_config
+from cellular_hecke.serialization import mp_to_lists, parse_config
 from reference_serialization import parse_jsonl
 
 
@@ -296,7 +296,7 @@ GOLDEN = [
          "--family", "n", "--c", "0,1"), 0,
         "df0b72a6876b09bf79b970ba4737788231b4e40941ffe58b1a454406b058d5e6",
         id="blocks-e2r4-n"),
-    # the full m/n pairing at r = 4: 101,616 checked pairs
+    # the full m/n pairing at r = 4: 818 nonzero entries of 384 x 384
     pytest.param(
         ("verify", "pairing", "--ell", "2", "--r", "4", "--omega", "1,0",
          "--c", "0,1"), 0,
@@ -373,18 +373,61 @@ def test_verify_pairing_stars_each_n_element_once(monkeypatch, capsys):
     assert calls == {"star": 48, "pairing": 0}
 
 
-def test_verify_pairing_reads_up_shapes_once_per_tableau(monkeypatch, capsys):
-    # the dominance filter compares each tableau with many others; its
-    # up-shapes are computed once, not once per comparison
-    calls = []
-    monkeypatch.setattr(cli, "up_shapes",
-                        lambda t: calls.append(t) or up_shapes(t))
+def test_verify_pairing_tests_dominance_only_on_nonzero_entries(monkeypatch,
+                                                                capsys):
+    # a zero entry passes every below-diagonal check, so the suite compares
+    # tableaux only at the nonzero entries of P off its diagonal
+    seen = []
+    monkeypatch.setattr(
+        cli, "tableau_dominance_ge",
+        lambda a, b: seen.append((a, b)) or tableau_dominance_ge(a, b))
     code, out = run_cli(capsys, "verify", "pairing", "--ell", "2", "--r", "3",
                         "--omega", "1,0", "--c", "0,1")
     assert code == 0
-    tableaux = [t for lam in enumerate_multipartitions(2, 3)
-                for t in standard_tableaux(lam)]
-    assert sorted(calls) == sorted(tableaux)
+    cfg = parse_config(json.dumps(
+        {"ell": 2, "r": 3, "omega": [1, 0], "c": [0, 1]}))
+    ctx = cli.context_from_config(cfg)
+    real_m = cellular.realization(ctx, cellular.family_m(cfg.c))
+    real_n = cellular.realization(ctx, cellular.family_n(cfg.c))
+    tabs = real_m.tableaux
+    cells = [(tabs[li][si], tabs[li][ti]) for li, si, ti in real_m.cells]
+    # the tableau pairs each nonzero off-diagonal P[i][j] may compare: the
+    # conjugates of n_j's tableaux against m_i's
+    allowed = set()
+    for (s, t), elem_m in zip(cells, real_m.elements):
+        for (u, v), elem_n in zip(cells, real_n.elements):
+            dual = (tableau_conjugate(u), tableau_conjugate(v))
+            if dual != (s, t) and algebra.pairing(elem_m, elem_n):
+                allowed |= {(dual[0], s), (dual[1], t)}
+    assert seen
+    assert set(seen) <= allowed
+
+
+@pytest.mark.parametrize("starred,value", [
+    pytest.param(lambda h: 2 * algebra.star(h), "2", id="doubled"),
+    pytest.param(lambda h: h.ctx.zero(), "0", id="zero"),
+])
+def test_verify_pairing_reports_each_failing_diagonal(monkeypatch, capsys,
+                                                      starred, value):
+    # with star(n) scaled, every diagonal entry FAILs with its value and
+    # every entry below it stays 0; with star(n) zero, the diagonal still
+    # has its line though the row has no nonzero entry
+    monkeypatch.setattr(cli, "star", starred)
+    code, out = run_cli(capsys, "verify", "pairing", "--ell", "2", "--r", "3",
+                        "--omega", "1,0", "--c", "0,1")
+    assert code == 1
+    cfg = parse_config(json.dumps(
+        {"ell": 2, "r": 3, "omega": [1, 0], "c": [0, 1]}))
+    real_m = cellular.realization(cli.context_from_config(cfg),
+                                  cellular.family_m(cfg.c))
+    labels = [real_m.labels[li] for li, _, _ in real_m.cells]
+    assert len(labels) == 48
+    assert out.splitlines() == [
+        "FAIL pairing: " + json.dumps(
+            {"lambda": mp_to_lists(lam), "mu": mp_to_lists(conjugate(lam)),
+             "value": value, "where": "diagonal"})
+        for lam in labels
+    ]
 
 
 def test_verify_trace_never_forms_the_witness(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from cellular_hecke.combinatorics import (
     column_reading_tableau,
     conjugate,
     content_multiset,
+    count_standard_tableaux,
     d_of,
     dominance_ge,
     enumerate_multipartitions,
@@ -131,6 +132,18 @@ class TestStandardTableaux:
                 assert is_standard_tableau(t)
                 assert tableau_shape(t) == lam
 
+    def test_hook_length_count_matches_enumeration(self):
+        for ell in (1, 2, 3):
+            for r in range(7):
+                for lam in enumerate_multipartitions(ell, r):
+                    assert (count_standard_tableaux(lam)
+                            == len(standard_tableaux(lam)))
+
+    def test_hook_length_count_beyond_enumeration(self):
+        # the 30,710,464 standard tableaux at (2,12), none of them built
+        assert sum(count_standard_tableaux(lam)
+                   for lam in enumerate_multipartitions(2, 12)) == 30710464
+
     @pytest.mark.parametrize("ell,r", [(1, 4), (2, 3), (3, 2)])
     def test_squares_sum_to_dimension(self, ell, r):
         total = sum(
@@ -152,6 +165,13 @@ class TestReadingTableaux:
     def test_single_row(self):
         lam = ((4,),)
         assert row_reading_tableau(lam) == column_reading_tableau(lam)
+
+    def test_dominance_needs_equal_components_and_size(self):
+        one = row_reading_tableau(((1,), ()))
+        with pytest.raises(ValueError, match="numbers of components"):
+            tableau_dominance_ge(one, row_reading_tableau(((1,),)))
+        with pytest.raises(ValueError, match="sizes"):
+            tableau_dominance_ge(one, row_reading_tableau(((2,), ())))
 
     def test_extremes_of_dominance(self):
         for lam in enumerate_multipartitions(2, 3):
