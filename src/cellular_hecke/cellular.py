@@ -206,6 +206,9 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
     """
     The s = t = top-tableau cellular element of the family at ``lam``.
 
+    The xi families are the untwisted m/n families with permuted parameters
+    (``family_omega``), so they take the twist 0.
+
     For the n-type families the per-component twist is read through the
     component reversal (the twist of slot i sits on the mirror slot), which
     is what makes the m/n pairing unitriangular for every twist sequence;
@@ -213,15 +216,11 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
     (ell, r) = (2, 2) with mixed twists.
     """
     om = family_omega(ctx, family)
-    ell = ctx.ell
-    if family.kind == "m":
-        return pi_bracket(ctx, lam, om) * x_lambda_c(ctx, lam, family.c)
-    if family.kind == "n":
-        crev = tuple(reversed(family.c))
-        return pi_tilde_bracket(ctx, lam, om) * y_lambda_c(ctx, lam, crev)
-    if family.kind == "mxi":
-        return pi_bracket(ctx, lam, om) * x_lambda_c(ctx, lam, (0,) * ell)
-    return pi_tilde_bracket(ctx, lam, om) * y_lambda_c(ctx, lam, (0,) * ell)
+    c = (0,) * ctx.ell if family.c is None else family.c
+    if family.kind in ("m", "mxi"):
+        return pi_bracket(ctx, lam, om) * x_lambda_c(ctx, lam, c)
+    crev = tuple(reversed(c))
+    return pi_tilde_bracket(ctx, lam, om) * y_lambda_c(ctx, lam, crev)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +449,28 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
 def simple_module(module: CellModuleRealization) -> ModuleRealization:
     """
     Quotient of the cell module by the radical of its Gram form, realized on
-    the pivot coordinates of the reduced Gram matrix.
+    the pivot coordinates P of the reduced Gram matrix G.
+
+    Row i of a generator g's quotient action is the c with
+    c . G[P] = e_i . rho(g) . G. The rows G[P] are a basis of G's row space,
+    and G is symmetric, so the columns P are a basis of its column space
+    too and the block G[P][P] is invertible: c is already fixed by the
+    pivot columns, c . G[P][P] = (e_i . rho(g) . G)[P]. Every generator's
+    rows are solved in one elimination against that block.
     """
     gram = module.gram
     _, pivots = rref(gram)
     if not pivots:
         raise ValueError(f"zero module requested at label {module.label}")
-    picked = [gram[j] for j in pivots]
-
-    def quotient(mat: Matrix) -> Matrix:
-        return solve_rows([vec_mat(mat[j], gram) for j in pivots], picked)
-
-    return ModuleRealization(
-        module.ctx,
-        [quotient(m) for m in module.s_action],
-        [quotient(m) for m in module.x_action],
-    )
+    columns = [[row[j] for j in pivots] for row in gram]
+    mats = module.s_action + module.x_action
+    solved = solve_rows(
+        [vec_mat(mat[i], columns) for mat in mats for i in pivots],
+        [columns[i] for i in pivots])
+    k = len(pivots)
+    quotients = [solved[g * k:(g + 1) * k] for g in range(len(mats))]
+    split = len(module.s_action)
+    return ModuleRealization(module.ctx, quotients[:split], quotients[split:])
 
 
 def simple_of(ctx: AlgebraContext, family: BasisFamily,

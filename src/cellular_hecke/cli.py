@@ -228,15 +228,14 @@ def cmd_crystal(cfg: JobConfig, depth: int | None) -> bytes:
     depth = cfg.r if depth is None else depth
     if depth < 0:
         raise ValueError(f"--depth must be >= 0, got {depth}")
-    c0 = (0,) * cfg.ell
-    seen = crystal_mod.component_of_empty(cfg.omega, c0, depth)
+    seen = crystal_mod.component_of_empty(cfg.omega, depth)
     ordered = sorted(
         seen.items(),
-        key=lambda kv: (kv[1], crystal_mod.gamma(kv[0], c0), kv[0].bits),
+        key=lambda kv: (kv[1], crystal_mod.gamma(kv[0]), kv[0].bits),
     )
     ids = {v: i for i, (v, _) in enumerate(ordered)}
     labels = [
-        json.dumps(mp_to_lists(crystal_mod.gamma(v, c0)),
+        json.dumps(mp_to_lists(crystal_mod.gamma(v)),
                    separators=(",", ":"))
         for v, _ in ordered
     ]

@@ -16,9 +16,7 @@ assumption: at ell = 2 for omega = (0,1) and (0,0) at r <= 3 and for (1,0),
 at r <= 3. Read first to last, the labels already disagree at
 (r, omega) = (2, (0,1)).
 
-Bit tuples are stored in the natural-module picture throughout; components
-attached to a twist value of 1 are converted through the complement
-identification only when translating to and from multipartitions (gamma).
+Every vertex is untwisted: component i carries n_i = omega_i - lo + 1 ones.
 """
 
 from __future__ import annotations
@@ -61,17 +59,10 @@ class ZeroOneTuple:
     def ell(self) -> int:
         return len(self.bits)
 
-    def counts(self) -> tuple[int, ...]:
-        return tuple(sum(comp) for comp in self.bits)
-
     def ones(self, i: int) -> tuple[int, ...]:
         """Window positions of the ones in component i (ascending)."""
         lo = self.window.lo
         return tuple(lo + k for k, b in enumerate(self.bits[i]) if b)
-
-    def zeros(self, i: int) -> tuple[int, ...]:
-        lo = self.window.lo
-        return tuple(lo + k for k, b in enumerate(self.bits[i]) if not b)
 
 
 def _signature(v: ZeroOneTuple, j: int) -> tuple[int | None, int | None]:
@@ -128,29 +119,22 @@ def crystal_e(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
     return _flip(v, comp, j, -1)
 
 
-def ones_counts(omega: tuple[int, ...], window: Window,
-                c: tuple[int, ...]) -> tuple[int, ...]:
-    """
-    Number of ones each component carries in the natural-module picture:
-    n_i = omega_i - lo + 1 for twist 0, the complement size for twist 1.
-    """
+def ones_counts(omega: tuple[int, ...], window: Window) -> tuple[int, ...]:
+    """Number of ones each component carries: n_i = omega_i - lo + 1."""
     n = tuple(w - window.lo + 1 for w in omega)
     if any(k < 1 for k in n):
         raise ValueError("window starts above some parameter")
     if any(k > window.size for k in n):
         raise ValueError("window too small for the parameters")
-    return tuple(
-        ni if ci == 0 else window.size - ni for ni, ci in zip(n, c)
-    )
+    return n
 
 
-def empty_label(omega: tuple[int, ...], window: Window,
-                c: tuple[int, ...]) -> ZeroOneTuple:
+def empty_label(omega: tuple[int, ...], window: Window) -> ZeroOneTuple:
     """
     The vertex mapping to the empty multipartition: each component has its
     ones at the lowest window positions.
     """
-    counts = ones_counts(omega, window, c)
+    counts = ones_counts(omega, window)
     bits = tuple(
         tuple(1 if k < cnt else 0 for k in range(window.size))
         for cnt in counts
@@ -158,29 +142,19 @@ def empty_label(omega: tuple[int, ...], window: Window,
     return ZeroOneTuple(window, bits)
 
 
-def gamma(v: ZeroOneTuple, c: tuple[int, ...]) -> Multipartition:
+def gamma(v: ZeroOneTuple) -> Multipartition:
     """
-    Multipartition of a vertex: per component, the staircase-normalized
-    one-positions (twist 0) or the negated zero-positions recovered through
-    the complement identification (twist 1), minus the same data for the
-    empty-label vertex.
+    Multipartition of a vertex: per component, the one-positions in
+    descending order minus those of the empty-label vertex (the staircase
+    lo + m - 1, ..., lo for m ones), trailing zeros dropped.
     """
-    if len(c) != v.ell:
-        raise ValueError("twist sequence length mismatch")
-    lo, size = v.window.lo, v.window.size
+    lo = v.window.lo
     out = []
-    for i, ci in enumerate(c):
-        if ci == 0:
-            pos = v.ones(i)
-            avec = tuple(reversed(pos))
-            m = len(pos)
-            ref = tuple(lo + m - 1 - k for k in range(m))
-        else:
-            pos = v.zeros(i)
-            avec = tuple(-p for p in pos)
-            m = len(pos)
-            ref = tuple(-(lo + (size - m) + k) for k in range(m))
-        part = tuple(a - b for a, b in zip(avec, ref))
+    for i in range(v.ell):
+        pos = v.ones(i)
+        m = len(pos)
+        part = tuple(p - (lo + m - 1 - k)
+                     for k, p in enumerate(reversed(pos)))
         while part and part[-1] == 0:
             part = part[:-1]
         if not is_partition(part):
@@ -204,7 +178,7 @@ def default_window(omega: tuple[int, ...], r: int) -> Window:
     return Window(lo, hi)
 
 
-def component_of_empty(omega: tuple[int, ...], c: tuple[int, ...],
+def component_of_empty(omega: tuple[int, ...],
                        r_max: int) -> dict[ZeroOneTuple, int]:
     """
     Breadth-first closure of the empty-label vertex under all lowering
@@ -212,7 +186,7 @@ def component_of_empty(omega: tuple[int, ...], c: tuple[int, ...],
     maps each vertex to its depth.
     """
     window = default_window(omega, r_max)
-    start = empty_label(omega, window, c)
+    start = empty_label(omega, window)
     seen: dict[ZeroOneTuple, int] = {start: 0}
     frontier = [start]
     for depth in range(1, r_max + 1):
@@ -244,7 +218,5 @@ def nonzero_labels(omega: tuple[int, ...], r: int) -> set[Multipartition]:
     Labels of the nonvanishing untwisted simple modules: images of the
     depth-r vertices of the empty-label component under gamma.
     """
-    ell = len(omega)
-    c0 = (0,) * ell
-    seen = component_of_empty(omega, c0, r)
-    return {gamma(v, c0) for v, depth in seen.items() if depth == r}
+    seen = component_of_empty(omega, r)
+    return {gamma(v) for v, depth in seen.items() if depth == r}

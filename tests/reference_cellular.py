@@ -1,13 +1,16 @@
 """
 Cellular constructions that only the tests use, as references: a single
 cellular element of a family, the pairing witness z of a label as a full
-algebra product, and the right ideal it generates. ``verify trace`` reads tau(z . w^-1) with
-``algebra.trace_of_product`` and never forms z.
+algebra product, the right ideal it generates, and the simple quotient of a
+cell module solved one generator at a time over the full Gram rows.
+``verify trace`` reads tau(z . w^-1) with ``algebra.trace_of_product`` and
+never forms z.
 """
 
 from cellular_hecke.algebra import AlgebraContext, Element, right_translate
 from cellular_hecke.cellular import (
     BasisFamily,
+    CellModuleRealization,
     ModuleRealization,
     cell_seed,
     family_m,
@@ -23,7 +26,7 @@ from cellular_hecke.combinatorics import (
     tableau_shape,
     w_lambda,
 )
-from cellular_hecke.linalg import Matrix, rank, solve_rows
+from cellular_hecke.linalg import Matrix, rank, rref, solve_rows, vec_mat
 from reference_algebra import to_vector
 
 
@@ -65,4 +68,28 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
         ctx,
         [action_matrix(ctx.generator_s(i)) for i in range(1, ctx.r)],
         [action_matrix(ctx.generator_x(k)) for k in range(1, ctx.r + 1)],
+    )
+
+
+def simple_module_by_generator(module: CellModuleRealization
+                               ) -> ModuleRealization:
+    """
+    Quotient of the cell module by the radical of its Gram form on the pivot
+    coordinates of the reduced Gram matrix G: row i of each generator's
+    action is the c with c . G[pivots] = e_i . rho(g) . G, one elimination
+    over the full rows per generator.
+    """
+    gram = module.gram
+    _, pivots = rref(gram)
+    if not pivots:
+        raise ValueError(f"zero module requested at label {module.label}")
+    picked = [gram[j] for j in pivots]
+
+    def quotient(mat: Matrix) -> Matrix:
+        return solve_rows([vec_mat(mat[j], gram) for j in pivots], picked)
+
+    return ModuleRealization(
+        module.ctx,
+        [quotient(m) for m in module.s_action],
+        [quotient(m) for m in module.x_action],
     )

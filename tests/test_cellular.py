@@ -52,7 +52,12 @@ from cellular_hecke.linalg import (
     vec_mat,
 )
 from reference_algebra import to_vector
-from reference_cellular import cellular_element, subcell_module, z_element
+from reference_cellular import (
+    cellular_element,
+    simple_module_by_generator,
+    subcell_module,
+    z_element,
+)
 from reference_combinatorics import dominance_gt, residue_sequence
 from reference_linalg import left_nullspace, mat_identity, mat_mul, mat_pow
 
@@ -658,6 +663,43 @@ class TestSimples:
                     want = simple_module(cell_module(ctx, fam, lam))
                     assert (got.s_action, got.x_action) \
                         == (want.s_action, want.x_action)
+
+    @pytest.mark.parametrize("ell,r,omega", [
+        (2, 2, (0, 1)), (2, 3, (1, 0)), (3, 3, (0, 1, 2)),
+    ])
+    def test_batched_quotient_matches_per_generator_reference(self, ell, r,
+                                                             omega):
+        ctx = AlgebraContext(ell, r, omega)
+        checked = 0
+        for fam in families_for(ctx):
+            for lam in enumerate_multipartitions(ell, r):
+                mod = cell_module(ctx, fam, lam)
+                if not any(any(row) for row in mod.gram):
+                    continue
+                got = simple_module(mod)
+                want = simple_module_by_generator(mod)
+                assert (got.s_action, got.x_action) \
+                    == (want.s_action, want.x_action)
+                checked += 1
+        assert checked
+
+    def test_one_elimination_per_simple(self, monkeypatch):
+        ctx = AlgebraContext(2, 3, (1, 0))
+        mod = cell_module(ctx, family_m((0, 0)), ((1,), (1, 1)))
+        assert 0 < rank(mod.gram) < mod.dim
+        calls = {"rref": 0, "solve_rows": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(cellular, name,
+                                counted(name, getattr(cellular, name)))
+        simple_module(mod)
+        assert calls == {"rref": 1, "solve_rows": 1}
 
     def test_schur(self, ctx22):
         mod = cell_module(ctx22, family_m((0, 0)), ((1,), (1,)))

@@ -151,6 +151,38 @@ def test_verify_all_skips_main2_on_increasing_omega(capsys):
                      "(suite not applicable)"]
 
 
+def test_verify_main1_reports_a_label_the_crystal_misses(monkeypatch,
+                                                          capsys):
+    nonzero_labels = cli.crystal_mod.nonzero_labels
+    monkeypatch.setattr(cli.crystal_mod, "nonzero_labels",
+                        lambda omega, r: nonzero_labels(omega, r)
+                        - {((3,), ())})
+    code, out = run_cli(capsys, "verify", "main1", "--ell", "2", "--r", "3",
+                        "--omega", "1,0")
+    assert code == 1
+    assert out.splitlines() == [
+        'FAIL main1: {"crystal_only": [], "gram_only": [[[3], []]]}']
+
+
+def test_verify_main1_main2_report_each_missing_intertwiner(monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(cli, "intertwiner_dim", lambda a, b: 0)
+    code, out = run_cli(capsys, "verify", "main1", "main2", "--ell", "2",
+                        "--r", "3", "--omega", "1,0")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("PASS main1: crystal labels match Gram ranks "
+                        "(8 nonzero labels)")
+    fails = [(line.split(": ", 1)[0], json.loads(line.split(": ", 1)[1]))
+             for line in lines[1:]]
+    assert [name for name, _ in fails] == ["FAIL main1"] * 8 \
+        + ["FAIL main2"] * 8
+    assert all(row["intertwiner"] == 0 for _, row in fails)
+    # the dimensions agree: only the intertwiner fails
+    assert all(row["dims"][0] == row["dims"][1]
+               for name, row in fails if name == "FAIL main1")
+
+
 def test_verify_stderr_notes_elapsed(capsys):
     assert main(["verify", "relations", "--ell", "1", "--r", "2",
                  "--omega", "0"]) == 0

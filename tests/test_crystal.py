@@ -37,17 +37,16 @@ def gram_oracle(omega, r):
 class TestVertices:
     def test_empty_label_maps_to_empty(self):
         win = default_window((0, 1), 2)
-        v = empty_label((0, 1), win, (0, 0))
-        assert gamma(v, (0, 0)) == ((), ())
+        v = empty_label((0, 1), win)
+        assert gamma(v) == ((), ())
 
     def test_window_too_small(self):
         with pytest.raises(ValueError):
-            empty_label((0, 5), Window(0, 3), (0, 0))
+            empty_label((0, 5), Window(0, 3))
 
     def test_counts(self):
         win = Window(-1, 4)
-        assert ones_counts((0, 1), win, (0, 0)) == (2, 3)
-        assert ones_counts((0, 1), win, (0, 1)) == (2, 3)
+        assert ones_counts((0, 1), win) == (2, 3)
 
 
 class TestOperators:
@@ -59,7 +58,7 @@ class TestOperators:
         assert crystal_f(v, 1) is None
 
     def test_e_f_inverse_on_component(self):
-        seen = component_of_empty((0, 1), (0, 0), 2)
+        seen = component_of_empty((0, 1), 2)
         for v in seen:
             for j in range(v.window.lo, v.window.hi):
                 fv = crystal_f(v, j)
@@ -70,7 +69,7 @@ class TestOperators:
                     assert crystal_f(ev, j) == v
 
     def test_component_closed_under_raising(self):
-        seen = component_of_empty((0, 0), (0, 0), 3)
+        seen = component_of_empty((0, 0), 3)
         for v in seen:
             for j in range(v.window.lo, v.window.hi):
                 ev = crystal_e(v, j)
@@ -79,16 +78,16 @@ class TestOperators:
 
     def test_each_step_adds_one_box_of_color_residue(self):
         omega = (0, 1)
-        seen = component_of_empty(omega, (0, 0), 2)
+        seen = component_of_empty(omega, 2)
         for v, depth in seen.items():
-            g = gamma(v, (0, 0))
+            g = gamma(v)
             assert sum(map(sum, g)) == depth
             for j in range(v.window.lo, v.window.hi):
                 w = crystal_f(v, j)
                 if w is None:
                     continue
                 before = list(content_multiset(g, omega))
-                after = list(content_multiset(gamma(w, (0, 0)), omega))
+                after = list(content_multiset(gamma(w), omega))
                 for x in before:
                     after.remove(x)
                 assert after == [j]
@@ -96,15 +95,15 @@ class TestOperators:
 
 class TestGammaInjectivity:
     def test_distinct_vertices_distinct_labels(self):
-        seen = component_of_empty((0, 1), (0, 0), 3)
-        images = [gamma(v, (0, 0)) for v in seen]
+        seen = component_of_empty((0, 1), 3)
+        images = [gamma(v) for v in seen]
         assert len(images) == len(set(images))
 
 
-class TestComplementIdentification:
+class TestOnePositionReading:
     def test_one_block_example(self):
-        # ones at {1..N-n-1} and {N}: row (n) in the natural reading,
-        # column (1^n) through the complement reading
+        # ones at {1..N-n-1} and {N}: the top one sits n above its
+        # empty-label position, so the label is the row (n)
         N, n = 9, 4
         win = Window(1, N)
         bits = tuple(
@@ -112,13 +111,12 @@ class TestComplementIdentification:
             for p in win.positions()
         )
         v = ZeroOneTuple(win, (bits,))
-        assert gamma(v, (0,)) == ((n,),)
-        assert gamma(v, (1,)) == ((1,) * n,)
+        assert gamma(v) == ((n,),)
 
 
 class TestClassification:
     def test_depth_zero(self):
-        seen = component_of_empty((0, 1), (0, 0), 0)
+        seen = component_of_empty((0, 1), 0)
         assert len(seen) == 1
 
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -159,14 +157,14 @@ class TestClassification:
         want = {case: nonzero_labels(*case) for case in cases}
         monkeypatch.setattr(crystal, "default_window", bigger)
         for omega, r in cases:
-            start = next(iter(component_of_empty(omega, (0, 0), r)))
+            start = next(iter(component_of_empty(omega, r)))
             assert start.window == bigger(omega, r)
             assert nonzero_labels(omega, r) == want[(omega, r)]
 
 
 class TestEdges:
     def test_edges_stay_in_component(self):
-        seen = component_of_empty((0, 1), (0, 0), 2)
+        seen = component_of_empty((0, 1), 2)
         for src, j, dst in crystal_edges(seen):
             assert src in seen and dst in seen
             assert crystal_f(src, j) == dst
