@@ -10,10 +10,8 @@ from .algebra import (
     AlgebraContext,
     Element,
     defining_relations,
-    pairing,
     right_translate,
     star,
-    tau_hat,
     trace_functional,
     trace_of_product,
     verify_basis,
@@ -30,7 +28,6 @@ from .cellular import (
     family_m,
     family_m_xi,
     family_n,
-    family_n_xi,
     intertwiner_dim,
     pi_bracket,
     pi_tilde_bracket,
@@ -63,7 +60,6 @@ from .crystal import (
     Window,
     ZeroOneTuple,
     component_of_empty,
-    crystal_e,
     crystal_f,
     empty_label,
     gamma,

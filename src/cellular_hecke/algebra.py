@@ -84,13 +84,12 @@ held as an ``int`` or as an integral ``Fraction``, depending on where
 ``Fraction`` contributions to it cancel, with the same value and hash.
 Nothing is ever a float: a non-integral omega raises ValueError, and a
 non-rational scalar or an ``Element`` coefficient that is not an int or a
-Fraction raises TypeError. ``tau_hat`` and ``trace_of_product`` return
-``Fraction`` values. A family's change of basis, its inverse and the
-cell-module actions stay in ``int`` as well; ``cellular.cell_module``
-converts its finished matrices to ``Fraction``, the type of the linear
-algebra that reads them.
+Fraction raises TypeError. ``trace_of_product`` returns a ``Fraction``. A
+family's change of basis, its inverse and the cell-module actions stay in
+``int`` as well; ``cellular.cell_module`` converts its finished matrices to
+``Fraction``, the type the linear algebra takes in.
 
-The trace tau (``tau_hat``) reads the coefficient of the top monomial
+The trace tau reads the coefficient of the top monomial
 x_1^{ell-1}...x_r^{ell-1} . 1. Since a permutation v on the right only
 relabels,
 
@@ -109,8 +108,8 @@ first, so the floor cuts it at one place). Every floor test reads ``_deg``.
 0 in ``Element.__mul__`` and floor r(ell-1) in ``trace_of_product``
 (tau(h . k) without forming h . k) and ``trace_functional`` (the functional
 k -> tau(h . k) on the whole basis, from one pruned h . x^b per x-monomial
-b). pairing(h, k) = tau(h . star(k)) is that functional summed over the
-terms of star(k); ``verify pairing`` sums it over one index of every k.
+b). The pairing tau(h . star(k)) is that functional summed over the terms
+of star(k); ``verify pairing`` sums it over one index of every k.
 """
 
 from __future__ import annotations
@@ -566,13 +565,6 @@ def right_translate(h: Element, v: Perm) -> Element:
                          for key, c in h.terms.items()})
 
 
-def tau_hat(h: Element) -> Fraction:
-    """Coefficient of x_1^{ell-1}...x_r^{ell-1} . 1 in normal form."""
-    ctx = h.ctx
-    top = (len(ctx._exps) - 1) * len(ctx._perms)
-    return Fraction(h.terms.get(top, 0))
-
-
 def trace_functional(h: Element) -> dict[int, Coef]:
     """
     The functional k -> tau(h . k) on the monomial basis, as its nonzero
@@ -608,15 +600,6 @@ def trace_of_product(h: Element, k: Element) -> Fraction:
         for v, coef in right:
             total += coef * hb.get(at_top + inverse[v], 0)
     return Fraction(total)
-
-
-def pairing(h1: Element, h2: Element) -> Fraction:
-    """
-    The symmetric bilinear form tau_hat(h1 . star(h2)), one pair at a time.
-    ``verify pairing`` reads a row of them from ``trace_functional(h1)``.
-    """
-    h1._check(h2)
-    return tau_hat(h1 * star(h2))
 
 
 def defining_relations(ctx: AlgebraContext) -> list[tuple[str, Element]]:

@@ -12,8 +12,11 @@ standard tableaux of multipartition shapes:
 From a family we compute the change of basis to the monomial basis (its
 invertibility doubles as the spanning proof), cell modules with generator
 matrices and Gram forms, simple quotients, joint generalized x-eigenvalues
-(blocks), contragredient duals and exact intertwiner spaces. Everything is a
-rational matrix; no floats anywhere.
+(blocks), contragredient duals and exact intertwiner spaces. The algebra
+side (change of basis, actions, Gram forms) is computed in ``int``; a cell
+module is handed to the linear algebra as ``Fraction`` matrices, and every
+elimination runs on integer rows again (``linalg.rref``, and the cleared
+intertwiner equations). No floats anywhere.
 
 The Gram form of a cell module comes from the module's own action rho, with
 no product in the algebra (Graham-Lehrer 1996; Mathas 1999, ch. 2): m_{top,s}
@@ -100,10 +103,6 @@ def family_n(c: tuple[int, ...]) -> BasisFamily:
 
 def family_m_xi(xi: Perm) -> BasisFamily:
     return BasisFamily("mxi", xi=tuple(xi))
-
-
-def family_n_xi(xi: Perm) -> BasisFamily:
-    return BasisFamily("nxi", xi=tuple(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +500,11 @@ def contragredient(module) -> ModuleRealization:
 def intertwiner_dim(mod_a, mod_b) -> int:
     """
     Dimension of the space of module maps, solved exactly from the commuting
-    equations for s_1..s_{r-1} and x_1 (these generate the algebra).
+    equations phi . g_b = g_a . phi for s_1..s_{r-1} and x_1 (these generate
+    the algebra). Each pair (g_a, g_b) is first multiplied by the lcm of all
+    its denominators: that scales both sides of its d_a . d_b equations by
+    the same nonzero integer, so they keep their solutions, and they are
+    written as ``int`` rows with no ``Fraction`` arithmetic.
     """
     if mod_a.ctx is not mod_b.ctx:
         raise ValueError("modules live over different contexts")
@@ -513,10 +516,14 @@ def intertwiner_dim(mod_a, mod_b) -> int:
         mod_b.s_action + [mod_b.x_action[0]],
     ))
     rows = []
-    for ga, gb in gens:
+    for pair in gens:
+        den = math.lcm(*[x.denominator
+                         for mat in pair for row in mat for x in row])
+        ga, gb = [[[x.numerator * (den // x.denominator) for x in row]
+                   for row in mat] for mat in pair]
         for i in range(da):
             for j in range(db):
-                row = [Fraction(0)] * (da * db)
+                row = [0] * (da * db)
                 for p in range(da):
                     row[p * db + j] += ga[i][p]
                 for q in range(db):

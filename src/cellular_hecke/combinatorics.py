@@ -245,36 +245,36 @@ def column_reading_tableau(lam: Multipartition) -> Tableau:
 def standard_tableaux(lam: Multipartition) -> list[Tableau]:
     """
     All standard tableaux of shape ``lam``, in a fixed deterministic order
-    (sorted by filling). Generated by removing the largest entry from every
-    removable box and recursing.
+    (sorted by filling), as a fresh list. Generated by removing the largest
+    entry from every removable box and recursing, once per shape and run.
     """
+    return list(_standard_tableaux(lam))
 
-    @lru_cache(maxsize=None)
-    def gen(shape: Multipartition) -> tuple[Tableau, ...]:
-        n = mp_size(shape)
-        if n == 0:
-            return (tuple(() for _ in shape),)
-        out = []
-        for ci, p in enumerate(shape):
-            for ri, part in enumerate(p):
-                last_in_col = ri + 1 >= len(p) or p[ri + 1] < part
-                if not last_in_col:
-                    continue
-                smaller = list(p)
-                smaller[ri] -= 1
-                sub = list(shape)
-                sub[ci] = trim(tuple(smaller))
-                for t in gen(tuple(sub)):
-                    comp = [list(map(list, c)) for c in t]
-                    if ri >= len(comp[ci]):
-                        comp[ci].append([])
-                    comp[ci][ri].append(n)
-                    out.append(
-                        tuple(tuple(tuple(row) for row in c) for c in comp)
-                    )
-        return tuple(sorted(out))
 
-    return list(gen(lam))
+@lru_cache(maxsize=None)
+def _standard_tableaux(shape: Multipartition) -> tuple[Tableau, ...]:
+    n = mp_size(shape)
+    if n == 0:
+        return (tuple(() for _ in shape),)
+    out = []
+    for ci, p in enumerate(shape):
+        for ri, part in enumerate(p):
+            last_in_col = ri + 1 >= len(p) or p[ri + 1] < part
+            if not last_in_col:
+                continue
+            smaller = list(p)
+            smaller[ri] -= 1
+            sub = list(shape)
+            sub[ci] = trim(tuple(smaller))
+            for t in _standard_tableaux(tuple(sub)):
+                comp = [list(map(list, c)) for c in t]
+                if ri >= len(comp[ci]):
+                    comp[ci].append([])
+                comp[ci][ri].append(n)
+                out.append(
+                    tuple(tuple(tuple(row) for row in c) for c in comp)
+                )
+    return tuple(sorted(out))
 
 
 def count_standard_tableaux(lam: Multipartition) -> int:
@@ -287,8 +287,12 @@ def count_standard_tableaux(lam: Multipartition) -> int:
     return factorial(mp_size(lam)) // hooks
 
 
+@lru_cache(maxsize=None)
 def d_of(t: Tableau) -> Perm:
-    """The unique permutation with ``row_reading_tableau(shape) . w == t``."""
+    """
+    The unique permutation with ``row_reading_tableau(shape) . w == t``,
+    computed once per tableau and run.
+    """
     lam = tableau_shape(t)
     top = row_reading_tableau(lam)
     r = mp_size(lam)

@@ -2,11 +2,12 @@
 Crystal on tuples of 01-sequences over a finite integer window.
 
 A vertex is an ell-tuple of bit strings indexed by the window; component i
-carries a fixed number of ones. The operators f_j / e_j move a single one
-from position j to j+1 (or back) in the component selected by the usual
-signature rule: each component contributes '+' when its bits at (j, j+1)
-read (1, 0), '-' for (0, 1); opposite adjacent pairs cancel; f_j acts on the
-component of the first surviving '+', e_j on the last surviving '-'.
+carries a fixed number of ones. The lowering operator f_j moves a single
+one from position j to j+1 in the component selected by the usual signature
+rule: each component contributes '+' when its bits at (j, j+1) read (1, 0),
+'-' for (0, 1); opposite adjacent pairs cancel; f_j acts on the component
+of the first surviving '+'. The component of the empty label is reached by
+lowering alone.
 
 The components are read last to first (component ell first). That reading
 order is the one whose reachable labels agree with the Gram-rank computation
@@ -65,58 +66,28 @@ class ZeroOneTuple:
         return tuple(lo + k for k, b in enumerate(self.bits[i]) if b)
 
 
-def _signature(v: ZeroOneTuple, j: int) -> tuple[int | None, int | None]:
+def crystal_f(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
     """
-    Indices of the component to lower (f) and to raise (e) for color j,
-    after cancellation, reading the components last to first; None when the
-    operator is undefined.
+    Lowering operator of color j; None when undefined. The component is the
+    first '+' that survives cancellation, reading the components last to
+    first, and its one moves from j to j + 1.
     """
+    if not v.window.lo <= j < v.window.hi:
+        raise ValueError(f"color {j} outside window")
     k = j - v.window.lo
     plus_stack: list[int] = []
-    last_minus: int | None = None
     for i in range(v.ell - 1, -1, -1):
         a, b = v.bits[i][k], v.bits[i][k + 1]
         if (a, b) == (1, 0):
             plus_stack.append(i)
-        elif (a, b) == (0, 1):
-            if plus_stack:
-                plus_stack.pop()
-            else:
-                last_minus = i
-    f_comp = plus_stack[0] if plus_stack else None
-    return f_comp, last_minus
-
-
-def _flip(v: ZeroOneTuple, i: int, j: int, direction: int) -> ZeroOneTuple:
-    k = j - v.window.lo
-    comp = list(v.bits[i])
-    if direction > 0:          # f: one moves j -> j+1
-        comp[k], comp[k + 1] = 0, 1
-    else:                      # e: one moves j+1 -> j
-        comp[k], comp[k + 1] = 1, 0
+        elif (a, b) == (0, 1) and plus_stack:
+            plus_stack.pop()
+    if not plus_stack:
+        return None
+    i = plus_stack[0]
     bits = list(v.bits)
-    bits[i] = tuple(comp)
+    bits[i] = bits[i][:k] + (0, 1) + bits[i][k + 2:]
     return ZeroOneTuple(v.window, tuple(bits))
-
-
-def crystal_f(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
-    """Lowering operator of color j; None when undefined."""
-    if not v.window.lo <= j < v.window.hi:
-        raise ValueError(f"color {j} outside window")
-    comp, _ = _signature(v, j)
-    if comp is None:
-        return None
-    return _flip(v, comp, j, +1)
-
-
-def crystal_e(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
-    """Raising operator of color j; None when undefined."""
-    if not v.window.lo <= j < v.window.hi:
-        raise ValueError(f"color {j} outside window")
-    _, comp = _signature(v, j)
-    if comp is None:
-        return None
-    return _flip(v, comp, j, -1)
 
 
 def ones_counts(omega: tuple[int, ...], window: Window) -> tuple[int, ...]:

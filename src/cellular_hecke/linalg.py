@@ -1,13 +1,14 @@
 """
 Exact linear algebra over the rationals.
 
-Matrices are lists of rows of exact rationals, and vectors are row
-vectors, the only convention: a matrix acts as v.a. ``rref`` and the solve
-return ``fractions.Fraction`` entries; ``inverse`` returns each entry as it
-solved it, an ``int`` when integral. There is one elimination kernel,
-``rref``; rank, ``inverse`` and the one solve all run on it. The solve is
-``solve_rows``: it writes a whole batch of vectors in the coordinates of a
-basis from one elimination.
+Matrices are lists of rows of exact rationals (``int`` or
+``fractions.Fraction`` entries, mixed freely), and vectors are row vectors,
+the only convention: a matrix acts as v.a. ``rref`` and the solve return
+``Fraction`` entries; ``inverse`` returns each entry as it solved it, an
+``int`` when integral. There is one elimination kernel, ``rref``; rank,
+``inverse`` and the one solve all run on it. The solve is ``solve_rows``: it
+writes a whole batch of vectors in the coordinates of a basis from one
+elimination.
 
 ``inverse`` first puts its matrix in block triangular form (a perfect
 matching, then strongly connected components) and eliminates only inside
@@ -17,14 +18,19 @@ basis of a family falls apart into blocks of at most 7 rows up to
 so that substitution runs on ``int`` entries and the inverse comes back in
 ``int``.
 
-``rref`` is a sparse Gauss-Jordan: rows are dicts of their nonzero entries,
-with a column -> rows index. The reduced row echelon form of a matrix is
-unique, so the pivot row within a column is free, and each column is pivoted
-on the unused row with the fewest nonzeros to keep fill-in small. The column
-order is not free: left to right is what makes the pivots the first
-independent columns, which reach the output (the quotient coordinates of a
-simple module) and which put the left block of ``[a | I]`` first. The
-largest inputs of ``inverse`` are the change of basis of a whole family:
+``rref`` is a sparse Gauss-Jordan on integer rows: each input row is scaled
+to integers with no common factor, every update is fraction-free (Bareiss
+1968, with the content of the row divided out in place of Bareiss's exact
+division), and only the finished pivot rows are divided by their pivots
+into ``Fraction``. A scaled row has the zeros of the rational one, so rows
+are dicts of their nonzero entries, with a column -> rows index, as a
+rational elimination would keep them. The reduced row echelon form of a
+matrix is unique, so the pivot row within a column is free, and each column
+is pivoted on the unused row with the fewest nonzeros to keep fill-in
+small. The column order is not free: left to right is what makes the pivots
+the first independent columns, which reach the output (the quotient
+coordinates of a simple module) and which put the left block of ``[a | I]``
+first. The largest inputs of ``inverse`` are the change of basis of a whole family:
 n = ell^r * r!, e.g. 48 at (ell, r) = (2, 3), 162 at (3, 3), 384 at (2, 4)
 and 1,944 at (3, 4), with integer entries and 1-13% of them nonzero.
 Cell-module, Gram and intertwiner systems stay far smaller.
@@ -33,6 +39,7 @@ Cell-module, Gram and intertwiner systems stay far smaller.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -58,6 +65,19 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
     return out
 
 
+def _primitive(row: dict) -> dict[int, int]:
+    """
+    A sparse row of rationals scaled to integers: times the lcm of its
+    denominators, then divided by its content (the gcd of its entries).
+    """
+    den = lcm(*[x.denominator for x in row.values()])
+    row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    content = gcd(*row.values())
+    if content > 1:
+        row = {j: x // content for j, x in row.items()}
+    return row
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """
     Reduced row echelon form and the list of pivot columns.
@@ -65,14 +85,20 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     Sparse Gauss-Jordan: rows are dicts of their nonzero entries, columns are
     taken left to right, and each column is pivoted on the unused row holding
     it with the fewest nonzeros (lowest index on ties), which keeps fill-in
-    small. The result is dense: the pivot rows in pivot order, then the zero
-    rows, every entry a ``Fraction``; ``a`` is left unchanged.
+    small. The elimination is fraction-free: each row is scaled to integers
+    with content 1 (``_primitive``), a row i holding the pivot column becomes
+    pv . row_i - f . row_p for the pivot pv and its entry f, both divided by
+    their gcd, and then loses its content again. Each such row is a nonzero
+    multiple of the row a rational elimination would hold, with the same
+    zeros, so the pivot rule picks the same rows. The result is dense: the
+    pivot rows divided by their pivots, in pivot order, then the zero rows,
+    every entry a ``Fraction``; ``a`` is left unchanged.
     """
     cols = len(a[0]) if a else 0
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     holders: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(a):
-        sparse = {j: x for j, x in enumerate(row) if x}
+        sparse = _primitive({j: x for j, x in enumerate(row) if x})
         for j in sparse:
             holders[j].add(i)
         rows.append(sparse)
@@ -89,29 +115,41 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         used[p] = True
         pivot_rows.append(p)
         pivots.append(col)
-        inv = Fraction(1) / rows[p][col]
-        prow = {j: x * inv for j, x in rows[p].items()}
-        rows[p] = prow
+        prow = rows[p]
+        pv = prow[col]
         rest = [(j, y) for j, y in prow.items() if j != col]
         for i in holders[col]:
             if i == p:
                 continue
             row = rows[i]
-            f = -row.pop(col)
+            f = row.pop(col)
+            g = gcd(pv, f)
+            s, f = pv // g, f // g
+            if s != 1:
+                for j in row:
+                    row[j] *= s
             for j, y in rest:
                 if j in row:
-                    x = row[j] + f * y
+                    x = row[j] - f * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
                         holders[j].discard(i)
                 else:
-                    row[j] = f * y
+                    row[j] = -f * y
                     holders[j].add(i)
+            content = gcd(*row.values())
+            if content > 1:
+                for j in row:
+                    row[j] //= content
         holders[col] = {p}
     zero = Fraction(0)
-    reduced = [[rows[p].get(j, zero) for j in range(cols)] for p in pivot_rows]
+    reduced = []
+    for p, col in zip(pivot_rows, pivots):
+        row, pv = rows[p], rows[p][col]
+        reduced.append([Fraction(row[j], pv) if j in row else zero
+                        for j in range(cols)])
     reduced += [[zero] * cols for _ in range(len(rows) - len(pivots))]
     return reduced, pivots
 

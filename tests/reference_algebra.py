@@ -4,7 +4,8 @@ of ``cellular_hecke.algebra``: terms keyed by (exponents, permutation)
 pairs, permutation products by ``perm_mul``, the x_j^ell reductions built by
 the same warm-up, every term written in normal form through ``_put``, and
 the same grouped product loop. ``pairwise_product`` multiplies one pair of
-terms at a time instead.
+terms at a time instead. ``tau_hat`` and ``pairing`` read the trace and the
+bilinear form from full products, one element or pair at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import takewhile
 
-from cellular_hecke.algebra import AlgebraContext, Element, _acc, _exchange
+from cellular_hecke.algebra import (
+    AlgebraContext,
+    Element,
+    _acc,
+    _exchange,
+    star,
+)
 from cellular_hecke.combinatorics import (
     Perm,
     perm_identity,
@@ -185,3 +192,23 @@ def pairwise_product(h: Element, k: Element) -> Element:
     ``Element.__mul__`` pushes each distinct right x-part once instead.
     """
     return encode(h.ctx, kernel(h.ctx).pairwise(decode(h), decode(k)))
+
+
+def tau_hat(h: Element) -> Fraction:
+    """
+    The trace tau: the coefficient of x_1^{ell-1}...x_r^{ell-1} . 1 in
+    normal form, read from the full element.
+    """
+    ctx = h.ctx
+    top = ctx.key((ctx.ell - 1,) * ctx.r, perm_identity(ctx.r))
+    return Fraction(h.terms.get(top, 0))
+
+
+def pairing(h1: Element, h2: Element) -> Fraction:
+    """
+    The symmetric bilinear form tau(h1 . star(h2)), one pair at a time from
+    the full product. ``verify pairing`` reads a row of them from
+    ``algebra.trace_functional(h1)``.
+    """
+    h1._check(h2)
+    return tau_hat(h1 * star(h2))

@@ -1,11 +1,15 @@
 """
 Cellular constructions that only the tests use, as references: a single
 cellular element of a family, the pairing witness z of a label as a full
-algebra product, the right ideal it generates, and the simple quotient of a
-cell module solved one generator at a time over the full Gram rows.
+algebra product, the right ideal it generates, the constructor of the nxi
+families (the CLI builds ``BasisFamily`` directly), the simple quotient of a
+cell module solved one generator at a time over the full Gram rows, and the
+intertwiner dimension from commuting equations built in ``Fraction``.
 ``verify trace`` reads tau(z . w^-1) with ``algebra.trace_of_product`` and
 never forms z.
 """
+
+from fractions import Fraction
 
 from cellular_hecke.algebra import AlgebraContext, Element, right_translate
 from cellular_hecke.cellular import (
@@ -18,6 +22,7 @@ from cellular_hecke.cellular import (
 )
 from cellular_hecke.combinatorics import (
     Multipartition,
+    Perm,
     Tableau,
     conjugate,
     d_of,
@@ -28,6 +33,10 @@ from cellular_hecke.combinatorics import (
 )
 from cellular_hecke.linalg import Matrix, rank, rref, solve_rows, vec_mat
 from reference_algebra import to_vector
+
+
+def family_n_xi(xi: Perm) -> BasisFamily:
+    return BasisFamily("nxi", xi=tuple(xi))
 
 
 def cellular_element(ctx: AlgebraContext, family: BasisFamily,
@@ -93,3 +102,31 @@ def simple_module_by_generator(module: CellModuleRealization
         [quotient(m) for m in module.s_action],
         [quotient(m) for m in module.x_action],
     )
+
+
+def intertwiner_dim_fractions(mod_a, mod_b) -> int:
+    """
+    The route ``intertwiner_dim`` used to take: the commuting equations
+    phi . g_b = g_a . phi for s_1..s_{r-1} and x_1 written with the module
+    entries as they are, every row summed in ``Fraction``.
+    """
+    if mod_a.ctx is not mod_b.ctx:
+        raise ValueError("modules live over different contexts")
+    da, db = mod_a.dim, mod_b.dim
+    if da == 0 or db == 0:
+        return 0
+    gens = list(zip(
+        mod_a.s_action + [mod_a.x_action[0]],
+        mod_b.s_action + [mod_b.x_action[0]],
+    ))
+    rows = []
+    for ga, gb in gens:
+        for i in range(da):
+            for j in range(db):
+                row = [Fraction(0)] * (da * db)
+                for p in range(da):
+                    row[p * db + j] += ga[i][p]
+                for q in range(db):
+                    row[i * db + q] -= gb[q][j]
+                rows.append(row)
+    return da * db - rank(rows)

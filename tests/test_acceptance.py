@@ -14,9 +14,7 @@ from cellular_hecke.algebra import (
     AlgebraContext,
     Element,
     defining_relations,
-    pairing,
     star,
-    tau_hat,
 )
 from cellular_hecke.cellular import (
     cell_module,
@@ -24,7 +22,6 @@ from cellular_hecke.cellular import (
     family_m,
     family_m_xi,
     family_n,
-    family_n_xi,
     intertwiner_dim,
     realization,
     simple_module,
@@ -54,7 +51,8 @@ from cellular_hecke.label_maps import (
     xi_context,
 )
 from cellular_hecke.linalg import rank
-from reference_cellular import cellular_element, z_element
+from reference_algebra import pairing, tau_hat
+from reference_cellular import cellular_element, family_n_xi, z_element
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 

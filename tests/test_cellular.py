@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cellular_hecke import cellular
+from cellular_hecke import cellular, combinatorics
 from cellular_hecke.algebra import (
     AlgebraContext,
     right_translate,
     star,
-    tau_hat,
 )
 from cellular_hecke.cellular import (
     ModuleRealization,
@@ -21,7 +20,6 @@ from cellular_hecke.cellular import (
     family_m,
     family_m_xi,
     family_n,
-    family_n_xi,
     intertwiner_dim,
     pi_bracket,
     pi_tilde_bracket,
@@ -51,9 +49,11 @@ from cellular_hecke.linalg import (
     transpose,
     vec_mat,
 )
-from reference_algebra import to_vector
+from reference_algebra import tau_hat, to_vector
 from reference_cellular import (
     cellular_element,
+    family_n_xi,
+    intertwiner_dim_fractions,
     simple_module_by_generator,
     subcell_module,
     z_element,
@@ -456,6 +456,27 @@ class TestCellModules:
         assert cell_module(other, family_m((0, 1)), lam) is not mod
         assert cell_module(other, family_m((0, 1)), lam).gram == mod.gram
 
+    def test_second_context_builds_no_tableaux(self):
+        # standard tableaux and d(t) are built once per run: a realization
+        # and its cell modules on a new context miss no cache
+        def misses():
+            return (combinatorics._standard_tableaux.cache_info().misses,
+                    combinatorics.d_of.cache_info().misses)
+
+        def build(fam):
+            ctx = AlgebraContext(2, 3, (1, 0))
+            for lam in enumerate_multipartitions(2, 3):
+                cell_module(ctx, fam, lam)
+
+        build(family_m((0, 1)))
+        before = misses()
+        build(family_n((1, 0)))
+        assert misses() == before
+        lam = ((2,), (1,))
+        tabs = standard_tableaux(lam)
+        assert tabs == standard_tableaux(lam)
+        assert tabs is not standard_tableaux(lam)
+
     def test_cached_call_enumerates_no_labels(self, monkeypatch):
         # a hit reads the realization's label -> index dict; a non-label,
         # hashable or not, still raises the label error
@@ -711,6 +732,74 @@ class TestSimples:
         a = simple_module(cell_module(ctx, family_m((0, 0)), ((1,), ())))
         b = simple_module(cell_module(ctx, family_m((0, 0)), ((), (1,))))
         assert intertwiner_dim(a, b) == 0
+
+
+class TestIntertwiners:
+    """``intertwiner_dim`` on integer equations against the ``Fraction``
+    route it replaced."""
+
+    # no simple or cell module of m, n, mxi or nxi has shown a non-integral
+    # entry, so the denominators are planted by a diagonal change of basis
+    WEIGHTS = [1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+    @classmethod
+    def rescaled(cls, mod, shift):
+        """The isomorphic module on the basis w_i . e_i: each generator g
+        becomes D^-1 . g . D for D = diag(w)."""
+        w = [Fraction(cls.WEIGHTS[(i + shift) % 4]) for i in range(mod.dim)]
+
+        def conj(g):
+            return [[x * w[j] / w[i] for j, x in enumerate(row)]
+                    for i, row in enumerate(g)]
+
+        return ModuleRealization(mod.ctx, [conj(g) for g in mod.s_action],
+                                 [conj(g) for g in mod.x_action])
+
+    @staticmethod
+    def has_fraction(mod):
+        return any(x.denominator != 1 for mat in mod.s_action + mod.x_action
+                   for row in mat for x in row)
+
+    @pytest.mark.parametrize("ell,r,omega", [
+        (2, 3, (1, 0)), (3, 3, (2, 1, 0)), (2, 4, (1, 0)),
+    ], ids=["e2r3", "e3r3", "e2r4"])
+    def test_dual_pairs_match_fraction_reference(self, ell, r, omega):
+        ctx = AlgebraContext(ell, r, omega)
+        dims = []
+        for c in itertools.product((0, 1), repeat=ell):
+            for lam in enumerate_multipartitions(ell, r):
+                dual = contragredient(cell_module(ctx, family_m(c), lam))
+                tilde = cell_module(ctx, family_n(c), conjugate(lam))
+                dim = intertwiner_dim(dual, tilde)
+                assert dim == intertwiner_dim_fractions(dual, tilde), (c, lam)
+                dims.append(dim)
+        assert min(dims) >= 1
+
+    @pytest.mark.parametrize("ell,r,omega,c", [
+        (2, 3, (1, 0), (0, 1)), (3, 3, (2, 1, 0), (0, 1, 0)),
+    ], ids=["e2r3", "e3r3"])
+    def test_simple_pairs_match_fraction_reference(self, ell, r, omega, c):
+        ctx = AlgebraContext(ell, r, omega)
+        labels = enumerate_multipartitions(ell, r)
+        simples_m, simples_n = [
+            [mod for mod in (simple_of(ctx, fam, lam) for lam in labels)
+             if mod is not None]
+            for fam in (family_m(c), family_n(c))]
+        dims, fractional = [], 0
+        for a in simples_m:
+            for b in simples_n:
+                dim = intertwiner_dim(a, b)
+                assert dim == intertwiner_dim_fractions(a, b)
+                a2, b2 = self.rescaled(a, 0), self.rescaled(b, 1)
+                assert intertwiner_dim(a2, b2) == dim
+                assert intertwiner_dim(b2, a2) == dim
+                fractional += self.has_fraction(a2) and self.has_fraction(b2)
+                dims.append(dim)
+        # the simples of one algebra biject, so each m-simple meets exactly
+        # one n-simple, in a one-dimensional space of maps
+        assert sorted(dims)[-len(simples_m):] == [1] * len(simples_m)
+        assert sum(dims) == len(simples_m)
+        assert fractional > 0
 
 
 class TestBlocks:

@@ -12,7 +12,6 @@ from cellular_hecke.crystal import (
     Window,
     ZeroOneTuple,
     component_of_empty,
-    crystal_e,
     crystal_edges,
     crystal_f,
     default_window,
@@ -22,6 +21,7 @@ from cellular_hecke.crystal import (
     ones_counts,
 )
 from cellular_hecke.linalg import rank
+from reference_crystal import crystal_e
 
 
 def gram_oracle(omega, r):

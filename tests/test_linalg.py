@@ -218,9 +218,14 @@ def sparse_product_is_identity(a, inv):
     return len(inv) == n
 
 
-def random_rect(rng, rows, cols, density):
-    return [[Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
-             if rng.random() < density else Fraction(0)
+INTEGRAL = [-3, -2, -1, 1, 2, 3]
+# non-integral entries, for the scaling of each row to integers in ``rref``
+NON_INTEGRAL = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+def random_rect(rng, rows, cols, density, values=INTEGRAL, convert=Fraction):
+    return [[convert(rng.choice(values))
+             if rng.random() < density else convert(0)
              for _ in range(cols)] for _ in range(rows)]
 
 
@@ -255,6 +260,12 @@ def rref_cases(kind, rng):
                 for row in a:
                     row[j] = Fraction(0)
                 yield a
+            elif kind == "non-integral":
+                yield random_rect(rng, rows, cols, density, NON_INTEGRAL)
+            elif kind == "mixed":
+                # int and Fraction entries side by side, as callers pass them
+                yield random_rect(rng, rows, cols, density,
+                                  INTEGRAL + NON_INTEGRAL, convert=lambda x: x)
             elif kind == "repeated-rows":
                 yield [a[rng.randrange(rows)][:] for _ in range(rows + 2)]
             elif kind == "augmented":
@@ -266,8 +277,8 @@ def rref_cases(kind, rng):
 
 
 @pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient",
-                                  "zero-rows-cols", "repeated-rows",
-                                  "augmented"])
+                                  "zero-rows-cols", "non-integral", "mixed",
+                                  "repeated-rows", "augmented"])
 def test_rref_matches_dense_reference(kind):
     rng = random.Random(f"rref-{kind}")
     ranks = [assert_rref_matches_reference(a) for a in rref_cases(kind, rng)]
@@ -284,14 +295,31 @@ def test_rref_edge_cases_match_dense_reference(rows):
     assert_rref_matches_reference(F(rows))
 
 
+@pytest.mark.parametrize("rows", [
+    [[Fraction(1, 2)]],
+    [[Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 4), 1]],
+    # rows equal up to a rational factor: rank 1
+    [[Fraction(1, 2), Fraction(-2, 3), 0], [3, -4, 0]],
+    # the same numerators over different denominators: rank 2
+    [[Fraction(1, 2), Fraction(1, 3)], [1, 1]],
+    [[0, Fraction(5, 4), 2], [Fraction(-2, 3), 0, Fraction(1, 2)],
+     [1, Fraction(5, 4), Fraction(-1, 6)]],
+    [[4, 6, 0], [Fraction(2, 3), 1, Fraction(1, 2)], [0, 0, 10]],
+])
+def test_rref_rational_and_mixed_entries_match_dense_reference(rows):
+    assert_rref_matches_reference(rows)
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(st.tuples(st.integers(1, 6), st.integers(1, 7)).flatmap(
     lambda shape: st.lists(
-        st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 3]),
+        st.lists(st.sampled_from([0, 0, 0, -2, -1, 1, 3, Fraction(1, 2),
+                                  Fraction(-2, 3), Fraction(5, 4)]),
                  min_size=shape[1], max_size=shape[1]),
         min_size=shape[0], max_size=shape[0])))
 def test_rref_matches_dense_reference_property(rows):
-    assert_rref_matches_reference(F(rows))
+    # int and Fraction entries mixed, as sampled
+    assert_rref_matches_reference(rows)
 
 
 def test_inverse_matches_dense_reference():
