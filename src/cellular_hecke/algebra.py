@@ -85,9 +85,9 @@ held as an ``int`` or as an integral ``Fraction``, depending on where
 Nothing is ever a float: a non-integral omega raises ValueError, and a
 non-rational scalar or an ``Element`` coefficient that is not an int or a
 Fraction raises TypeError. ``trace_of_product`` returns a ``Fraction``. A
-family's change of basis, its inverse and the cell-module actions stay in
-``int`` as well; ``cellular.cell_module`` converts its finished matrices to
-``Fraction``, the type the linear algebra takes in.
+family's change of basis, its inverse, the cell-module actions and Gram
+forms stay in ``int`` as well, until a division inside ``linalg`` makes a
+``Fraction``.
 
 The trace tau reads the coefficient of the top monomial
 x_1^{ell-1}...x_r^{ell-1} . 1. Since a permutation v on the right only

@@ -12,11 +12,9 @@ standard tableaux of multipartition shapes:
 From a family we compute the change of basis to the monomial basis (its
 invertibility doubles as the spanning proof), cell modules with generator
 matrices and Gram forms, simple quotients, joint generalized x-eigenvalues
-(blocks), contragredient duals and exact intertwiner spaces. The algebra
-side (change of basis, actions, Gram forms) is computed in ``int``; a cell
-module is handed to the linear algebra as ``Fraction`` matrices, and every
-elimination runs on integer rows again (``linalg.rref``, and the cleared
-intertwiner equations). No floats anywhere.
+(blocks), contragredient duals and exact intertwiner spaces. Values stay
+``int`` (change of basis, actions, Gram forms) until a division inside
+``linalg`` makes a ``Fraction``. No floats anywhere.
 
 The Gram form of a cell module comes from the module's own action rho, with
 no product in the algebra (Graham-Lehrer 1996; Mathas 1999, ch. 2): m_{top,s}
@@ -35,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .algebra import AlgebraContext, Element, right_translate
@@ -212,8 +209,12 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
     component reversal (the twist of slot i sits on the mirror slot), which
     is what makes the m/n pairing unitriangular for every twist sequence;
     with the aligned reading the unitriangularity fails already at
-    (ell, r) = (2, 2) with mixed twists.
+    (ell, r) = (2, 2) with mixed twists. A family whose c or xi does not
+    have ell entries raises ValueError.
     """
+    if len(family.c or family.xi) != ctx.ell:
+        raise ValueError(
+            f"family {family.label()} does not have ell={ctx.ell} entries")
     om = family_omega(ctx, family)
     c = (0,) * ctx.ell if family.c is None else family.c
     if family.kind in ("m", "mxi"):
@@ -303,7 +304,7 @@ class FamilyRealization:
             ) from exc
 
     def expand(self, h: Element,
-               cells: list[tuple[int, int, int]]) -> list[int | Fraction]:
+               cells: list[tuple[int, int, int]]) -> Vector:
         """
         Coordinates of ``h`` at the given (li, si, ti) cells, read from the
         inverse rows of its terms at the cells' columns only. They are summed
@@ -391,8 +392,8 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     the left tableau fixed. The Gram form uses no algebra product:
     <s,t> = rho(m_{t,top})_{s,top} for the action rho, evaluated on the
     seed's terms and d(t)^{-1} by the generator matrices along reduced words.
-    Actions and Gram column are computed in ``int``; the module's matrices
-    are then converted to ``Fraction`` once, one object per distinct value.
+    The matrices are kept as computed, in ``int``: only a division inside
+    ``linalg`` makes a ``Fraction``.
     """
     real = realization(ctx, family)
     li = real.label_index(lam)
@@ -430,18 +431,8 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
         column = [y + coef * z for y, z in zip(column, v)]
     gram = transpose([by_word(perm_inverse(d_of(t)), column) for t in tabs])
 
-    shared = {x: Fraction(x)
-              for x in {x for mat in actions + [gram] for row in mat
-                        for x in row}}
-
-    def fractions(mat: Matrix) -> Matrix:
-        return [[shared[x] for x in row] for row in mat]
-
     module = cache[(family, lam)] = CellModuleRealization(
-        ctx=ctx, s_action=[fractions(m) for m in s_action],
-        x_action=[fractions(m) for m in x_action],
-        label=lam, gram=fractions(gram),
-    )
+        ctx=ctx, s_action=s_action, x_action=x_action, label=lam, gram=gram)
     return module
 
 

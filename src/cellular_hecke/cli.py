@@ -199,7 +199,7 @@ def cmd_gram(cfg: JobConfig, lam_text: str) -> bytes:
     module = cell_module(context_from_config(cfg), fam, lam)
     rows = [
         {"lambda": mp_to_lists(lam), "family": fam.label(), "i": i,
-         "row": module.gram[i]}
+         "row": [str(x) for x in module.gram[i]]}
         for i in range(module.dim)
     ]
     return emit(rows, cfg.format, fieldnames=["lambda", "family", "i", "row"])

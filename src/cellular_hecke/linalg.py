@@ -3,12 +3,13 @@ Exact linear algebra over the rationals.
 
 Matrices are lists of rows of exact rationals (``int`` or
 ``fractions.Fraction`` entries, mixed freely), and vectors are row vectors,
-the only convention: a matrix acts as v.a. ``rref`` and the solve return
-``Fraction`` entries; ``inverse`` returns each entry as it solved it, an
-``int`` when integral. There is one elimination kernel, ``rref``; rank,
-``inverse`` and the one solve all run on it. The solve is ``solve_rows``: it
-writes a whole batch of vectors in the coordinates of a basis from one
-elimination.
+the only convention: a matrix acts as v.a. Values stay ``int`` until a
+division here makes a ``Fraction``: ``vec_mat`` keeps ``int`` input in
+``int``, ``rref`` and the solve return ``Fraction`` entries, and ``inverse``
+returns each entry as it solved it, an ``int`` when integral. There is one
+elimination kernel, ``rref``; rank, ``inverse`` and the one solve all run on
+it. The solve is ``solve_rows``: it writes a whole batch of vectors in the
+coordinates of a basis from one elimination.
 
 ``inverse`` first puts its matrix in block triangular form (a perfect
 matching, then strongly connected components) and eliminates only inside
@@ -41,8 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Matrix = list[list[int | Fraction]]
+Vector = list[int | Fraction]
 
 
 class SingularMatrixError(ValueError):
@@ -56,7 +57,7 @@ def transpose(a: Matrix) -> Matrix:
 def vec_mat(v: Vector, a: Matrix) -> Vector:
     """Row vector times matrix."""
     cols = len(a[0]) if a else 0
-    out = [Fraction(0)] * cols
+    out = [0] * cols
     for x, row in zip(v, a):
         if x:
             for j, y in enumerate(row):

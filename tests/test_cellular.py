@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,18 @@ class TestSeeds:
         seed = cell_seed(ctx22, family_m((0, 0)), ((1,), (1,)))
         assert seed == ctx22.generator_x(1) - ctx22.one()
 
+    @pytest.mark.parametrize("family", [
+        family_n((0, 1, 1)), family_m((0,)), family_m_xi((1,)),
+        family_m_xi((3, 1, 2)),
+    ], ids=lambda fam: fam.label())
+    def test_family_of_another_length_refused(self, ctx22, family):
+        # a c or xi of the wrong length would be cut or overrun in the seed
+        want = f"family {family.label()} does not have ell=2 entries"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            cell_seed(ctx22, family, ((1,), (1,)))
+        with pytest.raises(ValueError, match=re.escape(want)):
+            realization(ctx22, family)
+
     @pytest.mark.parametrize("ell,r,omega", [
         (2, 2, (0, 1)), (2, 3, (1, 0)), (3, 2, (2, 1, 0)),
     ])
@@ -502,17 +515,21 @@ class TestCellModules:
                 cell_module(ctx, fam, bad)
             assert str(err.value) == want
 
-    def test_matrices_are_shared_fractions(self):
-        # computed in int, converted once: every entry a Fraction, one
-        # object per distinct value within a module
-        ctx = AlgebraContext(2, 3, (1, 0))
-        for fam in families_for(ctx):
-            for lam in enumerate_multipartitions(2, 3):
+    @pytest.mark.parametrize("ell,r,omega,fams", [
+        (2, 3, (1, 0), None),
+        (3, 3, (2, 1, 0), [family_m((0, 1, 1)), family_n((1, 0, 1)),
+                           family_m_xi((2, 3, 1)), family_n_xi((3, 1, 2))]),
+    ], ids=["e2r3", "e3r3"])
+    def test_matrices_stay_int(self, ell, r, omega, fams):
+        # no division builds a cell module: every action and Gram entry is
+        # an int, as computed
+        ctx = AlgebraContext(ell, r, omega)
+        for fam in fams or families_for(ctx):
+            for lam in enumerate_multipartitions(ell, r):
                 mod = cell_module(ctx, fam, lam)
                 entries = [x for mat in mod.s_action + mod.x_action
                            + [mod.gram] for row in mat for x in row]
-                assert all(type(x) is Fraction for x in entries)
-                assert len({id(x) for x in entries}) == len(set(entries))
+                assert all(type(x) is int for x in entries), (fam, lam)
 
     def test_generator_matrices_satisfy_relations(self, ctx22):
         for fam in [family_m((0, 1)), family_n((1, 0)), family_n_xi((2, 1))]:

@@ -300,6 +300,12 @@ GOLDEN = [
          "--family", "nxi", "--lambda", "[[2],[1]]"), 0,
         "cce1fccf5a815edd9d88fc51dfe62101282e29b9ee7a63ca8b1c998f9ffc0839",
         id="gram-e2r3-nxi"),
+    # Gram entries rendered as strings in CSV, negative ones included
+    pytest.param(
+        ("gram", "--ell", "2", "--r", "4", "--omega", "0,1", "--family", "n",
+         "--c", "1,0", "--lambda", "[[2],[1,1]]", "--format", "csv"), 0,
+        "c78a5e4dbc7ae13cd1a5b23bedeca296850dfbb5ab05d0e4b2b3230f88d868e0",
+        id="gram-e2r4-n-csv"),
     pytest.param(
         ("simples", "--ell", "2", "--r", "4", "--omega", "0,1",
          "--family", "m"), 0,
