@@ -32,46 +32,44 @@ built on the identity k = sum_b x^b . Y_b, where Y_b is the group-algebra
 part of k's terms with x-part b; by linearity h . k = sum_b (h . x^b) . Y_b.
 For each distinct b the loop's step (``AlgebraContext._times_x``) pushes
 x^b to the left through each of h's permutations with the mixed relations
-(``_push_through``) and adds the exponents of each pushed term to those of
-the left term, so like terms of h . x^b combine once; then the loop
-relabels that normal form by each permutation of Y_b, because a permutation
-on the right only relabels terms (``right_translate`` is that product).
+(``_push``) and adds the exponents of each pushed term to those of the
+left term, so like terms of h . x^b combine once; then the loop relabels
+that normal form by each permutation of Y_b, because a permutation on the
+right only relabels terms (``right_translate`` is that product).
 
-The kernel runs on codes through four tables on the context:
+Every kernel cache is a ``_Table``: a dict whose fill function builds an
+entry from its key alone (reading other entries on the way) the first
+time the key is read, so callers only subscript it, and each table fills
+lazily and idempotently, once per key. The kernel runs on codes through
+these tables, each given by its key, its entry and its fill function:
 
-- ``_rows``: z . v is ``_rows[z][v]``, one tuple of r! codes per left
-  permutation z, built the first time z occurs (so at most r! rows). The
-  identity and the r - 1 simple reflections take theirs from
-  ``combinatorics.perm_mul``, the one definition of the product. Any
-  other z is s_i . z' with i the first letter of z's reduced word
-  (``_first``, cached per permutation), as in ``_push_through``, so its
-  row is s_i's row read at each entry of z''s row. ``Element.__mul__``
-  looks a row up once per term of h . x^b, outside its loop over Y_b. A
-  row is a tuple of ints, so the garbage collector stops scanning it, and
-  the reduction lists that hold it, after one pass.
-- ``_sums``: x^a . x^c is ``_sums[code(a) * ell^r + code(c)]``, filled on
-  first use: the key of x^(a+c) . 1 when every exponent of a + c is below
-  ell, else the reduction list of the overflowing vector a + c, the normal
-  form of x^(a+c) as (code(d) * r!, ``_rows[z]``, coef) terms of x^d . z.
-  Times u on the right, such a term has key code(d) * r! + ``_rows[z][u]``.
-  Each reduction list is built once per vector by ``_x_reduce`` (cached
-  in ``_xred``) and shared by every (a, c) with that sum; its terms hold
-  the row objects of ``_rows`` and the ints of ``_xn`` (code(d) * r! by
-  code(d)), so a list holds no copy of either.
-- ``_deg``: the x-degree |a| = a_1 + ... + a_r of each exponent code.
-- ``_push``: the normal form of w . x^b as (code(c), code(u), coef) terms
-  of x^c . u, by code(w) * ell^r + code(b). An entry is one exchange step
-  from the entry of a one-shorter permutation: w = s_i . w' with i the
-  first letter of w's reduced word, so w . x^b = s_i . (w' . x^b), and s_i
-  passes each term of w' . x^b by the exchange table, on codes, summed on
-  the key code(c) * r! + code(u). Filling the entry of w fills those of
-  the shorter permutations on its way.
+- ``_exchange`` (module level, shared by every context), by (p, q):
+  s_i . x_i^p x_{i+1}^q as (alpha, beta, eps, coef) terms of
+  x_i^alpha x_{i+1}^beta s_i^eps; ``_exchange_entry``.
+- ``_first``, by code(z): the first letter of z's reduced word.
+- ``_rows``, by code(z): z . v is ``_rows[z][v]``, a tuple of r! codes;
+  ``_row``. ``Element.__mul__`` looks a row up once per term of h . x^b,
+  outside its loop over Y_b. A row is a tuple of ints, so the garbage
+  collector stops scanning it, and the reduction lists that hold it,
+  after one pass.
+- ``_xred``, by an exponent tuple e with some e_j >= ell: x^e as a
+  reduction list of (code(d) * r!, ``_rows[z]``, coef) terms of x^d . z,
+  highest x-degree first; ``_xred_entry``. Times u on the right, such a
+  term has key code(d) * r! + ``_rows[z][u]``. A list holds the row
+  objects of ``_rows`` and the ints of ``_xn`` (code(d) * r! by code(d)),
+  no copy of either.
+- ``_sums``, by code(a) * ell^r + code(c): x^a . x^c, as the key of
+  x^(a+c) . 1 when every exponent of a + c is below ell, else the
+  ``_xred`` list of a + c, shared by every (a, c) with that sum;
+  ``_sums_entry``.
+- ``_push``, by code(w) * ell^r + code(b): w . x^b as (code(c), code(u),
+  coef) terms of x^c . u, one exchange step from the entry of a
+  one-shorter permutation; ``_push_entry``.
 
-The warm-up and ``_x_reduce`` work once per cache entry and keep only
-coded results. The reduction of x_j^ell is built once at context
-construction (warm-up), from x_{j-1}^ell by one product in
-``Element.__mul__`` and a relabel; every other cache fills in lazily and
-idempotently, and elements are immutable values.
+``_deg`` is the x-degree |a| = a_1 + ... + a_r of each exponent code. The
+tables keep only coded results. The reduction of x_j^ell is built once at
+context construction (warm-up), from x_{j-1}^ell by one product in
+``Element.__mul__`` and a relabel. Elements are immutable values.
 
 With integral omega every structure constant is an integer, so coefficients
 are Python ``int``: the exchange table, the warm-up, every rewriting cache
@@ -137,33 +135,8 @@ Coef = int | Fraction
 Coded = list[tuple[int, int, Coef]]
 # (code(d) * r!, row of z, coef): one term x^d . z of a reduction list
 Reduced = list[tuple[int, tuple[int, ...], Coef]]
-
-# s.x^p.y^q -> sum coef * x^alpha y^beta s^eps, for adjacent variables x, y.
-# Independent of the position of the reflection and of the context.
-_EXCHANGE: dict[tuple[int, int], tuple[tuple[int, int, int, int], ...]] = {}
-
-
-def _exchange(p: int, q: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Expansion of s.x_i^p.x_{i+1}^q as (alpha, beta, eps, coef) terms."""
-    got = _EXCHANGE.get((p, q))
-    if got is not None:
-        return got
-    acc: dict[tuple[int, int, int], int] = {}
-    if p == 0 and q == 0:
-        _acc(acc, (0, 0, 1), 1)
-    elif p > 0:
-        # s.x = y.s - 1
-        for a, b, e, c in _exchange(p - 1, q):
-            _acc(acc, (a, b + 1, e), c)
-        _acc(acc, (p - 1, q, 0), -1)
-    else:
-        # s.y = x.s + 1
-        for a, b, e, c in _exchange(0, q - 1):
-            _acc(acc, (a + 1, b, e), c)
-        _acc(acc, (0, q - 1, 0), 1)
-    out = tuple(sorted((a, b, e, c) for (a, b, e), c in acc.items()))
-    _EXCHANGE[(p, q)] = out
-    return out
+# (alpha, beta, eps, coef): one term x_i^alpha x_{i+1}^beta s_i^eps
+Exchange = tuple[tuple[int, int, int, int], ...]
 
 
 class _Table(dict):
@@ -176,6 +149,30 @@ class _Table(dict):
     def __missing__(self, key):
         got = self[key] = self.fill(key)
         return got
+
+
+def _exchange_entry(pq: tuple[int, int]) -> Exchange:
+    """Expansion of s.x_i^p.x_{i+1}^q as (alpha, beta, eps, coef) terms."""
+    p, q = pq
+    acc: dict[tuple[int, int, int], int] = {}
+    if p == 0 and q == 0:
+        _acc(acc, (0, 0, 1), 1)
+    elif p > 0:
+        # s.x = y.s - 1
+        for a, b, e, c in _exchange[p - 1, q]:
+            _acc(acc, (a, b + 1, e), c)
+        _acc(acc, (p - 1, q, 0), -1)
+    else:
+        # s.y = x.s + 1
+        for a, b, e, c in _exchange[0, q - 1]:
+            _acc(acc, (a + 1, b, e), c)
+        _acc(acc, (0, q - 1, 0), 1)
+    return tuple(sorted((a, b, e, c) for (a, b, e), c in acc.items()))
+
+
+# s.x^p.y^q -> sum coef * x^alpha y^beta s^eps, for adjacent variables x, y,
+# by (p, q). Independent of the position of the reflection and of the context.
+_exchange: dict[tuple[int, int], Exchange] = _Table(_exchange_entry)
 
 
 class AlgebraContext:
@@ -209,9 +206,9 @@ class AlgebraContext:
         self._rows: dict[int, tuple[int, ...]] = _Table(self._row)
         n = len(self._perms)
         self._xn = [d * n for d in range(len(self._exps))]
-        self._sums: dict[int, int | Reduced] = {}
-        self._push: dict[int, Coded] = {}
-        self._xred: dict[Exps, Reduced] = {}
+        self._xred: dict[Exps, Reduced] = _Table(self._xred_entry)
+        self._sums: dict[int, int | Reduced] = _Table(self._sums_entry)
+        self._push: dict[int, Coded] = _Table(self._push_entry)
         self._xl = self._warm_up()
 
     # -- monomial keys ----------------------------------------------------
@@ -248,7 +245,7 @@ class AlgebraContext:
             return Element(self, {self.key(exps, perm_identity(self.r)): 1})
         # the identity has code 0, so row[0] is the code of z
         return Element(self,
-                       {dn + row[0]: c for dn, row, c in self._x_reduce(exps)})
+                       {dn + row[0]: c for dn, row, c in self._xred[exps]})
 
     def generator_s(self, i: int) -> "Element":
         return self.from_permutation(perm_simple(self.r, i))
@@ -298,7 +295,7 @@ class AlgebraContext:
         }]
         # x_j^ell = s.x_{j-1}^ell.s + sum_m x_{j-1}^{ell-1-m} x_j^m s, with
         # s = s_{j-1}. x_{j-1}^ell involves x_1..x_{j-1} only, so the product
-        # s.x_{j-1}^ell never overflows and needs no _x_reduce (nor _xl).
+        # s.x_{j-1}^ell never overflows and needs no _xred (nor _xl).
         for j in range(2, r + 1):
             s = perm_simple(r, j - 1)
             tail: dict[int, Coef] = {}
@@ -310,11 +307,8 @@ class AlgebraContext:
             xl.append((right_translate(head, s) + Element(self, tail)).terms)
         return xl
 
-    def _x_reduce(self, exps: Exps) -> Reduced:
-        """Normal form of the commutative monomial x^exps, some a_j >= ell."""
-        got = self._xred.get(exps)
-        if got is not None:
-            return got
+    def _xred_entry(self, exps: Exps) -> Reduced:
+        """``_xred`` at exps: the normal form of x^exps, some a_j >= ell."""
         n, rows, xn = len(self._perms), self._rows, self._xn
         over = next(j for j, a in enumerate(exps) if a >= self.ell)
         rest = list(exps)
@@ -326,32 +320,28 @@ class AlgebraContext:
             if max(e) < self.ell:
                 _acc(out, xn[self._exps_code[e]] + u, coef)
             else:
-                for dn, row, c2 in self._x_reduce(e):
+                for dn, row, c2 in self._xred[e]:
                     _acc(out, dn + row[u], coef * c2)
         # highest x-degree first, so a floor cuts the list at one place
         deg = self._deg
         terms = sorted(out.items(), key=lambda t: -deg[t[0] // n])
-        got = self._xred[exps] = [(xn[k // n], rows[k % n], coef)
-                                  for k, coef in terms]
-        return got
+        return [(xn[k // n], rows[k % n], coef) for k, coef in terms]
 
-    def _push_through(self, w: int, b: int) -> Coded:
+    def _push_entry(self, key: int) -> Coded:
         """
-        Normal form of w . x^b (x's pushed to the left of the perm), by one
-        exchange step from the entry of a one-shorter permutation: with i
-        the first letter of w's reduced word, w = s_i . w' and w . x^b is
-        s_i . (w' . x^b). In each term x^c . u of w' . x^b, s_i passes the
-        x-part as s_i . x_i^p x_{i+1}^q = sum x_i^alpha x_{i+1}^beta s_i^eps
-        and s_i^eps then multiplies u on the left. The identity's entry is
+        ``_push`` at code(w) * ell^r + code(b): the normal form of w . x^b
+        (x's pushed to the left of the perm), by one exchange step from the
+        entry of a one-shorter permutation: with i the first letter of w's
+        reduced word, w = s_i . w' and w . x^b is s_i . (w' . x^b). In each
+        term x^c . u of w' . x^b, s_i passes the x-part as
+        s_i . x_i^p x_{i+1}^q = sum x_i^alpha x_{i+1}^beta s_i^eps and
+        s_i^eps then multiplies u on the left. The identity's entry is
         x^b . 1; the recursion is at most l(w) deep.
         """
         m = len(self._exps)
-        got = self._push.get(w * m + b)
-        if got is not None:
-            return got
+        w, b = divmod(key, m)
         if w == 0:
-            got = self._push[b] = [(b, 0, 1)]
-            return got
+            return [(b, 0, 1)]
         i = self._first[w]
         si = self._rows[self._simple[i - 1]]
         # x_i and x_{i+1} are the base-ell digits of weight ell^(r-i) and
@@ -362,26 +352,25 @@ class AlgebraContext:
         high = low * self.ell
         exps = self._exps
         acc: dict[int, Coef] = {}
-        for c, u, coef in self._push_through(si[w], b):
+        for c, u, coef in self._push[si[w] * m + b]:
             p, q = exps[c][i - 1], exps[c][i]
             rest = c - p * high - q * low
-            for alpha, beta, eps, icoef in _exchange(p, q):
+            for alpha, beta, eps, icoef in _exchange[p, q]:
                 k = ((rest + alpha * high + beta * low) * n
                      + (si[u] if eps else u))
                 _acc(acc, k, coef * icoef)
-        got = self._push[w * m + b] = [
-            (*divmod(k, n), coef) for k, coef in acc.items()]
-        return got
+        return [(*divmod(k, n), coef) for k, coef in acc.items()]
 
-    def _sum(self, a: int, c: int) -> int | Reduced:
-        """``_sums`` at (a, c): x^(a+c) . 1 as a key, or its reduction list."""
+    def _sums_entry(self, key: int) -> int | Reduced:
+        """
+        ``_sums`` at code(a) * ell^r + code(c): x^(a+c) . 1 as a key, or
+        its reduction list.
+        """
+        a, c = divmod(key, len(self._exps))
         e = tuple(map(add, self._exps[a], self._exps[c]))
         if max(e) < self.ell:
-            got = self._xn[self._exps_code[e]]
-        else:
-            got = self._x_reduce(e)
-        self._sums[a * len(self._exps) + c] = got
-        return got
+            return self._xn[self._exps_code[e]]
+        return self._xred[e]
 
     def _times_x(self, terms: dict[int, Coef], b: int,
                  floor: int) -> dict[int, Coef]:
@@ -395,7 +384,7 @@ class AlgebraContext:
         cancel stay in the result with coefficient 0.
         """
         n, m = len(self._perms), len(self._exps)
-        deg, sums = self._deg, self._sums
+        deg, push, sums = self._deg, self._push, self._sums
         hb: dict[int, Coef] = {}
         room = deg[b]
         for key, c1 in terms.items():
@@ -404,12 +393,10 @@ class AlgebraContext:
             if need > room:
                 continue
             am = a * m
-            for c, u, c3 in self._push_through(w, b):
+            for c, u, c3 in push[w * m + b]:
                 if deg[c] < need:
                     continue
-                s = sums.get(am + c)
-                if s is None:
-                    s = self._sum(a, c)
+                s = sums[am + c]
                 coef = c1 * c3
                 if type(s) is int:
                     k = s + u
@@ -545,11 +532,11 @@ def star(h: Element) -> Element:
     sends x^a . w to w^{-1} . x^a (then renormalizes).
     """
     ctx = h.ctx
-    n, inverse = len(ctx._perms), ctx._inverse
+    n, m, inverse = len(ctx._perms), len(ctx._exps), ctx._inverse
     out: dict[int, Coef] = {}
     for key, coef in h.terms.items():
         a, w = divmod(key, n)
-        for c, u, c2 in ctx._push_through(inverse[w], a):
+        for c, u, c2 in ctx._push[inverse[w] * m + a]:
             _acc(out, c * n + u, coef * c2)
     return Element(ctx, out)
 

@@ -228,8 +228,9 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
 
 
 # Largest algebra dimension ell^r * r! that gets a realization. The block
-# triangular inverse is no longer the wall (2.6 s at (3,4), 12 s at (2,5));
-# memory is: the change of basis and its inverse are dense n x n lists, and
+# triangular inverse is no longer the wall (about 1.3 s CPU at (3,4),
+# omega 0,1,2, on a 2-core Xeon with Python 3.11; 12 s at (2,5)); memory
+# is: the change of basis and its inverse are dense n x n lists, and
 # building one realization at (2,5) peaks at about 300 MiB even with their
 # entries small ints. (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does
 # not.
@@ -363,16 +364,17 @@ def realization(ctx: AlgebraContext, family: BasisFamily) -> FamilyRealization:
 
 @dataclass
 class ModuleRealization:
-    """Generator matrices of a right module, row-vector convention."""
+    """
+    Generator matrices of a right module, row-vector convention: the 2r - 1
+    matrices of s_1..s_{r-1}, x_1..x_r, numbered as in
+    ``FamilyRealization.action``.
+    """
     ctx: AlgebraContext
-    s_action: list[Matrix]
-    x_action: list[Matrix]
+    actions: list[Matrix]
 
     @property
     def dim(self) -> int:
-        if self.x_action:
-            return len(self.x_action[0])
-        return 0
+        return len(self.actions[0])
 
 
 @dataclass
@@ -405,7 +407,6 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     top = real.top_index[li]
     r = ctx.r
     actions = [real.action(li, top, g) for g in range(2 * r - 1)]
-    s_action, x_action = actions[:r - 1], actions[r - 1:]
 
     # column t of the Gram matrix is rho(d(t)^{-1}) . rho(seed) . e_top, and
     # rho(h) sends a column vector v to the matrix product rho(h) . v
@@ -414,7 +415,7 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
 
     def by_word(w: Perm, v: Vector) -> Vector:
         for i in reversed(perm_reduced_word(w)):
-            v = times(s_action[i - 1], v)
+            v = times(actions[i - 1], v)
         return v
 
     unit = [int(u == top) for u in range(len(tabs))]
@@ -427,12 +428,12 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
         v = by_perm[w]
         for k, a in enumerate(exps):
             for _ in range(a):
-                v = times(x_action[k], v)
+                v = times(actions[r - 1 + k], v)
         column = [y + coef * z for y, z in zip(column, v)]
     gram = transpose([by_word(perm_inverse(d_of(t)), column) for t in tabs])
 
     module = cache[(family, lam)] = CellModuleRealization(
-        ctx=ctx, s_action=s_action, x_action=x_action, label=lam, gram=gram)
+        ctx=ctx, actions=actions, label=lam, gram=gram)
     return module
 
 
@@ -453,14 +454,12 @@ def simple_module(module: CellModuleRealization) -> ModuleRealization:
     if not pivots:
         raise ValueError(f"zero module requested at label {module.label}")
     columns = [[row[j] for j in pivots] for row in gram]
-    mats = module.s_action + module.x_action
     solved = solve_rows(
-        [vec_mat(mat[i], columns) for mat in mats for i in pivots],
+        [vec_mat(mat[i], columns) for mat in module.actions for i in pivots],
         [columns[i] for i in pivots])
     k = len(pivots)
-    quotients = [solved[g * k:(g + 1) * k] for g in range(len(mats))]
-    split = len(module.s_action)
-    return ModuleRealization(module.ctx, quotients[:split], quotients[split:])
+    return ModuleRealization(module.ctx, [
+        solved[g * k:(g + 1) * k] for g in range(len(module.actions))])
 
 
 def simple_of(ctx: AlgebraContext, family: BasisFamily,
@@ -481,33 +480,27 @@ def contragredient(module) -> ModuleRealization:
     Dual module: the anti-automorphism fixes every generator, so the dual
     action is simply the transposed matrices.
     """
-    return ModuleRealization(
-        module.ctx,
-        [transpose(m) for m in module.s_action],
-        [transpose(m) for m in module.x_action],
-    )
+    return ModuleRealization(module.ctx, list(map(transpose, module.actions)))
 
 
 def intertwiner_dim(mod_a, mod_b) -> int:
     """
     Dimension of the space of module maps, solved exactly from the commuting
-    equations phi . g_b = g_a . phi for s_1..s_{r-1} and x_1 (these generate
-    the algebra). Each pair (g_a, g_b) is first multiplied by the lcm of all
-    its denominators: that scales both sides of its d_a . d_b equations by
-    the same nonzero integer, so they keep their solutions, and they are
-    written as ``int`` rows with no ``Fraction`` arithmetic.
+    equations phi . g_b = g_a . phi for s_1..s_{r-1} and x_1, the first r
+    actions (these generate the algebra). Each pair (g_a, g_b) is first
+    multiplied by the lcm of all its denominators: that scales both sides of
+    its d_a . d_b equations by the same nonzero integer, so they keep their
+    solutions, and they are written as ``int`` rows with no ``Fraction``
+    arithmetic.
     """
     if mod_a.ctx is not mod_b.ctx:
         raise ValueError("modules live over different contexts")
     da, db = mod_a.dim, mod_b.dim
     if da == 0 or db == 0:
         return 0
-    gens = list(zip(
-        mod_a.s_action + [mod_a.x_action[0]],
-        mod_b.s_action + [mod_b.x_action[0]],
-    ))
+    r = mod_a.ctx.r
     rows = []
-    for pair in gens:
+    for pair in zip(mod_a.actions[:r], mod_b.actions[:r]):
         den = math.lcm(*[x.denominator
                          for mat in pair for row in mat for x in row])
         ga, gb = [[[x.numerator * (den // x.denominator) for x in row]
@@ -535,13 +528,14 @@ def block_of(module) -> dict[tuple[int, ...], int]:
     non-integer diagonal entry, raises ValueError.
     """
     n = module.dim
-    for k, x in enumerate(module.x_action, 1):
+    xs = module.actions[module.ctx.r - 1:]
+    for k, x in enumerate(xs, 1):
         if any(x[t][u] for t in range(n) for u in range(t + 1, n)):
             raise ValueError(
                 f"x_{k} does not act triangularly on the module basis")
     counts: dict[tuple[int, ...], int] = {}
     for t in range(n):
-        diagonal = tuple(x[t][t] for x in module.x_action)
+        diagonal = tuple(x[t][t] for x in xs)
         if any(y.denominator != 1 for y in diagonal):
             raise ValueError(
                 "non-integer generalized eigenvalue: are the parameters "

@@ -445,7 +445,7 @@ def _left_index_independent(ctx, real) -> bool:
     for li, (lam, tabs) in enumerate(zip(real.labels, real.tableaux)):
         module = cell_module(ctx, real.family, lam)
         top = real.top_index[li]
-        for g, ref in enumerate(module.s_action + module.x_action):
+        for g, ref in enumerate(module.actions):
             if any(real.action(li, si, g) != ref
                    for si in range(len(tabs)) if si != top):
                 return False

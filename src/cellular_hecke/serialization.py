@@ -62,7 +62,10 @@ class JobConfig:
 
 
 def parse_config(text: str) -> JobConfig:
-    """Validated config; raises ConfigError with a code and field path."""
+    """
+    Validated config; raises ConfigError with a code and field path. A
+    boolean or a float (2.0) where an int belongs is a BAD_VALUE.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -75,20 +78,21 @@ def parse_config(text: str) -> JobConfig:
     for key in ("ell", "r"):
         if key not in data:
             raise ConfigError("MISSING_FIELD", f"$.{key}", "required")
-        if not isinstance(data[key], int) or data[key] < 1:
+        if type(data[key]) is not int or data[key] < 1:
             raise ConfigError("BAD_VALUE", f"$.{key}", "must be a positive integer")
     ell, r = data["ell"], data["r"]
     if "omega" not in data:
         raise ConfigError("MISSING_FIELD", "$.omega", "required")
     omega = data["omega"]
-    if not isinstance(omega, list) or any(not isinstance(x, int) for x in omega):
+    if not isinstance(omega, list) or any(type(x) is not int for x in omega):
         raise ConfigError("BAD_VALUE", "$.omega", "must be a list of integers")
     if len(omega) != ell:
         raise ConfigError(
             "LENGTH_MISMATCH", "$.omega", f"expected {ell} entries, got {len(omega)}"
         )
     c = data.get("c", [0] * ell)
-    if not isinstance(c, list) or any(x not in (0, 1) for x in c):
+    if not isinstance(c, list) or any(type(x) is not int or x not in (0, 1)
+                                      for x in c):
         raise ConfigError("BAD_VALUE", "$.c", "must be a list of 0/1")
     if len(c) != ell:
         raise ConfigError(
@@ -99,6 +103,8 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError(
             "LENGTH_MISMATCH", "$.xi", f"expected {ell} entries"
         )
+    if any(type(x) is not int for x in xi):
+        raise ConfigError("BAD_VALUE", "$.xi", "must be a list of integers")
     if not perm_is_valid(tuple(xi)):
         raise ConfigError("NOT_A_PERMUTATION", "$.xi", f"{xi} is not a bijection")
     family = data.get("family", "m")

@@ -93,7 +93,7 @@ class ReferenceKernel:
             s = perm_simple(self.r, i)
             nxt: Terms = {}
             for (c, u), coef in cur.items():
-                for alpha, beta, eps, icoef in _exchange(c[i - 1], c[i]):
+                for alpha, beta, eps, icoef in _exchange[c[i - 1], c[i]]:
                     c2 = list(c)
                     c2[i - 1], c2[i] = alpha, beta
                     self.put(nxt, tuple(c2), perm_mul(s, u) if eps else u,

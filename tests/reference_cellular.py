@@ -73,11 +73,9 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
     def action_matrix(gen: Element) -> Matrix:
         return solve_rows([to_vector(ctx, h * gen) for h in basis], vectors)
 
-    return ModuleRealization(
-        ctx,
-        [action_matrix(ctx.generator_s(i)) for i in range(1, ctx.r)],
-        [action_matrix(ctx.generator_x(k)) for k in range(1, ctx.r + 1)],
-    )
+    gens = [ctx.generator_s(i) for i in range(1, ctx.r)] \
+        + [ctx.generator_x(k) for k in range(1, ctx.r + 1)]
+    return ModuleRealization(ctx, [action_matrix(g) for g in gens])
 
 
 def simple_module_by_generator(module: CellModuleRealization
@@ -97,11 +95,8 @@ def simple_module_by_generator(module: CellModuleRealization
     def quotient(mat: Matrix) -> Matrix:
         return solve_rows([vec_mat(mat[j], gram) for j in pivots], picked)
 
-    return ModuleRealization(
-        module.ctx,
-        [quotient(m) for m in module.s_action],
-        [quotient(m) for m in module.x_action],
-    )
+    return ModuleRealization(module.ctx,
+                             [quotient(m) for m in module.actions])
 
 
 def intertwiner_dim_fractions(mod_a, mod_b) -> int:
@@ -115,12 +110,9 @@ def intertwiner_dim_fractions(mod_a, mod_b) -> int:
     da, db = mod_a.dim, mod_b.dim
     if da == 0 or db == 0:
         return 0
-    gens = list(zip(
-        mod_a.s_action + [mod_a.x_action[0]],
-        mod_b.s_action + [mod_b.x_action[0]],
-    ))
+    r = mod_a.ctx.r
     rows = []
-    for ga, gb in gens:
+    for ga, gb in zip(mod_a.actions[:r], mod_b.actions[:r]):
         for i in range(da):
             for j in range(db):
                 row = [Fraction(0)] * (da * db)

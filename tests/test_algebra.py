@@ -9,8 +9,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellular_hecke import algebra
 from cellular_hecke.algebra import (
-    _EXCHANGE,
+    _exchange,
     AlgebraContext,
     Element,
     defining_relations,
@@ -247,7 +248,7 @@ def test_coefficients_stay_int_until_the_linalg_boundary(ell, r, omega, c, xi):
         b = Element(ctx, {basis[rng.randrange(len(basis))]: -2})
         prods.append(a * b * ctx.generator_x(r))
     assert ctx._xred and ctx._push and ctx._sums
-    assert all(type(v) is int for terms in _EXCHANGE.values()
+    assert all(type(v) is int for terms in _exchange.values()
                for term in terms for v in term)
     assert all(_all_int(t) for t in ctx._xl)
     # push entries are (code(c), code(u), coef); reduction lists, in
@@ -591,9 +592,10 @@ def test_push_through_matches_whole_word_reference(ell, r):
     # permutation; the reference pushes x^b through w's whole reduced word
     ctx = AlgebraContext(ell, r, (0, 1, 2)[:ell])
     ref = kernel(ctx)
+    m = len(ctx._exps)
     for w, perm in enumerate(ctx._perms):
         for b, exps in enumerate(ctx._exps):
-            got = ctx._push_through(w, b)
+            got = ctx._push[w * m + b]
             assert len({(c, u) for c, u, _ in got}) == len(got)
             assert all(type(coef) is int and coef for _, _, coef in got)
             assert {(ctx._exps[c], ctx._perms[u]): coef
@@ -611,7 +613,7 @@ def test_reduction_lists_match_tuple_reference(ell, r):
     for exps in product(range(2 * ell - 1), repeat=r):
         if max(exps) < ell:
             continue
-        got = ctx._x_reduce(exps)
+        got = ctx._xred[exps]
         assert got is ctx._xred[exps]
         for dn, row, _ in got:
             assert dn is ctx._xn[dn // n] and dn % n == 0
@@ -629,13 +631,52 @@ def test_push_entries_do_not_depend_on_fill_order(ell, r):
     # an entry's term order reaches the order of product terms, so two
     # contexts filled in opposite orders must hold the same lists
     up, down = (AlgebraContext(ell, r, (0, 1, 2)[:ell]) for _ in range(2))
-    pairs = list(product(range(len(up._perms)), range(len(up._exps))))
-    for w, b in pairs:
-        up._push_through(w, b)
-    for w, b in reversed(pairs):
-        down._push_through(w, b)
+    keys = range(len(up._perms) * len(up._exps))
+    for key in keys:
+        up._push[key]
+    for key in reversed(keys):
+        down._push[key]
     assert list(up._push) != list(down._push)
     assert up._push == down._push
+
+
+@pytest.mark.parametrize("ell,r", [(2, 3), (3, 3)])
+def test_each_table_key_is_filled_once(monkeypatch, ell, r):
+    # a kernel table builds an entry on the first read of its key only:
+    # later reads, from the product loop or from another entry's fill,
+    # find it stored. The fills are counted from an empty _exchange and
+    # from the context's construction on.
+    filled = {name: [] for name in ("_exchange", "_push", "_sums", "_xred")}
+
+    def counted(name, fill):
+        def wrapped(*args):
+            filled[name].append(args[-1])
+            return fill(*args)
+        return wrapped
+
+    monkeypatch.setattr(algebra, "_exchange", algebra._Table(
+        counted("_exchange", algebra._exchange_entry)))
+    for name in ("_push", "_sums", "_xred"):
+        entry = getattr(AlgebraContext, name + "_entry")
+        monkeypatch.setattr(AlgebraContext, name + "_entry",
+                            counted(name, entry))
+    ctx = AlgebraContext(ell, r, (0, 1, 2)[:ell])
+    basis = ctx.basis()
+    rng = random.Random(11)
+    sample = [(Element(ctx, {rng.choice(basis): 1, rng.choice(basis): -2}),
+               Element(ctx, {rng.choice(basis): 3, rng.choice(basis): 1}))
+              for _ in range(40)]
+    for _ in range(2):
+        for h, k in sample:
+            h * k
+            trace_of_product(h, k)
+            star(h)
+    tables = {"_exchange": algebra._exchange, "_push": ctx._push,
+              "_sums": ctx._sums, "_xred": ctx._xred}
+    for name, keys in filled.items():
+        assert keys, name
+        assert len(keys) == len(set(keys)), name
+        assert set(keys) == set(tables[name]), name
 
 
 @pytest.mark.parametrize("bad", ["past the end", "negative"])

@@ -60,7 +60,13 @@ from reference_cellular import (
     z_element,
 )
 from reference_combinatorics import dominance_gt, residue_sequence
-from reference_linalg import left_nullspace, mat_identity, mat_mul, mat_pow
+from reference_linalg import (
+    left_nullspace,
+    mat_identity,
+    mat_mul,
+    mat_pow,
+    mat_zero,
+)
 
 ALL_C2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -97,7 +103,7 @@ def block_of_by_eigenspaces(module):
     hi = max(ctx.omega) + ctx.r
     spaces = [(mat_identity(n), ())]
     for k in range(ctx.r):
-        x = module.x_action[k]
+        x = module.actions[ctx.r - 1 + k]
         nxt = []
         for basis_rows, prefix in spaces:
             restricted = solve_rows([vec_mat(row, x) for row in basis_rows],
@@ -185,6 +191,51 @@ def families_for(ctx):
     xis = list(itertools.permutations(range(1, ctx.ell + 1)))
     return [family_m(c) for c in cs] + [family_n(c) for c in cs] + \
         [family_m_xi(xi) for xi in xis] + [family_n_xi(xi) for xi in xis]
+
+
+def assert_defining_relations(module):
+    """
+    Every defining relation of the algebra on the module's matrices, read
+    as actions[g] in ``FamilyRealization.action``'s numbering: s_i at
+    i - 1, x_k at r - 2 + k. A right module in the row-vector convention
+    takes a product ab to the matrix product rho(a) . rho(b).
+    """
+    ctx, d = module.ctx, module.dim
+    r = ctx.r
+    s = {i: module.actions[i - 1] for i in range(1, r)}
+    x = {k: module.actions[r - 2 + k] for k in range(1, r + 1)}
+    ident = mat_identity(d)
+
+    def minus(a, b):
+        return [[p - q for p, q in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    def commute(a, b):
+        return mat_mul(a, b) == mat_mul(b, a)
+
+    minus_one = minus(mat_zero(d, d), ident)
+    for i in range(1, r):
+        assert mat_mul(s[i], s[i]) == ident, f"s{i}^2"
+        for j in range(i + 2, r):
+            assert commute(s[i], s[j]), f"s{i} s{j}"
+        for j in range(1, r + 1):
+            if j not in (i, i + 1):
+                assert commute(s[i], x[j]), f"s{i} x{j}"
+        # x_i s_i - s_i x_{i+1} = -1 and s_i x_i - x_{i+1} s_i = -1
+        assert minus(mat_mul(x[i], s[i]), mat_mul(s[i], x[i + 1])) \
+            == minus_one, f"x{i} s{i}"
+        assert minus(mat_mul(s[i], x[i]), mat_mul(x[i + 1], s[i])) \
+            == minus_one, f"s{i} x{i}"
+    for i in range(1, r - 1):
+        assert mat_mul(mat_mul(s[i], s[i + 1]), s[i]) \
+            == mat_mul(mat_mul(s[i + 1], s[i]), s[i + 1]), f"braid s{i}"
+    for k in range(1, r + 1):
+        for j in range(k + 1, r + 1):
+            assert commute(x[k], x[j]), f"x{k} x{j}"
+    # the cyclotomic relation (x_1 - omega_1)...(x_1 - omega_ell) = 0
+    f = ident
+    for w in ctx.omega:
+        f = mat_mul(f, minus(x[1], [[w * e for e in row] for row in ident]))
+    assert f == mat_zero(d, d), "cyclotomic"
 
 
 class TestSeeds:
@@ -453,12 +504,12 @@ class TestCellModules:
     def test_trivial_module(self, ctx13):
         mod = cell_module(ctx13, family_m((0,)), ((3,),))
         assert mod.dim == 1
-        assert all(m == [[Fraction(1)]] for m in mod.s_action)
+        assert all(m == [[Fraction(1)]] for m in mod.actions[:ctx13.r - 1])
 
     def test_sign_module(self, ctx13):
         mod = cell_module(ctx13, family_m((0,)), ((1, 1, 1),))
         assert mod.dim == 1
-        assert all(m == [[Fraction(-1)]] for m in mod.s_action)
+        assert all(m == [[Fraction(-1)]] for m in mod.actions[:ctx13.r - 1])
 
     def test_built_once_per_family_and_label(self):
         ctx = AlgebraContext(2, 3, (0, 1))
@@ -527,31 +578,34 @@ class TestCellModules:
         for fam in fams or families_for(ctx):
             for lam in enumerate_multipartitions(ell, r):
                 mod = cell_module(ctx, fam, lam)
-                entries = [x for mat in mod.s_action + mod.x_action
-                           + [mod.gram] for row in mat for x in row]
+                entries = [x for mat in mod.actions + [mod.gram]
+                           for row in mat for x in row]
                 assert all(type(x) is int for x in entries), (fam, lam)
 
-    def test_generator_matrices_satisfy_relations(self, ctx22):
-        for fam in [family_m((0, 1)), family_n((1, 0)), family_n_xi((2, 1))]:
-            for lam in enumerate_multipartitions(2, 2):
-                mod = cell_module(ctx22, fam, lam)
-                if mod.dim == 0:
-                    continue
-                s1 = mod.s_action[0]
-                x1, x2 = mod.x_action
-                ident = mat_identity(mod.dim)
-                assert mat_mul(s1, s1) == ident
-                assert mat_mul(x1, x2) == mat_mul(x2, x1)
-                # s1 x1 - x2 s1 = -1 (right modules: products reverse)
-                lhs = [[mat_mul(x1, s1)[i][j] - mat_mul(s1, x2)[i][j]
-                        for j in range(mod.dim)] for i in range(mod.dim)]
-                assert lhs == [[-ident[i][j] for j in range(mod.dim)]
-                               for i in range(mod.dim)]
-                # cyclotomic relation on x1
-                f = mat_mul(x1, [[x1[i][j] - ident[i][j]
-                                  for j in range(mod.dim)]
-                                 for i in range(mod.dim)])
-                assert all(all(v == 0 for v in row) for row in f)
+    def test_generator_matrices_satisfy_relations(self):
+        # every defining relation holds on every cell module and on every
+        # simple quotient, with the generators read as actions[g]
+        for (ell, r, omega), fams in [
+            ((2, 2, (0, 1)), [family_m((0, 1)), family_n((1, 0)),
+                              family_n_xi((2, 1))]),
+            ((2, 3, (1, 0)), None),
+            ((3, 3, (0, 1, 2)), [family_m((0, 1, 1)), family_n((1, 0, 1)),
+                                 family_m_xi((2, 3, 1)),
+                                 family_n_xi((3, 1, 2))]),
+        ]:
+            ctx = AlgebraContext(ell, r, omega)
+            simples = 0
+            for fam in fams or families_for(ctx):
+                for lam in enumerate_multipartitions(ell, r):
+                    mod = cell_module(ctx, fam, lam)
+                    if mod.dim == 0:
+                        continue
+                    assert_defining_relations(mod)
+                    simple = simple_of(ctx, fam, lam)
+                    if simple is not None:
+                        assert_defining_relations(simple)
+                        simples += 1
+            assert simples, (ell, r)
 
     def test_x1_spectrum_lies_in_contents(self, ctx22):
         for lam in enumerate_multipartitions(2, 2):
@@ -684,8 +738,7 @@ class TestSimples:
             simple = simple_module(mod)
             d = simple.dim
             assert d == rank(mod.gram)
-            s1 = simple.s_action[0]
-            x1, x2 = simple.x_action
+            s1, x1, x2 = simple.actions
             assert mat_mul(s1, s1) == mat_identity(d)
             assert mat_mul(x1, x2) == mat_mul(x2, x1)
 
@@ -699,8 +752,7 @@ class TestSimples:
                         assert got is None
                         continue
                     want = simple_module(cell_module(ctx, fam, lam))
-                    assert (got.s_action, got.x_action) \
-                        == (want.s_action, want.x_action)
+                    assert got.actions == want.actions
 
     @pytest.mark.parametrize("ell,r,omega", [
         (2, 2, (0, 1)), (2, 3, (1, 0)), (3, 3, (0, 1, 2)),
@@ -716,8 +768,7 @@ class TestSimples:
                     continue
                 got = simple_module(mod)
                 want = simple_module_by_generator(mod)
-                assert (got.s_action, got.x_action) \
-                    == (want.s_action, want.x_action)
+                assert got.actions == want.actions
                 checked += 1
         assert checked
 
@@ -769,12 +820,11 @@ class TestIntertwiners:
             return [[x * w[j] / w[i] for j, x in enumerate(row)]
                     for i, row in enumerate(g)]
 
-        return ModuleRealization(mod.ctx, [conj(g) for g in mod.s_action],
-                                 [conj(g) for g in mod.x_action])
+        return ModuleRealization(mod.ctx, [conj(g) for g in mod.actions])
 
     @staticmethod
     def has_fraction(mod):
-        return any(x.denominator != 1 for mat in mod.s_action + mod.x_action
+        return any(x.denominator != 1 for mat in mod.actions
                    for row in mat for x in row)
 
     @pytest.mark.parametrize("ell,r,omega", [
@@ -856,21 +906,21 @@ class TestBlocks:
     def test_non_triangular_x_refused(self):
         ctx = AlgebraContext(1, 2, (0,))
         zero = F([[0, 0], [0, 0]])
-        mod = ModuleRealization(ctx, [zero], [zero, F([[0, 1], [0, 0]])])
+        mod = ModuleRealization(ctx, [zero, zero, F([[0, 1], [0, 0]])])
         with pytest.raises(ValueError, match="x_2 does not act triangularly"):
             block_of(mod)
 
     def test_non_integer_diagonal_refused(self):
         ctx = AlgebraContext(1, 2, (0,))
         half = F([[Fraction(1, 2), 0], [1, 0]])
-        mod = ModuleRealization(ctx, [F([[0, 0], [0, 0]])],
-                                [half, F([[1, 0], [0, 1]])])
+        mod = ModuleRealization(ctx, [F([[0, 0], [0, 0]]), half,
+                                      F([[1, 0], [0, 1]])])
         with pytest.raises(ValueError, match="non-integer generalized"):
             block_of(mod)
 
     def test_zero_module_has_no_blocks(self):
         ctx = AlgebraContext(1, 2, (0,))
-        assert block_of(ModuleRealization(ctx, [[]], [[], []])) == {}
+        assert block_of(ModuleRealization(ctx, [[], [], []])) == {}
 
 
 class TestDuality:
@@ -884,8 +934,7 @@ class TestDuality:
     def test_double_dual(self, ctx22):
         mod = cell_module(ctx22, family_m((0, 0)), ((1,), (1,)))
         again = contragredient(contragredient(mod))
-        assert again.s_action == mod.s_action
-        assert again.x_action == mod.x_action
+        assert again.actions == mod.actions
 
     def test_dual_preserves_dimension(self, ctx22):
         mod = cell_module(ctx22, family_n((1, 0)), ((2,), ()))

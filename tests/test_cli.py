@@ -533,6 +533,17 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_float_xi_in_config_exit_2(tmp_path, capsys):
+    # 2.0 equals the int 2, so it used to pass the permutation check and
+    # fail deep in verify main2 with exit 1, the verification-failure code
+    cfg = tmp_path / "job.json"
+    cfg.write_text('{"ell":2,"r":2,"omega":[1,0],"xi":[2.0,1.0]}')
+    code = main(["verify", "main2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "BAD_VALUE at $.xi" in captured.err
+
+
 def test_usage_error_exit_2(capsys):
     code, _ = run_cli(capsys, "gram", "--ell", "2", "--r", "1",
                       "--omega", "0,1", "--lambda", "[[5],[]]")
@@ -661,16 +672,16 @@ def test_verify_all_leaves_the_cached_cell_modules_unchanged():
     run_all()
     cached = dict(ctx._cell_modules)
     assert len(cached) > 40
-    before = {key: copy.deepcopy((m.s_action, m.x_action, m.gram))
+    before = {key: copy.deepcopy((m.actions, m.gram))
               for key, m in cached.items()}
     run_all()
     assert ctx._cell_modules.keys() == cached.keys()
     fresh = cli.context_from_config(cfg)
     for (fam, lam), mod in cached.items():
         assert ctx._cell_modules[(fam, lam)] is mod
-        assert (mod.s_action, mod.x_action, mod.gram) == before[(fam, lam)]
+        assert (mod.actions, mod.gram) == before[(fam, lam)]
         new = cellular.cell_module(fresh, fam, lam)
-        assert (new.s_action, new.x_action, new.gram) == before[(fam, lam)]
+        assert (new.actions, new.gram) == before[(fam, lam)]
 
 
 def _left_index_target(ctx, fam):
@@ -710,7 +721,7 @@ def test_verify_cellular_fails_on_a_perturbed_cell_module():
     fam = cellular.family_n(cfg.c)
     real, li, _ = _left_index_target(ctx, fam)
     mod = cellular.cell_module(ctx, fam, real.labels[li])
-    mod.s_action[0][0][0] += 1
+    mod.actions[0][0][0] += 1
     ok, lines = cli.suite_cellular(cfg, ctx)
     assert not ok
     assert lines == ["FAIL cellular: action coefficients depend on the left "

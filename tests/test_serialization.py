@@ -93,6 +93,24 @@ class TestConfig:
             parse_config('{"ell":2,"r":1,"omega":[0,1],"c":[0,2]}')
         assert err.value.code == "BAD_VALUE"
 
+    @pytest.mark.parametrize("fields,path", [
+        ('"ell":true,"r":2,"omega":[0]', "$.ell"),
+        ('"ell":2.0,"r":2,"omega":[0,1]', "$.ell"),
+        ('"ell":2,"r":true,"omega":[0,1]', "$.r"),
+        ('"ell":2,"r":2.0,"omega":[0,1]', "$.r"),
+        ('"ell":2,"r":2,"omega":[true,0]', "$.omega"),
+        ('"ell":2,"r":2,"omega":[1.0,0]', "$.omega"),
+        ('"ell":2,"r":2,"omega":[0,1],"c":[false,true]', "$.c"),
+        ('"ell":2,"r":2,"omega":[0,1],"c":[0.0,1.0]', "$.c"),
+        ('"ell":2,"r":2,"omega":[0,1],"xi":[true,2]', "$.xi"),
+        ('"ell":2,"r":2,"omega":[1,0],"xi":[2.0,1.0]', "$.xi"),
+    ])
+    def test_booleans_and_floats_are_not_integers(self, fields, path):
+        # JSON true and 2.0 compare equal to Python ints; only an int is one
+        with pytest.raises(ConfigError) as err:
+            parse_config("{" + fields + "}")
+        assert (err.value.code, err.value.path) == ("BAD_VALUE", path)
+
 
 class TestEmission:
     def test_jsonl_round_trip(self):
