@@ -254,6 +254,11 @@ def check_label(ell: int, r: int, lam: Multipartition) -> None:
             f"ell={ell}, r={r}: need {ell} partitions of total size {r}")
 
 
+# index of the row-reading (top) tableau among a label's tableaux: it sorts
+# first in ``standard_tableaux``
+TOP = 0
+
+
 class FamilyRealization:
     """
     Every cellular element of one family expanded over the monomial basis,
@@ -273,10 +278,6 @@ class FamilyRealization:
         self.labels = enumerate_multipartitions(ctx.ell, ctx.r)
         self._label_indices = {lam: li for li, lam in enumerate(self.labels)}
         self.tableaux = [standard_tableaux(lam) for lam in self.labels]
-        self.top_index = [
-            tabs.index(row_reading_tableau(lam))
-            for lam, tabs in zip(self.labels, self.tableaux)
-        ]
         self.cells: list[tuple[int, int, int]] = []
         self.elements: list[Element] = []
         matrix_rows: list[list[int]] = []
@@ -404,9 +405,8 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     if module is not None:
         return module
     tabs = real.tableaux[li]
-    top = real.top_index[li]
     r = ctx.r
-    actions = [real.action(li, top, g) for g in range(2 * r - 1)]
+    actions = [real.action(li, TOP, g) for g in range(2 * r - 1)]
 
     # column t of the Gram matrix is rho(d(t)^{-1}) . rho(seed) . e_top, and
     # rho(h) sends a column vector v to the matrix product rho(h) . v
@@ -418,10 +418,10 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
             v = times(actions[i - 1], v)
         return v
 
-    unit = [int(u == top) for u in range(len(tabs))]
+    unit = [int(u == TOP) for u in range(len(tabs))]
     by_perm: dict[Perm, Vector] = {}
     column = [0] * len(tabs)
-    for key, coef in real.element(li, top, top).terms.items():
+    for key, coef in real.element(li, TOP, TOP).terms.items():
         exps, w = ctx.monomial(key)
         if w not in by_perm:
             by_perm[w] = by_word(w, unit)

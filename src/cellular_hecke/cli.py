@@ -4,6 +4,10 @@ Command-line driver.
 Machine-readable output (JSON-lines, CSV or DOT) goes to stdout; progress
 notes go to stderr. Exit codes: 0 success, 1 verification failure, 2 usage
 error. Output bytes are deterministic for a fixed config.
+
+Each verb is bound once, in ``build_parser``, to its handler and to the size
+check it must pass before any algebra context is built; ``main`` resolves
+the config, runs that check and dispatches.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .algebra import (
     verify_basis,
 )
 from .cellular import (
+    TOP,
     BasisFamily,
     cell_module,
     cell_seed,
@@ -59,6 +64,9 @@ from .label_maps import (
 )
 from .linalg import SingularMatrixError
 from .serialization import (
+    FAMILIES,
+    FIELDS,
+    FORMATS,
     ConfigError,
     JobConfig,
     emit,
@@ -91,66 +99,69 @@ def build_parser() -> argparse.ArgumentParser:
                         help="01 twist sequence")
     common.add_argument("--xi", type=_int_list, metavar="2,1",
                         help="parameter permutation (one-line images)")
-    common.add_argument("--family", choices=["m", "n", "mxi", "nxi"],
-                        help="cellular family")
-    common.add_argument("--format", choices=["json", "csv", "dot"],
-                        help="output format")
+    common.add_argument("--family", choices=FAMILIES, help="cellular family")
+    common.add_argument("--format", choices=FORMATS, help="output format")
     common.add_argument("--config", metavar="FILE", help="JSON config file")
 
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("list", parents=[common],
-                   help="labels and tableau counts")
-    sub.add_parser("check-basis", parents=[common],
-                   help="normal-form basis and relation check")
-    p = sub.add_parser("gram", parents=[common], help="Gram matrix of a label")
+
+    # each verb's handler, and the size check it must pass before any
+    # context is built (verify checks by the suites it runs)
+    def verb(name, run, limit, **kwargs):
+        p = sub.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(run=run, limit=limit)
+        return p
+
+    verb("list", cmd_list, None, help="labels and tableau counts")
+    verb("check-basis", cmd_check_basis, check_normal_form_size,
+         help="normal-form basis and relation check")
+    p = verb("gram", cmd_gram, check_realization_size,
+             help="Gram matrix of a label")
     p.add_argument("--lambda", dest="lam", required=True,
                    metavar="[[2],[1]]", help="label as JSON")
-    sub.add_parser("simples", parents=[common],
-                   help="cell/simple dimensions and blocks per label")
-    sub.add_parser("blocks", parents=[common],
-                   help="partition of the labels into blocks")
-    p = sub.add_parser("crystal", parents=[common],
-                       help="component of the empty label")
+    verb("simples", cmd_simples, check_realization_size,
+         help="cell/simple dimensions and blocks per label")
+    verb("blocks", cmd_blocks, check_realization_size,
+         help="partition of the labels into blocks")
+    p = verb("crystal", cmd_crystal, None,
+             help="component of the empty label")
     p.add_argument("--depth", type=int, help="number of boxes (default r)")
-    p = sub.add_parser("mullineux", parents=[common],
-                       help="label correspondence maps")
+    p = verb("mullineux", cmd_mullineux, None,
+             help="label correspondence maps")
     p.add_argument("--lambda", dest="lam", required=True,
                    metavar="[[2],[1]]", help="label as JSON")
-    p = sub.add_parser("match", parents=[common],
-                       help="intertwiner-certified label bijection")
-    p.add_argument("--familyA", required=True,
-                   choices=["m", "n", "mxi", "nxi"])
-    p.add_argument("--familyB", required=True,
-                   choices=["m", "n", "mxi", "nxi"])
-    p = sub.add_parser("verify", parents=[common],
-                       help="named verification suites")
+    p = verb("match", cmd_match, check_realization_size,
+             help="intertwiner-certified label bijection")
+    p.add_argument("--familyA", required=True, choices=FAMILIES)
+    p.add_argument("--familyB", required=True, choices=FAMILIES)
+    p = verb("verify", cmd_verify, None, help="named verification suites")
     p.add_argument("suites", nargs="+", choices=list(SUITES) + ["all"])
     return parser
 
 
-def resolve_config(args) -> tuple[JobConfig, bool]:
+def resolve_config(args) -> JobConfig:
     """
-    Defaults, then config file, then explicit flags. Also says whether xi
-    was given, by the file or by the flag: ``mullineux`` picks its map by it.
+    Defaults, then config file, then explicit flags. The fields the file
+    sets fill the flags left unset, so ``args.xi is not None`` says whether
+    xi was given by either: ``mullineux`` picks its map by it.
     """
-    merged: dict = {"ell": 2, "r": 2}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("INVALID_JSON", "$", "not UTF-8 text") from exc
         parse_config(text)
         # only the fields the file sets: its defaults must not count as given
-        merged.update(json.loads(text))
-    xi_given = args.xi is not None or "xi" in merged
-    for key, value in [
-        ("ell", args.ell), ("r", args.r), ("omega", args.omega),
-        ("c", args.c), ("xi", args.xi), ("family", args.family),
-        ("format", args.format),
-    ]:
-        if value is not None:
-            merged[key] = value
+        for key, value in json.loads(text).items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    merged: dict = {"ell": 2, "r": 2}
+    merged.update((key, getattr(args, key)) for key in FIELDS
+                  if getattr(args, key) is not None)
     # without an explicit omega the parameters default to 0..ell-1
     merged.setdefault("omega", list(range(merged["ell"])))
-    return parse_config(json.dumps(merged)), xi_given
+    return parse_config(json.dumps(merged))
 
 
 def family_from_config(cfg: JobConfig, name: str | None = None) -> BasisFamily:
@@ -165,19 +176,19 @@ def context_from_config(cfg: JobConfig) -> AlgebraContext:
 
 
 # ---------------------------------------------------------------------------
-# verbs
+# verbs: each takes (cfg, args) and returns (stdout bytes, exit code), and
+# runs after the size check it is bound to in build_parser
 
 
-def cmd_list(cfg: JobConfig) -> bytes:
+def cmd_list(cfg: JobConfig, args) -> tuple[bytes, int]:
     rows = [
         {"lambda": mp_to_lists(lam), "std": count_standard_tableaux(lam)}
         for lam in enumerate_multipartitions(cfg.ell, cfg.r)
     ]
-    return emit(rows, cfg.format, fieldnames=["lambda", "std"])
+    return emit(rows, cfg.format, fieldnames=["lambda", "std"]), 0
 
 
-def cmd_check_basis(cfg: JobConfig) -> tuple[bytes, int]:
-    check_normal_form_size(cfg.ell, cfg.r)
+def cmd_check_basis(cfg: JobConfig, args) -> tuple[bytes, int]:
     ctx = context_from_config(cfg)
     basis_ok = verify_basis(ctx)
     relations_ok = all(el.is_zero() for _, el in defining_relations(ctx))
@@ -191,10 +202,9 @@ def cmd_check_basis(cfg: JobConfig) -> tuple[bytes, int]:
     return emit([row], cfg.format), 0 if ok else 1
 
 
-def cmd_gram(cfg: JobConfig, lam_text: str) -> bytes:
+def cmd_gram(cfg: JobConfig, args) -> tuple[bytes, int]:
     fam = family_from_config(cfg)
-    lam = mp_from_lists(json.loads(lam_text))
-    check_realization_size(cfg.ell, cfg.r)
+    lam = mp_from_lists(json.loads(args.lam))
     check_label(cfg.ell, cfg.r, lam)
     module = cell_module(context_from_config(cfg), fam, lam)
     rows = [
@@ -202,18 +212,17 @@ def cmd_gram(cfg: JobConfig, lam_text: str) -> bytes:
          "row": [str(x) for x in module.gram[i]]}
         for i in range(module.dim)
     ]
-    return emit(rows, cfg.format, fieldnames=["lambda", "family", "i", "row"])
-
-
-def cmd_simples(cfg: JobConfig) -> bytes:
-    check_realization_size(cfg.ell, cfg.r)
-    rows = simples_table(context_from_config(cfg), family_from_config(cfg))
     return emit(rows, cfg.format,
-                fieldnames=["lambda", "family", "dim_cell", "dim_simple", "block"])
+                fieldnames=["lambda", "family", "i", "row"]), 0
 
 
-def cmd_blocks(cfg: JobConfig) -> bytes:
-    check_realization_size(cfg.ell, cfg.r)
+def cmd_simples(cfg: JobConfig, args) -> tuple[bytes, int]:
+    rows = simples_table(context_from_config(cfg), family_from_config(cfg))
+    return emit(rows, cfg.format, fieldnames=[
+        "lambda", "family", "dim_cell", "dim_simple", "block"]), 0
+
+
+def cmd_blocks(cfg: JobConfig, args) -> tuple[bytes, int]:
     by_alpha: dict[tuple, list] = {}
     for row in simples_table(context_from_config(cfg), family_from_config(cfg)):
         by_alpha.setdefault(tuple(row["block"]), []).append(row["lambda"])
@@ -221,11 +230,11 @@ def cmd_blocks(cfg: JobConfig) -> bytes:
         {"block": list(alpha), "lambdas": by_alpha[alpha]}
         for alpha in sorted(by_alpha)
     ]
-    return emit(rows, cfg.format, fieldnames=["block", "lambdas"])
+    return emit(rows, cfg.format, fieldnames=["block", "lambdas"]), 0
 
 
-def cmd_crystal(cfg: JobConfig, depth: int | None) -> bytes:
-    depth = cfg.r if depth is None else depth
+def cmd_crystal(cfg: JobConfig, args) -> tuple[bytes, int]:
+    depth = cfg.r if args.depth is None else args.depth
     if depth < 0:
         raise ValueError(f"--depth must be >= 0, got {depth}")
     seen = crystal_mod.component_of_empty(cfg.omega, depth)
@@ -244,7 +253,7 @@ def cmd_crystal(cfg: JobConfig, depth: int | None) -> bytes:
         for src, j, dst in crystal_mod.crystal_edges(seen)
     )
     if cfg.format == "dot":
-        return emit_dot(labels, edges)
+        return emit_dot(labels, edges), 0
     rows = [
         {"node": i, "depth": ordered[i][1], "gamma": json.loads(labels[i])}
         for i in range(len(ordered))
@@ -253,15 +262,15 @@ def cmd_crystal(cfg: JobConfig, depth: int | None) -> bytes:
         {"edge": [src, dst], "color": int(color)} for src, color, dst in edges
     ]
     return emit(rows, cfg.format,
-                fieldnames=["node", "depth", "gamma", "edge", "color"])
+                fieldnames=["node", "depth", "gamma", "edge", "color"]), 0
 
 
-def cmd_mullineux(cfg: JobConfig, lam_text: str, xi_given: bool) -> bytes:
-    lam = mp_from_lists(json.loads(lam_text))
+def cmd_mullineux(cfg: JobConfig, args) -> tuple[bytes, int]:
+    lam = mp_from_lists(json.loads(args.lam))
     if len(lam) != cfg.ell:
         raise ValueError(f"lambda {mp_to_lists(lam)} needs ell={cfg.ell} "
                          f"components, got {len(lam)}")
-    if xi_given:
+    if args.xi is not None:
         ctx = xi_context(cfg.omega, cfg.xi, size=max(sum(map(sum, lam)), 1))
         out = mullineux_xi(lam, ctx)
     else:
@@ -270,19 +279,18 @@ def cmd_mullineux(cfg: JobConfig, lam_text: str, xi_given: bool) -> bytes:
         "from": mp_to_lists(lam),
         "to": None if out is None else mp_to_lists(out),
     }
-    return emit([row], cfg.format, fieldnames=["from", "to"])
+    return emit([row], cfg.format, fieldnames=["from", "to"]), 0
 
 
-def cmd_match(cfg: JobConfig, name_a: str, name_b: str) -> bytes:
-    check_realization_size(cfg.ell, cfg.r)
+def cmd_match(cfg: JobConfig, args) -> tuple[bytes, int]:
     table = match_simples(context_from_config(cfg),
-                          family_from_config(cfg, name_a),
-                          family_from_config(cfg, name_b))
+                          family_from_config(cfg, args.familyA),
+                          family_from_config(cfg, args.familyB))
     rows = [
         {"from": mp_to_lists(a), "to": mp_to_lists(b), "certified": True}
         for a, b in sorted(table)
     ]
-    return emit(rows, cfg.format, fieldnames=["from", "to", "certified"])
+    return emit(rows, cfg.format, fieldnames=["from", "to", "certified"]), 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +405,7 @@ def suite_pairing(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]
 
 
 def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
-    fams = [family_from_config(cfg, kind) for kind in ("m", "n", "mxi", "nxi")]
+    fams = [family_from_config(cfg, kind) for kind in FAMILIES]
     lines = []
     ok = True
     for fam in fams:
@@ -444,10 +452,9 @@ def _left_index_independent(ctx, real) -> bool:
     """
     for li, (lam, tabs) in enumerate(zip(real.labels, real.tableaux)):
         module = cell_module(ctx, real.family, lam)
-        top = real.top_index[li]
         for g, ref in enumerate(module.actions):
             if any(real.action(li, si, g) != ref
-                   for si in range(len(tabs)) if si != top):
+                   for si in range(len(tabs)) if si != TOP):
                 return False
     return True
 
@@ -578,9 +585,9 @@ _SUITE_FNS = {
 SUITES = tuple(_SUITE_FNS)
 
 
-def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
-    run_all = "all" in suites
-    names = list(SUITES) if run_all else suites
+def cmd_verify(cfg: JobConfig, args) -> tuple[bytes, int]:
+    run_all = "all" in args.suites
+    names = list(SUITES) if run_all else args.suites
     reasons = {name: _not_applicable(name, cfg) for name in names}
     if not run_all:
         # a suite named explicitly on a config it does not apply to is a
@@ -616,35 +623,16 @@ def cmd_verify(cfg: JobConfig, suites: list[str]) -> tuple[bytes, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg, xi_given = resolve_config(args)
+        cfg = resolve_config(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = 0
-        if args.verb == "list":
-            data = cmd_list(cfg)
-        elif args.verb == "check-basis":
-            data, code = cmd_check_basis(cfg)
-        elif args.verb == "gram":
-            data = cmd_gram(cfg, args.lam)
-        elif args.verb == "simples":
-            data = cmd_simples(cfg)
-        elif args.verb == "blocks":
-            data = cmd_blocks(cfg)
-        elif args.verb == "crystal":
-            data = cmd_crystal(cfg, args.depth)
-        elif args.verb == "mullineux":
-            data = cmd_mullineux(cfg, args.lam, xi_given)
-        elif args.verb == "match":
-            data = cmd_match(cfg, args.familyA, args.familyB)
-        elif args.verb == "verify":
-            data, code = cmd_verify(cfg, args.suites)
-        else:  # pragma: no cover
-            parser.error(f"unknown verb {args.verb}")
+        if args.limit is not None:
+            args.limit(cfg.ell, cfg.r)
+        data, code = args.run(cfg, args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -247,6 +247,8 @@ def standard_tableaux(lam: Multipartition) -> list[Tableau]:
     All standard tableaux of shape ``lam``, in a fixed deterministic order
     (sorted by filling), as a fresh list. Generated by removing the largest
     entry from every removable box and recursing, once per shape and run.
+    Tableaux of one shape compare as their row-reading words, so the
+    row-reading tableau, whose word is 1, 2, ..., r, is always first.
     """
     return list(_standard_tableaux(lam))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .combinatorics import Multipartition, perm_is_valid
@@ -45,9 +45,9 @@ def mp_from_lists(data) -> Multipartition:
 # job configuration
 
 
-_KNOWN_FIELDS = {"ell", "r", "omega", "c", "xi", "family", "format"}
-_FAMILIES = {"m", "n", "mxi", "nxi"}
-_FORMATS = {"json", "csv", "dot"}
+# the choices of --family and --format, in the command line's order
+FAMILIES = ("m", "n", "mxi", "nxi")
+FORMATS = ("json", "csv", "dot")
 
 
 @dataclass
@@ -61,10 +61,15 @@ class JobConfig:
     format: str
 
 
+# the config's field names; the command line's flags come in this order
+FIELDS = tuple(f.name for f in fields(JobConfig))
+
+
 def parse_config(text: str) -> JobConfig:
     """
     Validated config; raises ConfigError with a code and field path. A
-    boolean or a float (2.0) where an int belongs is a BAD_VALUE.
+    boolean or a float (2.0) where an int belongs, or a non-string family
+    or format, is a BAD_VALUE.
     """
     try:
         data = json.loads(text)
@@ -73,7 +78,7 @@ def parse_config(text: str) -> JobConfig:
     if not isinstance(data, dict):
         raise ConfigError("INVALID_JSON", "$", "top level must be an object")
     for key in data:
-        if key not in _KNOWN_FIELDS:
+        if key not in FIELDS:
             raise ConfigError("UNKNOWN_FIELD", f"$.{key}", "unknown field")
     for key in ("ell", "r"):
         if key not in data:
@@ -108,11 +113,11 @@ def parse_config(text: str) -> JobConfig:
     if not perm_is_valid(tuple(xi)):
         raise ConfigError("NOT_A_PERMUTATION", "$.xi", f"{xi} is not a bijection")
     family = data.get("family", "m")
-    if family not in _FAMILIES:
-        raise ConfigError("BAD_VALUE", "$.family", f"must be one of {sorted(_FAMILIES)}")
+    if type(family) is not str or family not in FAMILIES:
+        raise ConfigError("BAD_VALUE", "$.family", f"must be one of {sorted(FAMILIES)}")
     fmt = data.get("format", "json")
-    if fmt not in _FORMATS:
-        raise ConfigError("BAD_VALUE", "$.format", f"must be one of {sorted(_FORMATS)}")
+    if type(fmt) is not str or fmt not in FORMATS:
+        raise ConfigError("BAD_VALUE", "$.format", f"must be one of {sorted(FORMATS)}")
     return JobConfig(ell=ell, r=r, omega=tuple(omega), c=tuple(c),
                      xi=tuple(xi), family=family, format=fmt)
 

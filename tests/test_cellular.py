@@ -81,7 +81,7 @@ def gram_by_products(ctx, family, lam):
     real = realization(ctx, family)
     li = real.label_index(lam)
     tabs = real.tableaux[li]
-    top = real.top_index[li]
+    top = cellular.TOP
     return [
         [real.expand(real.element(li, top, si) * real.element(li, ti, top),
                      [(li, top, top)])[0]
@@ -158,7 +158,7 @@ def gram_via_trace(ctx, family, lam):
     real = realization(ctx, family)
     li = real.label_index(lam)
     tabs = real.tableaux[li]
-    top = real.top_index[li]
+    top = cellular.TOP
     out = []
     for si in range(len(tabs)):
         left = real.element(li, top, si)
@@ -682,7 +682,7 @@ class TestGram:
         for fam in [family_m((0, 1)), family_n_xi((2, 1))]:
             real = realization(ctx, fam)
             for li, lam in enumerate(real.labels):
-                top = real.top_index[li]
+                top = cellular.TOP
                 assert real.element(li, top, top) == cell_seed(ctx, fam, lam)
 
     def test_rank_invariant_under_basis_reordering(self, ctx13):

@@ -544,6 +544,24 @@ def test_float_xi_in_config_exit_2(tmp_path, capsys):
     assert "BAD_VALUE at $.xi" in captured.err
 
 
+@pytest.mark.parametrize("content,err", [
+    (b'{"ell":2,"r":2,"omega":[0,1],"family":["m"]}', "BAD_VALUE at $.family"),
+    (b'{"ell":2,"r":2,"omega":[0,1],"format":{"a":1}}',
+     "BAD_VALUE at $.format"),
+    (b"\xff\xfe", "INVALID_JSON at $"),
+], ids=["family-list", "format-dict", "not-utf-8"])
+def test_config_refused_with_exit_2(tmp_path, capsys, content, err):
+    # each used to escape as a traceback with exit 1, the verification-
+    # failure code: an unhashable family or format, and a file that is not
+    # UTF-8 text
+    cfg = tmp_path / "job.json"
+    cfg.write_bytes(content)
+    code = main(["simples", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("config error: " + err + ": ")
+
+
 def test_usage_error_exit_2(capsys):
     code, _ = run_cli(capsys, "gram", "--ell", "2", "--r", "1",
                       "--omega", "0,1", "--lambda", "[[5],[]]")
@@ -689,7 +707,7 @@ def _left_index_target(ctx, fam):
     real = cellular.realization(ctx, fam)
     li = next(i for i, tabs in enumerate(real.tableaux) if len(tabs) > 1)
     left = next(s for s in range(len(real.tableaux[li]))
-                if s != real.top_index[li])
+                if s != cellular.TOP)
     return real, li, left
 
 
@@ -852,6 +870,43 @@ def test_config_matches_flags_per_verb(tmp_path, capsysbinary, verb, fields,
     from_flags = capsysbinary.readouterr().out
     assert code_file == code_flags == 0
     assert from_file == from_flags and from_file
+
+
+VERB_HELP = {
+    "list": ("labels and tableau counts", []),
+    "check-basis": ("normal-form basis and relation check", []),
+    "gram": ("Gram matrix of a label", ["--lambda"]),
+    "simples": ("cell/simple dimensions and blocks per label", []),
+    "blocks": ("partition of the labels into blocks", []),
+    "crystal": ("component of the empty label", ["--depth"]),
+    "mullineux": ("label correspondence maps", ["--lambda"]),
+    "match": ("intertwiner-certified label bijection",
+              ["--familyA", "--familyB"]),
+    "verify": ("named verification suites", [*cli.SUITES, "all"]),
+}
+
+
+def help_text(capsys, *argv) -> str:
+    """``--help`` output with its whitespace runs joined: argparse wraps
+    and indents differently across Python versions."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_program_help_lists_each_verb(capsys):
+    text = help_text(capsys)
+    for verb, (summary, _) in VERB_HELP.items():
+        assert f"{verb} {summary}" in text
+
+
+@pytest.mark.parametrize("verb", VERB_HELP)
+def test_verb_help_lists_its_arguments(capsys, verb):
+    text = help_text(capsys, verb)
+    assert text.startswith(f"usage: cellular-hecke {verb} ")
+    for arg in ["--ell", "--r", "--config", *VERB_HELP[verb][1]]:
+        assert arg in text
 
 
 def readme_commands():

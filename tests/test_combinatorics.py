@@ -152,6 +152,15 @@ class TestStandardTableaux:
         )
         assert total == ell ** r * math.factorial(r)
 
+    def test_row_reading_tableau_sorts_first(self):
+        # cellular.TOP relies on it: the top tableau is index 0 of every list
+        labels = [lam for ell in range(1, 5) for r in range(7)
+                  if ell ** r <= 5000
+                  for lam in enumerate_multipartitions(ell, r)]
+        assert len(labels) == 1574
+        for lam in labels:
+            assert standard_tableaux(lam)[0] == row_reading_tableau(lam), lam
+
 
 class TestReadingTableaux:
     def test_running_example_row(self):

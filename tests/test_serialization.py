@@ -111,6 +111,17 @@ class TestConfig:
             parse_config("{" + fields + "}")
         assert (err.value.code, err.value.path) == ("BAD_VALUE", path)
 
+    @pytest.mark.parametrize("field", ["family", "format"])
+    @pytest.mark.parametrize("value", ['["m"]', '{"a":1}', "1"],
+                             ids=["list", "dict", "int"])
+    def test_non_string_family_or_format(self, field, value):
+        # a list or dict is unhashable, so a set membership test raised
+        # TypeError here instead of reporting the value
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"ell":2,"r":2,"omega":[0,1],"%s":%s}'
+                         % (field, value))
+        assert (err.value.code, err.value.path) == ("BAD_VALUE", f"$.{field}")
+
 
 class TestEmission:
     def test_jsonl_round_trip(self):
