@@ -228,11 +228,12 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
 
 
 # Largest algebra dimension ell^r * r! that gets a realization. The block
-# triangular inverse is no longer the wall (about 1.3 s CPU at (3,4),
-# omega 0,1,2, on a 2-core Xeon with Python 3.11; 12 s at (2,5)); memory
-# is: the change of basis and its inverse are dense n x n lists, and
-# building one realization at (2,5) peaks at about 300 MiB even with their
-# entries small ints. (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does
+# triangular inverse is no longer the wall (one realization of m[0,...,0]
+# takes about 1.8 s CPU at (3,4), omega 0,1,2, and about 5.5 s at (2,5),
+# omega 0,1, 5 s of it in the inverse, on a 2-core Xeon with Python 3.11);
+# memory is: the change of basis and its inverse are dense n x n lists,
+# and building one realization at (2,5) peaks at about 300 MiB even with
+# their entries small ints. (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does
 # not.
 MAX_REALIZATION_DIM = 2000
 

@@ -5,6 +5,11 @@ Machine-readable output (JSON-lines, CSV or DOT) goes to stdout; progress
 notes go to stderr. Exit codes: 0 success, 1 verification failure, 2 usage
 error. Output bytes are deterministic for a fixed config.
 
+Each ``suite_*`` returns only its stdout lines, and ``cmd_verify`` reads the
+verdict from them: ``verify`` exits 1 exactly when a line starts with
+``FAIL ``. A cellular family that does not span is a ``FAIL`` line of each
+suite that meets it, and a suite named twice runs once.
+
 Each verb is bound once, in ``build_parser``, to its handler and to the size
 check it must pass before any algebra context is built; ``main`` resolves
 the config, runs that check and dispatches.
@@ -297,6 +302,10 @@ def cmd_match(cfg: JobConfig, args) -> tuple[bytes, int]:
 # verification suites
 
 
+def _failed(lines: list[str]) -> bool:
+    return any(line.startswith("FAIL ") for line in lines)
+
+
 def _all_twists(ell: int) -> list[tuple[int, ...]]:
     out = []
     for mask in range(2 ** ell):
@@ -304,27 +313,21 @@ def _all_twists(ell: int) -> list[tuple[int, ...]]:
     return out
 
 
-def suite_relations(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
-    lines = []
-    ok = True
-    for name, el in defining_relations(ctx):
-        if not el.is_zero():
-            ok = False
-            lines.append(f"FAIL relations: {name} does not normalize to 0")
+def suite_relations(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
+    lines = [f"FAIL relations: {name} does not normalize to 0"
+             for name, el in defining_relations(ctx) if not el.is_zero()]
     if not verify_basis(ctx):
-        ok = False
         lines.append("FAIL relations: normal-form basis check failed")
-    if ok:
+    if not lines:
         lines.append(
             f"PASS relations: all defining relations normalize to 0 and the "
             f"{ctx.dimension()}-element basis closes (ell={cfg.ell}, r={cfg.r})"
         )
-    return ok, lines
+    return lines
 
 
-def suite_trace(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+def suite_trace(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     lines = []
-    ok = True
     twists = _all_twists(cfg.ell)
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
         w = w_lambda(lam)
@@ -336,29 +339,25 @@ def suite_trace(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
                                                 conjugate(lam)), winv)))
                   for c in twists]
         bad = [(c, val) for c, val in values if val != 1]
-        if bad:
-            ok = False
-            for c, val in bad:
-                lines.append(
-                    "FAIL trace: "
-                    + json.dumps({"lambda": mp_to_lists(lam), "c": list(c),
-                                  "value": str(val)})
-                )
-        else:
+        lines.extend(
+            "FAIL trace: " + json.dumps({"lambda": mp_to_lists(lam),
+                                         "c": list(c), "value": str(val)})
+            for c, val in bad)
+        if not bad:
             lines.append(
                 f"PASS trace: tau(z w^-1) = 1 at lambda="
                 + json.dumps(mp_to_lists(lam), separators=(",", ":"))
                 + f" for all {len(twists)} twists"
             )
-    if ok:
+    if not _failed(lines):
         lines.append(
             f"PASS trace: every label verified "
             f"(ell={cfg.ell}, r={cfg.r}, omega={list(cfg.omega)})"
         )
-    return ok, lines
+    return lines
 
 
-def suite_pairing(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+def suite_pairing(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     real_m = realization(ctx, family_m(cfg.c))
     real_n = realization(ctx, family_n(cfg.c))
     tabs = real_m.tableaux
@@ -401,20 +400,14 @@ def suite_pairing(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]
             f"PASS pairing: {len(cells)}x{len(cells)} matrix is unitriangular "
             f"(c={list(cfg.c)})"
         )
-    return not bad, lines
+    return lines
 
 
-def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     fams = [family_from_config(cfg, kind) for kind in FAMILIES]
     lines = []
-    ok = True
     for fam in fams:
-        try:
-            real = realization(ctx, fam)
-        except SingularMatrixError as exc:
-            ok = False
-            lines.append(f"FAIL cellular: {fam.label()}: {exc}")
-            continue
+        real = realization(ctx, fam)
         for li, lam in enumerate(real.labels):
             tabs = real.tableaux[li]
             for si, s in enumerate(tabs):
@@ -422,7 +415,6 @@ def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]
                     a = star(real.element(li, si, ti))
                     b = real.element(li, ti, si)
                     if a != b:
-                        ok = False
                         lines.append(
                             "FAIL cellular: star symmetry broken at "
                             + json.dumps({"family": fam.label(),
@@ -430,18 +422,17 @@ def suite_cellular(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]
                                           "s": si, "t": ti})
                         )
         if not _left_index_independent(ctx, real):
-            ok = False
             lines.append(
                 f"FAIL cellular: action coefficients depend on the left "
                 f"index ({fam.label()})"
             )
-    if ok:
+    if not lines:
         labels = ", ".join(f.label() for f in fams)
         lines.append(
             f"PASS cellular: change of basis invertible, star-symmetric, "
             f"left-index independent for {labels}"
         )
-    return ok, lines
+    return lines
 
 
 def _left_index_independent(ctx, real) -> bool:
@@ -459,9 +450,8 @@ def _left_index_independent(ctx, real) -> bool:
     return True
 
 
-def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     lines = []
-    ok = True
     crystal_labels = crystal_mod.nonzero_labels(cfg.omega, cfg.r)
     fam0 = family_m((0,) * cfg.ell)
     simples = {}
@@ -471,7 +461,6 @@ def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
             simples[lam] = simple
     gram_labels = set(simples)
     if crystal_labels != gram_labels:
-        ok = False
         lines.append("FAIL main1: " + json.dumps({
             "crystal_only": sorted(map(mp_to_lists, crystal_labels - gram_labels)),
             "gram_only": sorted(map(mp_to_lists, gram_labels - crystal_labels)),
@@ -491,16 +480,15 @@ def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
         iw = intertwiner_dim(simples[lam], simple_c) \
             if simple_c is not None else 0
         if d0 != dc or iw != 1:
-            ok = False
             lines.append("FAIL main1: " + json.dumps({
                 "lambda": mp_to_lists(lam), "eta": mp_to_lists(mu),
                 "dims": [d0, dc], "intertwiner": iw}))
-    if ok:
+    if not _failed(lines):
         lines.append(
             f"PASS main1: untwisted simples match the eta-image simples "
             f"(c={list(c)}, intertwiner dimension 1 throughout)"
         )
-    return ok, lines
+    return lines
 
 
 def _not_applicable(name: str, cfg: JobConfig) -> str | None:
@@ -511,14 +499,13 @@ def _not_applicable(name: str, cfg: JobConfig) -> str | None:
     return None
 
 
-def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     xi = cfg.xi if cfg.xi != tuple(range(1, cfg.ell + 1)) \
         else tuple(range(cfg.ell, 0, -1))
     # m[0,...,0] has the seeds of m_xi at xi = identity; main1 realizes it
     fam_xi, fam_1 = family_m_xi(xi), family_m((0,) * cfg.ell)
     xctx = xi_context(cfg.omega, xi, size=cfg.r)
     lines = []
-    ok = True
     certified = 0
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
         simple_xi = simple_of(ctx, fam_xi, lam)
@@ -528,7 +515,6 @@ def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
         except ValueError:
             standard = False
         if nz != standard:
-            ok = False
             lines.append("FAIL main2: " + json.dumps({
                 "lambda": mp_to_lists(lam), "gram_nonzero": nz,
                 "standard": standard}))
@@ -539,38 +525,35 @@ def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
         simple_1 = simple_of(ctx, fam_1, mu)
         iw = intertwiner_dim(simple_xi, simple_1) if simple_1 is not None else 0
         if iw != 1:
-            ok = False
             lines.append("FAIL main2: " + json.dumps({
                 "lambda": mp_to_lists(lam), "mapped": mp_to_lists(mu),
                 "intertwiner": iw}))
         certified += 1
-    if ok:
+    if not lines:
         lines.append(
             f"PASS main2: relabeling map certified on {certified} labels "
             f"(xi={list(xi)}, omega={list(cfg.omega)})"
         )
-    return ok, lines
+    return lines
 
 
-def suite_duality(cfg: JobConfig, ctx: AlgebraContext) -> tuple[bool, list[str]]:
+def suite_duality(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     lines = []
-    ok = True
     for c in _all_twists(cfg.ell):
         for lam in enumerate_multipartitions(cfg.ell, cfg.r):
             dual = contragredient(cell_module(ctx, family_m(c), lam))
             tilde = cell_module(ctx, family_n(c), conjugate(lam))
             iw = intertwiner_dim(dual, tilde)
             if iw < 1:
-                ok = False
                 lines.append("FAIL duality: " + json.dumps({
                     "lambda": mp_to_lists(lam), "c": list(c),
                     "intertwiner": iw}))
-    if ok:
+    if not lines:
         lines.append(
             f"PASS duality: dual cell modules match the opposite family at "
             f"the dual label for all twists (ell={cfg.ell}, r={cfg.r})"
         )
-    return ok, lines
+    return lines
 
 
 _SUITE_FNS = {
@@ -587,8 +570,9 @@ SUITES = tuple(_SUITE_FNS)
 
 def cmd_verify(cfg: JobConfig, args) -> tuple[bytes, int]:
     run_all = "all" in args.suites
-    names = list(SUITES) if run_all else args.suites
-    reasons = {name: _not_applicable(name, cfg) for name in names}
+    # one entry per suite, in the order first named: named twice, it runs once
+    reasons = {name: _not_applicable(name, cfg)
+               for name in (SUITES if run_all else args.suites)}
     if not run_all:
         # a suite named explicitly on a config it does not apply to is a
         # usage error, reported before any suite runs
@@ -596,30 +580,33 @@ def cmd_verify(cfg: JobConfig, args) -> tuple[bytes, int]:
             if reason:
                 raise ValueError(f"verify {name}: {reason} "
                                  f"(suite not applicable)")
-    if any(name in REALIZING_SUITES and not reasons[name] for name in names):
+    if any(name in REALIZING_SUITES and not reason
+           for name, reason in reasons.items()):
         # refused before any suite runs, not after the cheap ones
         check_realization_size(cfg.ell, cfg.r)
     # every suite shares the context; refused before it is built
     check_normal_form_size(cfg.ell, cfg.r)
     ctx = context_from_config(cfg)
     out_lines = []
-    all_ok = True
-    for name in names:
-        if reasons[name]:
-            print(f"skipping suite {name}: {reasons[name]}", file=sys.stderr)
-            out_lines.append(
-                f"SKIP {name}: {reasons[name]} (suite not applicable)")
+    for name, reason in reasons.items():
+        if reason:
+            print(f"skipping suite {name}: {reason}", file=sys.stderr)
+            out_lines.append(f"SKIP {name}: {reason} (suite not applicable)")
             continue
         print(f"running suite {name} ...", end="", file=sys.stderr,
               flush=True)
         start = time.perf_counter()
         try:
-            ok, lines = _SUITE_FNS[name](cfg, ctx)
+            lines = _SUITE_FNS[name](cfg, ctx)
+        except SingularMatrixError as exc:
+            # a family that does not span fails the suite that meets it;
+            # it is not cached, so each later suite that needs it fails too
+            lines = [f"FAIL {name}: {exc}"]
         finally:
             print(f" {time.perf_counter() - start:.2f} s", file=sys.stderr)
         out_lines.extend(lines)
-        all_ok = all_ok and ok
-    return ("\n".join(out_lines) + "\n").encode("utf-8"), 0 if all_ok else 1
+    return (("\n".join(out_lines) + "\n").encode("utf-8"),
+            1 if _failed(out_lines) else 0)
 
 
 def main(argv: list[str] | None = None) -> int:

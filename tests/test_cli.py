@@ -1,8 +1,11 @@
 import copy
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from cellular_hecke.combinatorics import (
     tableau_conjugate,
     tableau_dominance_ge,
 )
+from cellular_hecke.linalg import SingularMatrixError
 from cellular_hecke.serialization import mp_to_lists, parse_config
 import reference_algebra
 from reference_serialization import parse_jsonl
@@ -189,6 +193,40 @@ def test_verify_stderr_notes_elapsed(capsys):
                  "--omega", "0"]) == 0
     err = capsys.readouterr().err
     assert re.fullmatch(r"running suite relations \.\.\. \d+\.\d\d s\n", err)
+
+
+def test_verify_suite_named_twice_runs_once(capsys):
+    argv = ["--ell", "2", "--r", "2", "--omega", "0,1"]
+    code, out = run_cli(capsys, "verify", "relations", "relations", *argv)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] \
+        == ["PASS relations"]
+    # in the order first named
+    code, out = run_cli(capsys, "verify", "trace", "relations", "trace",
+                        *argv)
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] \
+        == ["PASS trace"] * 6 + ["PASS relations"]
+
+
+def test_module_entry_point_matches_main(capsysbinary):
+    # the form the benchmark spawns: python -m cellular_hecke.cli
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    config = ["--ell", "2", "--r", "2", "--omega", "0,1"]
+
+    def spawn(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cellular_hecke.cli", *argv, *config],
+            capture_output=True, env=env, timeout=120, check=False)
+
+    proc = spawn("verify", "relations")
+    assert proc.returncode == 0
+    assert main(["verify", "relations", *config]) == 0
+    assert proc.stdout == capsysbinary.readouterr().out
+    proc = spawn("verify", "main2")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
 
 
 # sha256 of stdout for the verbs that read a family's simples; they pin the
@@ -369,8 +407,8 @@ def test_verify_pairing_reports_each_failing_pair(monkeypatch):
     monkeypatch.setattr(cli, "family_n", cli.family_m)
     cfg = parse_config(json.dumps(
         {"ell": 2, "r": 2, "omega": [1, 0], "c": [0, 1]}))
-    ok, lines = cli.suite_pairing(cfg, cli.context_from_config(cfg))
-    assert not ok
+    lines = cli.suite_pairing(cfg, cli.context_from_config(cfg))
+    assert cli._failed(lines)
     two, one_one, one_and_one = [[2], []], [[1, 1], []], [[1], [1]]
     pairs = (
         [(two, two, 4), (two, one_one, 2)] + [(two, one_and_one, 1)] * 4
@@ -684,8 +722,8 @@ def test_verify_all_leaves_the_cached_cell_modules_unchanged():
     def run_all():
         for name in cli.SUITES:
             assert cli._not_applicable(name, cfg) is None
-            ok, _ = cli._SUITE_FNS[name](cfg, ctx)
-            assert ok, name
+            lines = cli._SUITE_FNS[name](cfg, ctx)
+            assert not cli._failed(lines), name
 
     run_all()
     cached = dict(ctx._cell_modules)
@@ -725,8 +763,8 @@ def test_verify_cellular_fails_on_a_perturbed_left_index(monkeypatch):
         return mat
 
     monkeypatch.setattr(cellular.FamilyRealization, "action", perturbed)
-    ok, lines = cli.suite_cellular(cfg, ctx)
-    assert not ok
+    lines = cli.suite_cellular(cfg, ctx)
+    assert cli._failed(lines)
     assert lines == ["FAIL cellular: action coefficients depend on the left "
                      "index (m[0,1])"]
 
@@ -740,8 +778,8 @@ def test_verify_cellular_fails_on_a_perturbed_cell_module():
     real, li, _ = _left_index_target(ctx, fam)
     mod = cellular.cell_module(ctx, fam, real.labels[li])
     mod.actions[0][0][0] += 1
-    ok, lines = cli.suite_cellular(cfg, ctx)
-    assert not ok
+    lines = cli.suite_cellular(cfg, ctx)
+    assert cli._failed(lines)
     assert lines == ["FAIL cellular: action coefficients depend on the left "
                      "index (n[0,1])"]
 
@@ -756,6 +794,54 @@ def test_verify_cellular_above_the_size_limit_is_an_error(capsys):
     assert captured.err.endswith("error: ell=2, r=5: the algebra has "
                                  "dimension 3840, above the limit 2000 for "
                                  "a cellular realization\n")
+
+
+NOT_SPANNING = ["--ell", "2", "--r", "2", "--omega", "1,0", "--c", "0,1",
+                "--xi", "2,1"]
+NOT_SPANNING_MESSAGE = "cellular family m[0,1] does not span H(2,2)"
+
+
+@pytest.fixture
+def m01_does_not_span(monkeypatch):
+    """Plant a family that does not span; return the attempts to realize it."""
+    attempts = []
+    realize = cellular.FamilyRealization.__init__
+
+    def planted(self, ctx, family):
+        if family == cellular.family_m((0, 1)):
+            attempts.append(family)
+            raise SingularMatrixError(NOT_SPANNING_MESSAGE)
+        realize(self, ctx, family)
+
+    monkeypatch.setattr(cellular.FamilyRealization, "__init__", planted)
+    return attempts
+
+
+def test_verify_all_fails_each_suite_that_meets_a_family_not_spanning(
+        m01_does_not_span, capsys):
+    # a verification failure, not bad input: the other suites still run
+    # and print, and each suite that needs the family fails on its own
+    code, out = run_cli(capsys, "verify", "all", *NOT_SPANNING)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == (
+        ["PASS relations"] + ["PASS trace"] * 6
+        + ["FAIL pairing", "FAIL cellular", "FAIL main1", "PASS main2",
+           "FAIL duality"])
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        f"FAIL {name}: {NOT_SPANNING_MESSAGE}"
+        for name in ("pairing", "cellular", "main1", "duality")]
+    # the failed realization is not cached
+    assert len(m01_does_not_span) == 4
+
+
+@pytest.mark.parametrize("suite", ["pairing", "cellular", "main1",
+                                   "duality"])
+def test_verify_suite_fails_on_a_family_not_spanning(m01_does_not_span,
+                                                     capsys, suite):
+    code, out = run_cli(capsys, "verify", suite, *NOT_SPANNING)
+    assert code == 1
+    assert out.splitlines() == [f"FAIL {suite}: {NOT_SPANNING_MESSAGE}"]
 
 
 def test_verify_all_above_the_size_limit_refused_before_any_suite(capsys):
