@@ -30,6 +30,7 @@ eigenvalue search. A realization is built only up to
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -381,16 +382,23 @@ class ModuleRealization:
 
 @dataclass
 class CellModuleRealization(ModuleRealization):
-    """A cell module: its label and Gram form."""
+    """A cell module: its label, Gram form and simple quotient."""
     label: Multipartition
     gram: Matrix
+
+    @functools.cached_property
+    def simple(self) -> ModuleRealization | None:
+        """The simple quotient, built on first read (``simple_module``);
+        None when the Gram form is zero."""
+        return simple_module(self)
 
 
 def cell_module(ctx: AlgebraContext, family: BasisFamily,
                 lam: Multipartition) -> CellModuleRealization:
     """
     Cell module of the family at ``lam``, built once per (family, label) on
-    the context and shared by every caller after that. The generator action
+    the context and shared by every caller after that, so its simple
+    quotient (``simple``) is built once too. The generator action
     is read off the cellular expansion of (top-row cell element) * generator
     (``FamilyRealization.action``), keeping only same-label coefficients with
     the left tableau fixed. The Gram form uses no algebra product:
@@ -438,10 +446,11 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     return module
 
 
-def simple_module(module: CellModuleRealization) -> ModuleRealization:
+def simple_module(module: CellModuleRealization) -> ModuleRealization | None:
     """
     Quotient of the cell module by the radical of its Gram form, realized on
-    the pivot coordinates P of the reduced Gram matrix G.
+    the pivot coordinates P of the reduced Gram matrix G; None when G is
+    zero (the label carries no simple).
 
     Row i of a generator g's quotient action is the c with
     c . G[P] = e_i . rho(g) . G. The rows G[P] are a basis of G's row space,
@@ -453,7 +462,7 @@ def simple_module(module: CellModuleRealization) -> ModuleRealization:
     gram = module.gram
     _, pivots = rref(gram)
     if not pivots:
-        raise ValueError(f"zero module requested at label {module.label}")
+        return None
     columns = [[row[j] for j in pivots] for row in gram]
     solved = solve_rows(
         [vec_mat(mat[i], columns) for mat in module.actions for i in pivots],
@@ -461,19 +470,6 @@ def simple_module(module: CellModuleRealization) -> ModuleRealization:
     k = len(pivots)
     return ModuleRealization(module.ctx, [
         solved[g * k:(g + 1) * k] for g in range(len(module.actions))])
-
-
-def simple_of(ctx: AlgebraContext, family: BasisFamily,
-              lam: Multipartition) -> ModuleRealization | None:
-    """
-    The simple module of the family at ``lam``: the quotient of its cell
-    module by the radical of the Gram form, or None when the Gram form is
-    zero (the label carries no simple).
-    """
-    module = cell_module(ctx, family, lam)
-    if not any(any(row) for row in module.gram):
-        return None
-    return simple_module(module)
 
 
 def contragredient(module) -> ModuleRealization:

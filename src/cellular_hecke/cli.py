@@ -46,7 +46,6 @@ from .cellular import (
     family_n,
     intertwiner_dim,
     realization,
-    simple_of,
     simples_table,
 )
 from .combinatorics import (
@@ -86,7 +85,7 @@ REALIZING_SUITES = ("pairing", "cellular", "main1", "main2", "duality")
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x != ""]
+    return [int(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,7 +455,7 @@ def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     fam0 = family_m((0,) * cfg.ell)
     simples = {}
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        simple = simple_of(ctx, fam0, lam)
+        simple = cell_module(ctx, fam0, lam).simple
         if simple is not None:
             simples[lam] = simple
     gram_labels = set(simples)
@@ -474,7 +473,7 @@ def suite_main1(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     fam_c = family_m(c)
     for lam in sorted(gram_labels):
         mu = eta(lam, c)
-        simple_c = simple_of(ctx, fam_c, mu)
+        simple_c = cell_module(ctx, fam_c, mu).simple
         d0 = simples[lam].dim
         dc = 0 if simple_c is None else simple_c.dim
         iw = intertwiner_dim(simples[lam], simple_c) \
@@ -508,7 +507,7 @@ def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
     lines = []
     certified = 0
     for lam in enumerate_multipartitions(cfg.ell, cfg.r):
-        simple_xi = simple_of(ctx, fam_xi, lam)
+        simple_xi = cell_module(ctx, fam_xi, lam).simple
         nz = simple_xi is not None
         try:
             standard = is_standard(A_of_lambda(lam, xctx), xctx)
@@ -522,7 +521,7 @@ def suite_main2(cfg: JobConfig, ctx: AlgebraContext) -> list[str]:
         if not nz:
             continue
         mu = mullineux_xi(lam, xctx)
-        simple_1 = simple_of(ctx, fam_1, mu)
+        simple_1 = cell_module(ctx, fam_1, mu).simple
         iw = intertwiner_dim(simple_xi, simple_1) if simple_1 is not None else 0
         if iw != 1:
             lines.append("FAIL main2: " + json.dumps({

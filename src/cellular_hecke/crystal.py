@@ -40,9 +40,6 @@ class Window:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def positions(self) -> range:
-        return range(self.lo, self.hi + 1)
-
 
 @dataclass(frozen=True)
 class ZeroOneTuple:

@@ -7,8 +7,9 @@ them with exact intertwiners.
   (matches untwisted labels with twisted ones).
 - column-strict tableaux and the row-insertion relabeling map ``r_map``
   (matches labels across permuted parameter orders).
-- ``generalized_mullineux``: the composite of the two, relating the
-  trivial-type and sign-type parameterizations.
+- ``generalized_mullineux``: the composite of the two, taking the label of
+  a sign-type (n) simple to the label of the isomorphic trivial-type (m)
+  simple; an involution only where omega has no partial tie.
 - ``match_simples``: intertwiner-certified bijection between the nonzero
   simple labels of any two families; the ground truth the closed forms are
   tested against.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraContext
-from .cellular import BasisFamily, intertwiner_dim, simple_of
+from .cellular import BasisFamily, cell_module, intertwiner_dim
 from .combinatorics import (
     Multipartition,
     Perm,
@@ -177,10 +178,14 @@ def mullineux_xi(lam: Multipartition, ctx: XiContext) -> Multipartition | None:
 def generalized_mullineux(lam: Multipartition,
                           omega: tuple[int, ...]) -> Multipartition | None:
     """
-    Composite correspondence between the trivial-type and sign-type simple
-    labels: transpose every component, then apply the relabeling map for
-    the order-reversing parameter permutation. Certified against
-    match_simples, not assumed.
+    Composite correspondence from the sign-type to the trivial-type simple
+    labels: the label of a simple of n[0,...,0] goes to the label of the
+    isomorphic simple of m[0,...,0], and a label with no n-simple goes to
+    None. It transposes every component, then applies the relabeling map
+    for the order-reversing parameter permutation. It is an involution
+    only where omega has no partial tie: at omega = (1, 1, 0) it differs
+    from the m -> n table. Certified against match_simples(n, m), not
+    assumed.
     """
     ell = len(lam)
     if len(omega) != ell:
@@ -201,7 +206,7 @@ def match_simples(ctx: AlgebraContext, family_a: BasisFamily,
     labels = enumerate_multipartitions(ctx.ell, ctx.r)
     simples = []
     for family in (family_a, family_b):
-        pairs = ((lam, simple_of(ctx, family, lam)) for lam in labels)
+        pairs = ((lam, cell_module(ctx, family, lam).simple) for lam in labels)
         simples.append({lam: mod for lam, mod in pairs if mod is not None})
     simples_a, simples_b = simples
     if len(simples_a) != len(simples_b):

@@ -229,6 +229,26 @@ def test_module_entry_point_matches_main(capsysbinary):
     assert proc.stdout == b""
 
 
+def test_package_root_serves_the_benchmark_set_up():
+    # the set-up child of bench/run.py imports AlgebraContext from the root
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import cellular_hecke.cli\n"
+            "from cellular_hecke import AlgebraContext\n"
+            "AlgebraContext(2, 2, (1, 0))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("omega", ["0,,1", ",0,1,"])
+def test_int_list_with_an_empty_entry_refused(capsys, omega):
+    with pytest.raises(SystemExit) as exc:
+        main(["list", "--ell", "2", "--r", "1", "--omega", omega])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # sha256 of stdout for the verbs that read a family's simples; they pin the
 # output bytes while the code behind those verbs changes.
 GOLDEN = [
@@ -708,6 +728,25 @@ def test_verify_all_builds_one_context_and_each_family_once(monkeypatch,
     assert sorted(families) == sorted(
         [f"{kind}[{c}]" for kind in "mn" for c in ("0,0", "0,1", "1,0", "1,1")]
         + ["mxi[2,1]", "nxi[2,1]"])
+
+
+def test_verify_main1_main2_builds_each_simple_once(monkeypatch, capsys):
+    # a cell module holds its simple quotient, so main2 reads the
+    # m[0,0] simples that main1 built
+    modules = []
+    quotient = cellular.simple_module
+
+    def counted(module):
+        modules.append(module)
+        return quotient(module)
+
+    monkeypatch.setattr(cellular, "simple_module", counted)
+    code, out = run_cli(capsys, "verify", "main1", "main2", "--ell", "2",
+                        "--r", "3", "--omega", "1,0", "--c", "0,1",
+                        "--xi", "2,1")
+    assert code == 0 and "FAIL" not in out
+    assert modules
+    assert len({id(m) for m in modules}) == len(modules)
 
 
 REFEREE_E2R3 = {"ell": 2, "r": 3, "omega": [1, 0], "c": [0, 1], "xi": [2, 1]}

@@ -108,7 +108,7 @@ class TestOnePositionReading:
         win = Window(1, N)
         bits = tuple(
             1 if (1 <= p <= N - n - 1 or p == N) else 0
-            for p in win.positions()
+            for p in range(win.lo, win.hi + 1)
         )
         v = ZeroOneTuple(win, (bits,))
         assert gamma(v) == ((n,),)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,17 +188,38 @@ class TestGeneralizedMullineux:
         with pytest.raises(ValueError):
             generalized_mullineux(((1,), ()), (0, 1))
 
+    @staticmethod
+    def composite_table(ell, r, omega):
+        images = {lam: generalized_mullineux(lam, omega)
+                  for lam in enumerate_multipartitions(ell, r)}
+        return {lam: mu for lam, mu in images.items() if mu is not None}
+
     @pytest.mark.parametrize("omega", [(1, 0), (0, 0), (1, 1)])
     @pytest.mark.parametrize("r", [1, 2])
     def test_agrees_with_intertwiner_oracle(self, r, omega):
         ctx = AlgebraContext(2, r, omega)
-        table = dict(match_simples(ctx, family_m((0, 0)), family_n((0, 0))))
-        closed = {
-            lam: generalized_mullineux(lam, omega)
-            for lam in enumerate_multipartitions(2, r)
-            if generalized_mullineux(lam, omega) is not None
-        }
-        assert table == closed
+        table = dict(match_simples(ctx, family_n((0, 0)), family_m((0, 0))))
+        assert table == self.composite_table(2, r, omega)
+
+    # every weakly decreasing omega in {0,1,2}^3, partial ties included
+    @pytest.mark.parametrize("omega", [
+        omega for omega in itertools.product((2, 1, 0), repeat=3)
+        if list(omega) == sorted(omega, reverse=True)])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_takes_sign_type_to_trivial_type_labels(self, r, omega):
+        ctx = AlgebraContext(3, r, omega)
+        table = dict(
+            match_simples(ctx, family_n((0, 0, 0)), family_m((0, 0, 0))))
+        assert table == self.composite_table(3, r, omega)
+
+    def test_is_not_the_trivial_to_sign_table_at_a_partial_tie(self):
+        omega = (1, 1, 0)
+        ctx = AlgebraContext(3, 3, omega)
+        table = dict(
+            match_simples(ctx, family_m((0, 0, 0)), family_n((0, 0, 0))))
+        assert table != self.composite_table(3, 3, omega)
+        assert generalized_mullineux(((), (), (2, 1)), omega) \
+            == ((), (2,), (1,))
 
 
 class TestMatchSimples:
