@@ -228,14 +228,11 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
 # full-family realization (change of basis, expansions)
 
 
-# Largest algebra dimension ell^r * r! that gets a realization. The block
-# triangular inverse is no longer the wall (one realization of m[0,...,0]
-# takes about 1.8 s CPU at (3,4), omega 0,1,2, and about 5.5 s at (2,5),
-# omega 0,1, 5 s of it in the inverse, on a 2-core Xeon with Python 3.11);
-# memory is: the change of basis and its inverse are dense n x n lists,
-# and building one realization at (2,5) peaks at about 300 MiB even with
-# their entries small ints. (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does
-# not.
+# Largest algebra dimension ell^r * r! that gets a realization. One
+# realization of m[0,...,0] peaks at 73 MiB after 1.3 s CPU at (3,4), omega
+# 0,1,2, and at 180 MiB after 3 s at (2,5), omega 0,1, 113 MiB of it the
+# list slots of the dense n x n inverse (2-core Xeon, Python 3.11). (3,4),
+# 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
 MAX_REALIZATION_DIM = 2000
 
 
@@ -265,10 +262,10 @@ class FamilyRealization:
     """
     Every cellular element of one family expanded over the monomial basis,
     with the inverse change of basis cached. Built once per (context, family)
-    and immutable afterwards. The change of basis has a row per element, its
-    coefficients at the monomial keys, and both it and its inverse are dense
-    ``int`` matrices (an entry of the inverse is a ``Fraction`` only if it is
-    not integral, which no family has shown). ``expand(h, cells)`` is the one
+    and immutable afterwards. C, the change of basis, has a row per element,
+    its ``terms``, which ``inverse`` reads as they are: no dense copy of C is
+    kept. The inverse is dense ``int`` (an entry is a ``Fraction`` only if it
+    is not integral, which no family has shown). ``expand(h, cells)`` is the one
     reader of cellular coordinates: the generator actions go through it, and
     the Gram form is read from those actions.
     """
@@ -282,30 +279,32 @@ class FamilyRealization:
         self.tableaux = [standard_tableaux(lam) for lam in self.labels]
         self.cells: list[tuple[int, int, int]] = []
         self.elements: list[Element] = []
-        matrix_rows: list[list[int]] = []
-        n = ctx.dimension()
         for li, lam in enumerate(self.labels):
             seed = cell_seed(ctx, family, lam)
             tabs = self.tableaux[li]
             for si, s in enumerate(tabs):
                 left = ctx.from_permutation(perm_inverse(d_of(s))) * seed
                 for ti, t in enumerate(tabs):
-                    elem = right_translate(left, d_of(t))
                     self.cells.append((li, si, ti))
-                    self.elements.append(elem)
-                    row = [0] * n
-                    for key, coef in elem.terms.items():
-                        row[key] = coef
-                    matrix_rows.append(row)
+                    self.elements.append(right_translate(left, d_of(t)))
         self.cell_index = {cell: i for i, cell in enumerate(self.cells)}
-        self.change_of_basis: Matrix = matrix_rows
         try:
-            self.change_of_basis_inv = inverse(matrix_rows)
+            self.change_of_basis_inv = inverse(
+                [elem.terms for elem in self.elements])
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"cellular family {family.label()} does not span "
                 f"H({ctx.ell},{ctx.r})"
             ) from exc
+
+    @property
+    def change_of_basis(self) -> Matrix:
+        """C as dense rows, built from ``elements`` on each read, never kept.
+        Only tests and the benchmark tracer's ``linalg.cob_nnz`` read it; it
+        can go once that tracer counts sparse rows."""
+        n = self.ctx.dimension()
+        return [[elem.terms.get(key, 0) for key in range(n)]
+                for elem in self.elements]
 
     def expand(self, h: Element,
                cells: list[tuple[int, int, int]]) -> Vector:

@@ -3,7 +3,8 @@ Exact linear algebra over the rationals.
 
 Matrices are lists of rows of exact rationals (``int`` or
 ``fractions.Fraction`` entries, mixed freely), and vectors are row vectors,
-the only convention: a matrix acts as v.a. Values stay ``int`` until a
+the only convention: a matrix acts as v.a. ``inverse`` alone takes sparse
+rows, each a dict from column to value. Values stay ``int`` until a
 division here makes a ``Fraction``: ``vec_mat`` keeps ``int`` input in
 ``int``, ``rref`` and the solve return ``Fraction`` entries, and ``inverse``
 returns each entry as it solved it, an ``int`` when integral. There is one
@@ -33,7 +34,7 @@ the first independent columns, which reach the output (the quotient
 coordinates of a simple module) and which put the left block of ``[a | I]``
 first. The largest inputs of ``inverse`` are the change of basis of a whole family:
 n = ell^r * r!, e.g. 48 at (ell, r) = (2, 3), 162 at (3, 3), 384 at (2, 4)
-and 1,944 at (3, 4), with integer entries and 1-13% of them nonzero.
+and 1,944 at (3, 4), integral, 1-13% nonzero, its rows the elements' terms.
 Cell-module, Gram and intertwiner systems stay far smaller.
 """
 
@@ -271,12 +272,12 @@ def _dependency_blocks(rows: list[dict], owner: list[int]) -> list[list[int]]:
     return blocks
 
 
-def inverse(a: Matrix) -> Matrix:
+def inverse(a: list[dict[int, int | Fraction]]) -> Matrix:
     """
-    Inverse of a square matrix, solved block by block in block triangular
-    form; raises SingularMatrixError. ``a`` is left unchanged, and the result
-    is dense, each entry an ``int`` when it is integral (0 included) and a
-    ``Fraction`` otherwise.
+    Inverse of a square matrix given as sparse rows (row i a dict from
+    column to value, any key order, zeros dropped), solved in block
+    triangular form; ``a`` is left unchanged. Raises SingularMatrixError.
+    Dense result: an ``int`` entry when integral (0 too), else ``Fraction``.
 
     Row i of a . Y = I reads sum_j a[i][j] Y[j] = e_i. A perfect matching
     gives each row i a column c(i) with a[i][c(i)] != 0, whose Y row that
@@ -289,7 +290,7 @@ def inverse(a: Matrix) -> Matrix:
     Integral entries stay ``int`` throughout, in the result too.
     """
     n = len(a)
-    rows = [{j: _exact(x) for j, x in enumerate(row) if x} for row in a]
+    rows = [{j: _exact(x) for j, x in row.items() if x} for row in a]
     owner = _perfect_matching(rows)
     column = [0] * n
     for j, i in enumerate(owner):

@@ -104,12 +104,12 @@ def parse_config(text: str) -> JobConfig:
             "LENGTH_MISMATCH", "$.c", f"expected {ell} entries, got {len(c)}"
         )
     xi = data.get("xi", list(range(1, ell + 1)))
-    if not isinstance(xi, list) or len(xi) != ell:
-        raise ConfigError(
-            "LENGTH_MISMATCH", "$.xi", f"expected {ell} entries"
-        )
-    if any(type(x) is not int for x in xi):
+    if not isinstance(xi, list) or any(type(x) is not int for x in xi):
         raise ConfigError("BAD_VALUE", "$.xi", "must be a list of integers")
+    if len(xi) != ell:
+        raise ConfigError(
+            "LENGTH_MISMATCH", "$.xi", f"expected {ell} entries, got {len(xi)}"
+        )
     if not perm_is_valid(tuple(xi)):
         raise ConfigError("NOT_A_PERMUTATION", "$.xi", f"{xi} is not a bijection")
     family = data.get("family", "m")

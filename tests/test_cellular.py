@@ -344,6 +344,22 @@ class TestCellularBases:
                 # realization() raised already if singular; rank confirms
                 assert rank(mat) == expected
 
+    def test_change_of_basis_is_a_dense_view_of_the_terms(self, ctx22, ctx13):
+        # C is read from the elements' terms; the realization keeps no dense
+        # copy, and the view built on read has exactly those nonzeros
+        for ctx in (ctx22, ctx13):
+            n = ctx.dimension()
+            for fam in families_for(ctx):
+                real = realization(ctx, fam)
+                assert "change_of_basis" not in vars(real)
+                mat = real.change_of_basis
+                assert len(mat) == n
+                for row, elem in zip(mat, real.elements):
+                    assert isinstance(row, list) and len(row) == n
+                    assert {j: x for j, x in enumerate(row) if x} == \
+                        elem.terms
+                assert "change_of_basis" not in vars(real)
+
     @pytest.mark.parametrize("ell,r,c,xi", [
         (2, 3, (0, 1), (2, 1)),
         (3, 2, (0, 1, 1), (2, 3, 1)),

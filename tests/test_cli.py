@@ -1034,18 +1034,29 @@ def test_verb_help_lists_its_arguments(capsys, verb):
         assert arg in text
 
 
-def readme_commands():
+def readme_blocks(lang):
     text = (Path(__file__).parent.parent / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
-    return [line for block in blocks for line in block.splitlines()
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
+
+
+def readme_commands():
+    return [line for block in readme_blocks("sh")
+            for line in block.splitlines()
             if line.startswith("cellular-hecke ")]
 
 
 def test_readme_has_examples():
     assert len(readme_commands()) >= 11
+    assert len(readme_blocks("python")) >= 1
 
 
 @pytest.mark.parametrize("line", readme_commands())
 def test_readme_example_runs(capsys, line):
     assert main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("block", readme_blocks("python"))
+def test_readme_python_example_runs(capsys, block):
+    exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out

@@ -28,6 +28,11 @@ def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def sparse_rows(a):
+    """Dense rows as the dict rows ``inverse`` takes, zero entries kept."""
+    return [dict(enumerate(row)) for row in a]
+
+
 def gauss_jordan_inverse(a):
     """Reference: the route ``inverse`` used to take, the right half of the
     sparse ``rref([a | I])``."""
@@ -141,17 +146,23 @@ def random_matrix(rng, n, density):
 def assert_inverse_matches_reference(a):
     n = len(a)
     before = copy.deepcopy(a)
+    rows = sparse_rows(a)
+    # the dict rows are left as they were, values and key order alike: a
+    # realization passes its elements' own terms
+    rows_before = [list(row.items()) for row in rows]
     try:
         expected = dense_inverse(a)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError, match=f"size {n} is"):
             gauss_jordan_inverse(a)
         with pytest.raises(SingularMatrixError, match=f"size {n} is"):
-            inverse(a)
+            inverse(rows)
         assert a == before
+        assert [list(row.items()) for row in rows] == rows_before
         return False
-    got = inverse(a)
+    got = inverse(rows)
     assert a == before
+    assert [list(row.items()) for row in rows] == rows_before
     assert got == expected
     assert got == gauss_jordan_inverse(a)
     # each entry as it was solved: int when integral, else Fraction
@@ -339,7 +350,8 @@ def test_inverse_of_planted_blocks(fractions):
                   [1] * 12 + [3, 2], [7, 4, 1, 1, 3, 2, 1], [2, 3, 6, 1, 5]):
         a = planted_blocks(rng, sizes, fractions)
         assert assert_inverse_matches_reference(a)
-        integral = all(x.denominator == 1 for row in inverse(a) for x in row)
+        integral = all(x.denominator == 1
+                       for row in inverse(sparse_rows(a)) for x in row)
         if len(sizes) > 1:
             assert not integral      # block 1 has det != +-1
         elif not fractions:
@@ -352,7 +364,7 @@ def test_inverse_structurally_singular():
     before = copy.deepcopy(a)
     with pytest.raises(SingularMatrixError,
                        match="matrix of size 4 is singular"):
-        inverse(a)
+        inverse(sparse_rows(a))
     assert a == before
     assert not assert_inverse_matches_reference(a)
 
@@ -363,14 +375,14 @@ def test_inverse_singular_diagonal_block():
     a = F([[1, 0, 0, 0], [5, 2, 4, 0], [0, 1, 2, 0], [0, 3, 0, -1]])
     with pytest.raises(SingularMatrixError,
                        match="matrix of size 4 is singular"):
-        inverse(a)
+        inverse(sparse_rows(a))
     assert not assert_inverse_matches_reference(a)
     rng = random.Random("singular-block")
     b = planted_blocks(rng, [2, 3, 2])
     b[0] = [2 * x for x in b[1]]        # two rows of one block, dependent
     with pytest.raises(SingularMatrixError,
                        match="matrix of size 7 is singular"):
-        inverse(b)
+        inverse(sparse_rows(b))
 
 
 def test_inverse_chain_deeper_than_the_recursion_limit():
@@ -383,7 +395,8 @@ def test_inverse_chain_deeper_than_the_recursion_limit():
         if i + 1 < n:
             a[i][i + 1] = Fraction(-1)
     zero, one = Fraction(0), Fraction(1)
-    assert inverse(a) == [[zero] * i + [one] * (n - i) for i in range(n)]
+    assert inverse(sparse_rows(a)) == [[zero] * i + [one] * (n - i)
+                                       for i in range(n)]
 
 
 def test_change_of_basis_inverse_at_e3r3_matches_reference():
@@ -393,6 +406,39 @@ def test_change_of_basis_inverse_at_e3r3_matches_reference():
     a = real.change_of_basis
     assert len(a) == 162
     assert real.change_of_basis_inv == gauss_jordan_inverse(a)
+    # the terms in column order give the inverse taken in product order
+    assert inverse([dict(sorted(elem.terms.items()))
+                    for elem in real.elements]) == real.change_of_basis_inv
+
+
+def shuffled_rows(rng, rows):
+    """Each row rebuilt as a dict of its nonzeros in a random key order."""
+    out = []
+    for row in rows:
+        items = [(j, x) for j, x in row.items() if x]
+        rng.shuffle(items)
+        out.append(dict(items))
+    return out
+
+
+def test_inverse_ignores_the_key_order_of_its_rows():
+    # a realization passes its elements' terms, which arrive in product
+    # order, not column order
+    rng = random.Random("key-order")
+    solved = 0
+    for n in (4, 9, 17, 30):
+        a = random_matrix(rng, n, 0.15)
+        try:
+            expected = dense_inverse(a)
+        except SingularMatrixError:
+            continue
+        solved += 1
+        for _ in range(3):
+            assert inverse(shuffled_rows(rng, sparse_rows(a))) == expected
+    assert solved >= 3
+    for sizes in ([2, 3, 1, 4], [7, 4, 1, 1, 3, 2, 1]):
+        a = planted_blocks(rng, sizes)
+        assert inverse(shuffled_rows(rng, sparse_rows(a))) == dense_inverse(a)
 
 
 def test_change_of_basis_inverse_at_e2r4_sparse_check():
@@ -428,7 +474,7 @@ def test_inverse_zero_diagonal_and_ties():
     [[0, 1, 2], [0, 3, 4], [0, 5, 6]],        # zero column
 ])
 def test_inverse_singular_raises_with_size(rows):
-    a = F(rows)
+    a = sparse_rows(F(rows))
     before = copy.deepcopy(a)
     with pytest.raises(SingularMatrixError,
                        match="matrix of size 3 is singular"):
@@ -443,7 +489,7 @@ def test_inverse_singular_raises_with_size(rows):
 def test_inverse_round_trip_property(rows):
     a = F(rows)
     try:
-        inv = inverse(a)
+        inv = inverse(sparse_rows(a))
     except SingularMatrixError:
         assert rank(a) < len(a)
         return
@@ -453,12 +499,12 @@ def test_inverse_round_trip_property(rows):
 
 def test_inverse_round_trip():
     a = F([[2, 1], [1, 1]])
-    assert mat_mul(a, inverse(a)) == mat_identity(2)
+    assert mat_mul(a, inverse(sparse_rows(a))) == mat_identity(2)
 
 
 def test_singular_raises():
     with pytest.raises(SingularMatrixError):
-        inverse(F([[1, 2], [2, 4]]))
+        inverse(sparse_rows(F([[1, 2], [2, 4]])))
 
 
 def test_rank_and_nullspaces():

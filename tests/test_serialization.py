@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,23 @@ class TestConfig:
             parse_config('{"ell":2,"r":2,"omega":[0,1],"%s":%s}'
                          % (field, value))
         assert (err.value.code, err.value.path) == ("BAD_VALUE", f"$.{field}")
+
+    @pytest.mark.parametrize("field", ["omega", "c", "xi"])
+    @pytest.mark.parametrize("value", [21, "21", None],
+                             ids=["int", "string", "null"])
+    def test_non_list_is_a_bad_value_before_its_length(self, field, value):
+        # xi used to test its length first, so each of these was reported as
+        # LENGTH_MISMATCH at $.xi; omega and c test the type first
+        data = {"ell": 2, "r": 2, "omega": [0, 1], field: value}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(data))
+        assert (err.value.code, err.value.path) == ("BAD_VALUE", f"$.{field}")
+
+    def test_xi_length_mismatch(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config('{"ell":2,"r":2,"omega":[0,1],"xi":[1,2,3]}')
+        assert str(err.value) == \
+            "LENGTH_MISMATCH at $.xi: expected 2 entries, got 3"
 
 
 class TestEmission:
