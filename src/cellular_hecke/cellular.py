@@ -24,8 +24,8 @@ because d(top) is the identity. The blocks come from the same action: each
 x_k acts lower triangularly on a cell module in the tableau order
 (Jucys-Murphy elements on a Murphy-type basis; Mathas 1999, ch. 3), so the
 joint generalized eigenvalues are the diagonal tuples, read off with no
-eigenvalue search. A realization is built only up to
-``MAX_REALIZATION_DIM``: its n x n change of basis is inverted exactly.
+eigenvalue search. A realization is built only up to ``MAX_REALIZATION_DIM``:
+its n x n change of basis C is inverted exactly; C and C^-1 are sparse rows.
 """
 
 from __future__ import annotations
@@ -229,10 +229,9 @@ def cell_seed(ctx: AlgebraContext, family: BasisFamily,
 
 
 # Largest algebra dimension ell^r * r! that gets a realization. One
-# realization of m[0,...,0] peaks at 73 MiB after 1.3 s CPU at (3,4), omega
-# 0,1,2, and at 180 MiB after 3 s at (2,5), omega 0,1, 113 MiB of it the
-# list slots of the dense n x n inverse (2-core Xeon, Python 3.11). (3,4),
-# 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
+# realization of m[0,...,0] peaks at 44 MiB after 1.1 s CPU at (3,4), omega
+# 0,1,2, and at 67 MiB after 2.7 s at (2,5), omega 0,1 (2-core Xeon, Python
+# 3.11). (3,4), 1,944, and (5,3), 750, pass; (2,5), 3,840, does not.
 MAX_REALIZATION_DIM = 2000
 
 
@@ -263,11 +262,11 @@ class FamilyRealization:
     Every cellular element of one family expanded over the monomial basis,
     with the inverse change of basis cached. Built once per (context, family)
     and immutable afterwards. C, the change of basis, has a row per element,
-    its ``terms``, which ``inverse`` reads as they are: no dense copy of C is
-    kept. The inverse is dense ``int`` (an entry is a ``Fraction`` only if it
-    is not integral, which no family has shown). ``expand(h, cells)`` is the one
-    reader of cellular coordinates: the generator actions go through it, and
-    the Gram form is read from those actions.
+    its ``terms``; C^-1 is kept as the dict rows ``inverse`` returns for them,
+    ``inverse_rows``. Neither is dense, and entries are ``int`` (a ``Fraction``
+    only if not integral, which no family has shown). ``expand(h, cells)`` is
+    the one reader of cellular coordinates: the generator actions go through
+    it, and the Gram form is read from those actions.
     """
 
     def __init__(self, ctx: AlgebraContext, family: BasisFamily):
@@ -289,8 +288,7 @@ class FamilyRealization:
                     self.elements.append(right_translate(left, d_of(t)))
         self.cell_index = {cell: i for i, cell in enumerate(self.cells)}
         try:
-            self.change_of_basis_inv = inverse(
-                [elem.terms for elem in self.elements])
+            self.inverse_rows = inverse([elem.terms for elem in self.elements])
         except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"cellular family {family.label()} does not span "
@@ -306,17 +304,25 @@ class FamilyRealization:
         return [[elem.terms.get(key, 0) for key in range(n)]
                 for elem in self.elements]
 
+    @property
+    def change_of_basis_inv(self) -> Matrix:
+        """C^-1 as dense rows from ``inverse_rows``, built on each read. Only
+        tests and the benchmark tracer's ``linalg.cob_inv_*`` read it; both
+        views can go once that tracer counts sparse rows."""
+        n = self.ctx.dimension()
+        return [[row.get(j, 0) for j in range(n)] for row in self.inverse_rows]
+
     def expand(self, h: Element,
                cells: list[tuple[int, int, int]]) -> Vector:
         """
         Coordinates of ``h`` at the given (li, si, ti) cells, read from the
-        inverse rows of its terms at the cells' columns only. They are summed
-        as they come: ``int`` when ``h`` and the inverse are integral.
+        sparse inverse rows of its terms at the cells' columns only. They are
+        summed as they come: ``int`` when ``h`` and the inverse are integral.
         """
-        inv = self.change_of_basis_inv
+        inv = self.inverse_rows
         rows = [(coef, inv[key]) for key, coef in h.terms.items()]
         cols = [self.cell_index[cell] for cell in cells]
-        return [sum([coef * row[col] for coef, row in rows if row[col]])
+        return [sum([coef * row[col] for coef, row in rows if col in row])
                 for col in cols]
 
     def element(self, li: int, si: int, ti: int) -> Element:

@@ -3,14 +3,14 @@ Exact linear algebra over the rationals.
 
 Matrices are lists of rows of exact rationals (``int`` or
 ``fractions.Fraction`` entries, mixed freely), and vectors are row vectors,
-the only convention: a matrix acts as v.a. ``inverse`` alone takes sparse
-rows, each a dict from column to value. Values stay ``int`` until a
-division here makes a ``Fraction``: ``vec_mat`` keeps ``int`` input in
-``int``, ``rref`` and the solve return ``Fraction`` entries, and ``inverse``
-returns each entry as it solved it, an ``int`` when integral. There is one
-elimination kernel, ``rref``; rank, ``inverse`` and the one solve all run on
-it. The solve is ``solve_rows``: it writes a whole batch of vectors in the
-coordinates of a basis from one elimination.
+the only convention: a matrix acts as v.a. ``inverse`` alone takes and
+returns sparse rows, each a dict from column to value. Values stay ``int``
+until a division here makes a ``Fraction``: ``vec_mat`` keeps ``int`` input
+in ``int``, ``rref`` and the solve return ``Fraction`` entries, and
+``inverse`` returns each entry as it solved it, an ``int`` when integral.
+There is one elimination kernel, ``rref``; rank, ``inverse`` and the one
+solve all run on it. The solve is ``solve_rows``: it writes a whole batch of
+vectors in the coordinates of a basis from one elimination.
 
 ``inverse`` first puts its matrix in block triangular form (a perfect
 matching, then strongly connected components) and eliminates only inside
@@ -272,12 +272,13 @@ def _dependency_blocks(rows: list[dict], owner: list[int]) -> list[list[int]]:
     return blocks
 
 
-def inverse(a: list[dict[int, int | Fraction]]) -> Matrix:
+def inverse(a: list[dict[int, int | Fraction]]) -> list[dict]:
     """
     Inverse of a square matrix given as sparse rows (row i a dict from
     column to value, any key order, zeros dropped), solved in block
     triangular form; ``a`` is left unchanged. Raises SingularMatrixError.
-    Dense result: an ``int`` entry when integral (0 too), else ``Fraction``.
+    Sparse result, in row order: row j a dict of its nonzeros, each an
+    ``int`` when integral (it stays ``int`` throughout), else ``Fraction``.
 
     Row i of a . Y = I reads sum_j a[i][j] Y[j] = e_i. A perfect matching
     gives each row i a column c(i) with a[i][c(i)] != 0, whose Y row that
@@ -287,7 +288,6 @@ def inverse(a: list[dict[int, int | Fraction]]) -> Matrix:
     lower triangular form (Duff & Reid 1978; Pothen & Fan 1990): each block
     subtracts the Y rows already solved from its unit right-hand sides and
     multiplies by the inverse of its diagonal block, read from ``rref``.
-    Integral entries stay ``int`` throughout, in the result too.
     """
     n = len(a)
     rows = [{j: _exact(x) for j, x in row.items() if x} for row in a]
@@ -322,13 +322,7 @@ def inverse(a: list[dict[int, int | Fraction]]) -> Matrix:
                     for c, y in part.items():
                         acc[c] = acc.get(c, 0) + f * y
             solved[j] = {c: _exact(y) for c, y in acc.items() if y}
-    out = []
-    for j in range(n):
-        row = [0] * n
-        for c, x in solved[j].items():
-            row[c] = x
-        out.append(row)
-    return out
+    return [solved[j] for j in range(n)]
 
 
 def solve_rows(vectors: Matrix, rows: Matrix) -> Matrix:

@@ -360,6 +360,23 @@ class TestCellularBases:
                         elem.terms
                 assert "change_of_basis" not in vars(real)
 
+    def test_inverse_is_kept_as_sparse_rows(self, ctx22, ctx13):
+        # C^-1 is kept as the dict rows ``inverse`` returns, with no zero
+        # entry; the dense view is built from them on read and never kept
+        for ctx in (ctx22, ctx13):
+            n = ctx.dimension()
+            for fam in families_for(ctx):
+                real = realization(ctx, fam)
+                assert "change_of_basis_inv" not in vars(real)
+                inv = real.change_of_basis_inv
+                assert len(real.inverse_rows) == len(inv) == n
+                for row, full in zip(real.inverse_rows, inv):
+                    assert type(row) is dict
+                    assert all(x != 0 for x in row.values())
+                    assert isinstance(full, list) and len(full) == n
+                    assert row == {j: x for j, x in enumerate(full) if x}
+                assert "change_of_basis_inv" not in vars(real)
+
     @pytest.mark.parametrize("ell,r,c,xi", [
         (2, 3, (0, 1), (2, 1)),
         (3, 2, (0, 1, 1), (2, 3, 1)),

@@ -33,6 +33,12 @@ def sparse_rows(a):
     return [dict(enumerate(row)) for row in a]
 
 
+def dense(rows):
+    """The square matrix of the dict rows ``inverse`` returns, as dense rows,
+    its absent entries 0."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
+
+
 def gauss_jordan_inverse(a):
     """Reference: the route ``inverse`` used to take, the right half of the
     sparse ``rref([a | I])``."""
@@ -163,12 +169,17 @@ def assert_inverse_matches_reference(a):
     got = inverse(rows)
     assert a == before
     assert [list(row.items()) for row in rows] == rows_before
-    assert got == expected
-    assert got == gauss_jordan_inverse(a)
+    # sparse rows, one dict per row holding no zero
+    assert type(got) is list and len(got) == n
+    assert all(type(row) is dict for row in got)
+    assert all(x != 0 for row in got for x in row.values())
     # each entry as it was solved: int when integral, else Fraction
     assert all(type(x) is (int if x.denominator == 1 else Fraction)
-               for row in got for x in row)
-    assert mat_mul(a, got) == mat_identity(n)
+               for row in got for x in row.values())
+    full = dense(got)
+    assert full == expected
+    assert full == gauss_jordan_inverse(a)
+    assert mat_mul(a, full) == mat_identity(n)
     return True
 
 
@@ -351,7 +362,7 @@ def test_inverse_of_planted_blocks(fractions):
         a = planted_blocks(rng, sizes, fractions)
         assert assert_inverse_matches_reference(a)
         integral = all(x.denominator == 1
-                       for row in inverse(sparse_rows(a)) for x in row)
+                       for row in dense(inverse(sparse_rows(a))) for x in row)
         if len(sizes) > 1:
             assert not integral      # block 1 has det != +-1
         elif not fractions:
@@ -395,8 +406,8 @@ def test_inverse_chain_deeper_than_the_recursion_limit():
         if i + 1 < n:
             a[i][i + 1] = Fraction(-1)
     zero, one = Fraction(0), Fraction(1)
-    assert inverse(sparse_rows(a)) == [[zero] * i + [one] * (n - i)
-                                       for i in range(n)]
+    assert dense(inverse(sparse_rows(a))) == [[zero] * i + [one] * (n - i)
+                                              for i in range(n)]
 
 
 def test_change_of_basis_inverse_at_e3r3_matches_reference():
@@ -407,8 +418,9 @@ def test_change_of_basis_inverse_at_e3r3_matches_reference():
     assert len(a) == 162
     assert real.change_of_basis_inv == gauss_jordan_inverse(a)
     # the terms in column order give the inverse taken in product order
-    assert inverse([dict(sorted(elem.terms.items()))
-                    for elem in real.elements]) == real.change_of_basis_inv
+    assert dense(inverse([dict(sorted(elem.terms.items()))
+                          for elem in real.elements])) \
+        == real.change_of_basis_inv
 
 
 def shuffled_rows(rng, rows):
@@ -434,11 +446,13 @@ def test_inverse_ignores_the_key_order_of_its_rows():
             continue
         solved += 1
         for _ in range(3):
-            assert inverse(shuffled_rows(rng, sparse_rows(a))) == expected
+            assert dense(inverse(shuffled_rows(rng, sparse_rows(a)))) \
+                == expected
     assert solved >= 3
     for sizes in ([2, 3, 1, 4], [7, 4, 1, 1, 3, 2, 1]):
         a = planted_blocks(rng, sizes)
-        assert inverse(shuffled_rows(rng, sparse_rows(a))) == dense_inverse(a)
+        assert dense(inverse(shuffled_rows(rng, sparse_rows(a)))) \
+            == dense_inverse(a)
 
 
 def test_change_of_basis_inverse_at_e2r4_sparse_check():
@@ -489,7 +503,7 @@ def test_inverse_singular_raises_with_size(rows):
 def test_inverse_round_trip_property(rows):
     a = F(rows)
     try:
-        inv = inverse(sparse_rows(a))
+        inv = dense(inverse(sparse_rows(a)))
     except SingularMatrixError:
         assert rank(a) < len(a)
         return
@@ -499,7 +513,7 @@ def test_inverse_round_trip_property(rows):
 
 def test_inverse_round_trip():
     a = F([[2, 1], [1, 1]])
-    assert mat_mul(a, inverse(sparse_rows(a))) == mat_identity(2)
+    assert mat_mul(a, dense(inverse(sparse_rows(a)))) == mat_identity(2)
 
 
 def test_singular_raises():

@@ -42,8 +42,9 @@ def test_tracer_runs_and_matches_untraced_stdout(capsysbinary):
 
 def test_inverse_is_wrapped_where_the_realization_reads_it():
     # the tracer's linalg.inverse span patches every module binding the same
-    # function, and cob_inv_nnz / cob_inv_max_bits read the dense inverse,
-    # whose entries are int when integral and Fraction otherwise
+    # function, and cob_inv_nnz / cob_inv_max_bits read the realization's
+    # dense view of the inverse, change_of_basis_inv, built on read from its
+    # sparse rows; its entries are int when integral and Fraction otherwise
     assert cellular.inverse is linalg.inverse
     ctx = AlgebraContext(2, 2, (0, 1))
     real = cellular.realization(ctx, cellular.family_m((0, 1)))
