@@ -465,7 +465,7 @@ def simple_module(module: CellModuleRealization) -> ModuleRealization | None:
     rows are solved in one elimination against that block.
     """
     gram = module.gram
-    _, pivots = rref(gram)
+    _, pivots = rref([dict(enumerate(row)) for row in gram])
     if not pivots:
         return None
     columns = [[row[j] for j in pivots] for row in gram]
@@ -492,7 +492,8 @@ def intertwiner_dim(mod_a, mod_b) -> int:
     actions (these generate the algebra). Each pair (g_a, g_b) is first
     multiplied by the lcm of all its denominators: that scales both sides of
     its d_a . d_b equations by the same nonzero integer, so they keep their
-    solutions, and they are written as ``int`` rows with no ``Fraction``
+    solutions, and they are written as ``int`` dict rows, from unknown
+    p . d_b + q (phi's entry (p, q)) to coefficient, with no ``Fraction``
     arithmetic.
     """
     if mod_a.ctx is not mod_b.ctx:
@@ -509,11 +510,10 @@ def intertwiner_dim(mod_a, mod_b) -> int:
                    for row in mat] for mat in pair]
         for i in range(da):
             for j in range(db):
-                row = [0] * (da * db)
-                for p in range(da):
-                    row[p * db + j] += ga[i][p]
+                row = {p * db + j: x for p, x in enumerate(ga[i]) if x}
                 for q in range(db):
-                    row[i * db + q] -= gb[q][j]
+                    if gb[q][j]:
+                        row[i * db + q] = row.get(i * db + q, 0) - gb[q][j]
                 rows.append(row)
     return da * db - rank(rows)
 
@@ -572,7 +572,7 @@ def simples_table(ctx: AlgebraContext, family: BasisFamily) -> list[dict]:
             "lambda": lam,
             "family": family.label(),
             "dim_cell": module.dim,
-            "dim_simple": rank(module.gram),
+            "dim_simple": rank([dict(enumerate(row)) for row in module.gram]),
             "block": list(block_alpha(module)),
         })
     return rows

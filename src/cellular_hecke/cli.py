@@ -203,7 +203,8 @@ def cmd_check_basis(cfg: JobConfig, args) -> tuple[bytes, int]:
         "relations_ok": relations_ok,
         "ok": ok,
     }
-    return emit([row], cfg.format), 0 if ok else 1
+    return emit([row], cfg.format, fieldnames=[
+        "basis_ok", "dimension", "ok", "relations_ok"]), 0 if ok else 1
 
 
 def cmd_gram(cfg: JobConfig, args) -> tuple[bytes, int]:

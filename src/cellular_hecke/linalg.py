@@ -3,11 +3,12 @@ Exact linear algebra over the rationals.
 
 Matrices are lists of rows of exact rationals (``int`` or
 ``fractions.Fraction`` entries, mixed freely), and vectors are row vectors,
-the only convention: a matrix acts as v.a. ``inverse`` alone takes and
-returns sparse rows, each a dict from column to value. Values stay ``int``
-until a division here makes a ``Fraction``: ``vec_mat`` keeps ``int`` input
-in ``int``, ``rref`` and the solve return ``Fraction`` entries, and
-``inverse`` returns each entry as it solved it, an ``int`` when integral.
+the only convention: a matrix acts as v.a. ``rref``, ``rank`` and
+``inverse`` take sparse rows, each a dict from column to value, and
+``rref`` and ``inverse`` return them. Values stay ``int`` until a division
+here makes a ``Fraction``: ``vec_mat`` keeps ``int`` input in ``int``,
+``rref`` and the solve return ``Fraction`` entries, and ``inverse`` returns
+each entry as it solved it, an ``int`` when integral.
 There is one elimination kernel, ``rref``; rank, ``inverse`` and the one
 solve all run on it. The solve is ``solve_rows``: it writes a whole batch of
 vectors in the coordinates of a basis from one elimination.
@@ -29,7 +30,7 @@ are dicts of their nonzero entries, with a column -> rows index, as a
 rational elimination would keep them. The reduced row echelon form of a
 matrix is unique, so the pivot row within a column is free, and each column
 is pivoted on the unused row with the fewest nonzeros to keep fill-in
-small. The column order is not free: left to right is what makes the pivots
+small. The column order is not free: ascending is what makes the pivots
 the first independent columns, which reach the output (the quotient
 coordinates of a simple module) and which put the left block of ``[a | I]``
 first. The largest inputs of ``inverse`` are the change of basis of a whole family:
@@ -80,34 +81,35 @@ def _primitive(row: dict) -> dict[int, int]:
     return row
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+def rref(a: list[dict]) -> tuple[list[dict[int, Fraction]], list[int]]:
     """
-    Reduced row echelon form and the list of pivot columns.
+    Reduced row echelon form of sparse rows (row i a dict from column to
+    value, any key order, zeros dropped) and the list of pivot columns.
 
-    Sparse Gauss-Jordan: rows are dicts of their nonzero entries, columns are
-    taken left to right, and each column is pivoted on the unused row holding
-    it with the fewest nonzeros (lowest index on ties), which keeps fill-in
-    small. The elimination is fraction-free: each row is scaled to integers
-    with content 1 (``_primitive``), a row i holding the pivot column becomes
-    pv . row_i - f . row_p for the pivot pv and its entry f, both divided by
-    their gcd, and then loses its content again. Each such row is a nonzero
-    multiple of the row a rational elimination would hold, with the same
-    zeros, so the pivot rule picks the same rows. The result is dense: the
-    pivot rows divided by their pivots, in pivot order, then the zero rows,
-    every entry a ``Fraction``; ``a`` is left unchanged.
+    Sparse Gauss-Jordan: rows are dicts of their nonzero entries, the columns
+    that occur are taken in ascending order, and each column is pivoted on
+    the unused row holding it with the fewest nonzeros (lowest index on
+    ties), which keeps fill-in small. The elimination is fraction-free: each
+    row is scaled to integers with content 1 (``_primitive``), a row i
+    holding the pivot column becomes pv . row_i - f . row_p for the pivot pv
+    and its entry f, both divided by their gcd, and then loses its content
+    again. Each such row is a nonzero multiple of the row a rational
+    elimination would hold, with the same zeros, so the pivot rule picks the
+    same rows. The result is the pivot rows only, divided by their pivots,
+    in pivot order: each a dict of its nonzeros, every entry a ``Fraction``;
+    ``a`` is left unchanged.
     """
-    cols = len(a[0]) if a else 0
     rows: list[dict[int, int]] = []
-    holders: list[set[int]] = [set() for _ in range(cols)]
+    holders: dict[int, set[int]] = {}
     for i, row in enumerate(a):
-        sparse = _primitive({j: x for j, x in enumerate(row) if x})
+        sparse = _primitive({j: x for j, x in row.items() if x})
         for j in sparse:
-            holders[j].add(i)
+            holders.setdefault(j, set()).add(i)
         rows.append(sparse)
     used = [False] * len(rows)
     pivot_rows: list[int] = []
     pivots: list[int] = []
-    for col in range(cols):
+    for col in sorted(holders):
         if len(pivots) == len(rows):
             break
         candidates = [i for i in holders[col] if not used[i]]
@@ -146,19 +148,14 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
                 for j in row:
                     row[j] //= content
         holders[col] = {p}
-    zero = Fraction(0)
     reduced = []
     for p, col in zip(pivot_rows, pivots):
         row, pv = rows[p], rows[p][col]
-        reduced.append([Fraction(row[j], pv) if j in row else zero
-                        for j in range(cols)])
-    reduced += [[zero] * cols for _ in range(len(rows) - len(pivots))]
+        reduced.append({j: Fraction(x, pv) for j, x in row.items()})
     return reduced, pivots
 
 
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
+def rank(a: list[dict]) -> int:
     return len(rref(a)[1])
 
 
@@ -302,8 +299,9 @@ def inverse(a: list[dict[int, int | Fraction]]) -> list[dict]:
         diagonal, rhs = [], []
         for p, i in enumerate(block):
             row = rows[i]
-            diagonal.append([row.get(j, 0) for j in cols]
-                            + [int(p == q) for q in range(k)])
+            entries = {q: row[j] for q, j in enumerate(cols) if j in row}
+            entries[k + p] = 1
+            diagonal.append(entries)
             acc = {i: 1}
             for j, x in row.items():
                 # j is in this block, or its row is in a block solved earlier
@@ -316,10 +314,10 @@ def inverse(a: list[dict[int, int | Fraction]]) -> list[dict]:
             raise SingularMatrixError(f"matrix of size {n} is singular")
         for q, j in enumerate(cols):
             acc = {}
-            for f, part in zip(reduced[q][k:], rhs):
-                if f:
+            for p, f in reduced[q].items():
+                if p >= k:
                     f = _exact(f)
-                    for c, y in part.items():
+                    for c, y in rhs[p - k].items():
                         acc[c] = acc.get(c, 0) + f * y
             solved[j] = {c: _exact(y) for c, y in acc.items() if y}
     return [solved[j] for j in range(n)]
@@ -334,9 +332,12 @@ def solve_rows(vectors: Matrix, rows: Matrix) -> Matrix:
     """
     k = len(rows)
     n = len(rows[0]) if rows else len(vectors[0]) if vectors else 0
-    reduced, pivots = rref(
-        [[row[i] for row in rows] + [v[i] for v in vectors] for i in range(n)])
+    reduced, pivots = rref([
+        dict(enumerate([row[i] for row in rows] + [v[i] for v in vectors]))
+        for i in range(n)])
     if pivots != list(range(k)):
         raise SingularMatrixError(
             f"{len(vectors)} vectors not uniquely in the span of {k} rows")
-    return [[reduced[i][k + j] for i in range(k)] for j in range(len(vectors))]
+    zero = Fraction(0)
+    return [[reduced[i].get(k + j, zero) for i in range(k)]
+            for j in range(len(vectors))]

@@ -145,9 +145,7 @@ def emit_jsonl(rows: list[dict]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def emit_csv(rows: list[dict], fieldnames: list[str] | None = None) -> bytes:
-    if fieldnames is None:
-        fieldnames = sorted({k for row in rows for k in row})
+def emit_csv(rows: list[dict], fieldnames: list[str]) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(fieldnames)
@@ -176,8 +174,7 @@ def emit_dot(nodes: list[str], edges: list[tuple[int, str, int]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def emit(rows: list[dict], fmt: str,
-         fieldnames: list[str] | None = None) -> bytes:
+def emit(rows: list[dict], fmt: str, fieldnames: list[str]) -> bytes:
     if fmt == "json":
         return emit_jsonl(rows)
     if fmt == "csv":

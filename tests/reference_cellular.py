@@ -33,6 +33,7 @@ from cellular_hecke.combinatorics import (
 )
 from cellular_hecke.linalg import Matrix, rank, rref, solve_rows, vec_mat
 from reference_algebra import to_vector
+from reference_linalg import sparse_rows
 
 
 def family_n_xi(xi: Perm) -> BasisFamily:
@@ -67,7 +68,7 @@ def subcell_module(ctx: AlgebraContext, c: tuple[int, ...],
     basis = [right_translate(z, d_of(t))
              for t in standard_tableaux(conjugate(lam))]
     vectors = [to_vector(ctx, h) for h in basis]
-    if rank(vectors) != len(basis):
+    if rank(sparse_rows(vectors)) != len(basis):
         raise ValueError("pairing-witness translates are dependent")
 
     def action_matrix(gen: Element) -> Matrix:
@@ -87,7 +88,7 @@ def simple_module_by_generator(module: CellModuleRealization
     over the full rows per generator.
     """
     gram = module.gram
-    _, pivots = rref(gram)
+    _, pivots = rref(sparse_rows(gram))
     if not pivots:
         raise ValueError(f"zero module requested at label {module.label}")
     picked = [gram[j] for j in pivots]
@@ -121,4 +122,4 @@ def intertwiner_dim_fractions(mod_a, mod_b) -> int:
                 for q in range(db):
                     row[i * db + q] -= gb[q][j]
                 rows.append(row)
-    return da * db - rank(rows)
+    return da * db - rank(sparse_rows(rows))

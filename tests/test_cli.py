@@ -252,6 +252,12 @@ def test_int_list_with_an_empty_entry_refused(capsys, omega):
 # sha256 of stdout for the verbs that read a family's simples; they pin the
 # output bytes while the code behind those verbs changes.
 GOLDEN = [
+    # check-basis names its CSV columns in sorted order
+    pytest.param(
+        ("check-basis", "--ell", "2", "--r", "3", "--omega", "1,0",
+         "--format", "csv"), 0,
+        "67bd9a1f943e91077c8d54d17390d284e36a063231e88e7ae07e8f8f1b0f689f",
+        id="check-basis-csv"),
     pytest.param(
         ("simples", "--ell", "2", "--r", "3", "--omega", "0,1"), 0,
         "45bb693c36d1e0a3d7e5de46ace1640e2ea6d9dd8c375fc172ea09145e230b19",

@@ -22,6 +22,7 @@ from cellular_hecke.crystal import (
 )
 from cellular_hecke.linalg import rank
 from reference_crystal import crystal_e
+from reference_linalg import sparse_rows
 
 
 def gram_oracle(omega, r):
@@ -30,7 +31,7 @@ def gram_oracle(omega, r):
     fam = family_m((0,) * len(omega))
     return {
         lam for lam in enumerate_multipartitions(len(omega), r)
-        if rank(cell_module(ctx, fam, lam).gram) > 0
+        if rank(sparse_rows(cell_module(ctx, fam, lam).gram)) > 0
     }
 
 

@@ -28,6 +28,7 @@ from cellular_hecke.label_maps import (
     xi_context,
 )
 from cellular_hecke.linalg import rank
+from reference_linalg import sparse_rows
 
 # the worked three-column example: heights (3,2,2), columns swapped by s1
 SWAPPED_CTX = XiContext((3, 2, 2), (2, 1, 3), lo=1)
@@ -170,7 +171,7 @@ class TestMullineuxXi:
                 mu = mullineux_xi(lam, xctx)
                 mod_xi = cell_module(actx, fam_xi, lam)
                 if mu is None:
-                    assert rank(mod_xi.gram) == 0
+                    assert rank(sparse_rows(mod_xi.gram)) == 0
                     continue
                 mod_1 = cell_module(actx, fam_1, mu)
                 assert intertwiner_dim(

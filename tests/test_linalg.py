@@ -16,11 +16,13 @@ from cellular_hecke.linalg import (
     vec_mat,
 )
 from reference_linalg import (
+    dense_rows,
     left_nullspace,
     mat_identity,
     mat_mul,
     mat_pow,
     mat_zero,
+    sparse_rows,
 )
 
 
@@ -28,26 +30,15 @@ def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def sparse_rows(a):
-    """Dense rows as the dict rows ``inverse`` takes, zero entries kept."""
-    return [dict(enumerate(row)) for row in a]
-
-
-def dense(rows):
-    """The square matrix of the dict rows ``inverse`` returns, as dense rows,
-    its absent entries 0."""
-    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
-
-
 def gauss_jordan_inverse(a):
     """Reference: the route ``inverse`` used to take, the right half of the
     sparse ``rref([a | I])``."""
     n = len(a)
-    reduced, pivots = rref(
-        [row + unit for row, unit in zip(a, mat_identity(n))])
+    reduced, pivots = rref(sparse_rows(
+        [row + unit for row, unit in zip(a, mat_identity(n))]))
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError(f"matrix of size {n} is singular")
-    return [row[n:] for row in reduced]
+    return [row[n:] for row in dense_rows(reduced, 2 * n)]
 
 
 def dense_inverse(a):
@@ -118,7 +109,7 @@ def assert_solve_rows_matches_reference(vectors, rows):
     before = copy.deepcopy((vectors, rows))
     try:
         expected = [solve_one_reference(v, rows) for v in vectors]
-        unique = rank(rows) == len(rows)
+        unique = rank(sparse_rows(rows)) == len(rows)
     except SingularMatrixError:
         expected, unique = None, False
     if not unique:
@@ -176,7 +167,7 @@ def assert_inverse_matches_reference(a):
     # each entry as it was solved: int when integral, else Fraction
     assert all(type(x) is (int if x.denominator == 1 else Fraction)
                for row in got for x in row.values())
-    full = dense(got)
+    full = dense_rows(got, n)
     assert full == expected
     assert full == gauss_jordan_inverse(a)
     assert mat_mul(a, full) == mat_identity(n)
@@ -252,11 +243,23 @@ def random_rect(rng, rows, cols, density, values=INTEGRAL, convert=Fraction):
 
 
 def assert_rref_matches_reference(a):
-    before = copy.deepcopy(a)
-    red, pivots = rref(a)
-    assert a == before
-    assert (red, pivots) == dense_rref(a)
-    assert all(type(x) is Fraction for row in red for x in row)
+    rows = sparse_rows(a)
+    before = [list(row.items()) for row in rows]
+    red, pivots = rref(rows)
+    assert [list(row.items()) for row in rows] == before
+    expected, expected_pivots = dense_rref(a)
+    assert pivots == expected_pivots
+    # the pivot rows only, each a dict of its nonzeros, every one a Fraction
+    assert len(red) == len(pivots)
+    assert all(type(row) is dict and row for row in red)
+    assert all(type(x) is Fraction and x != 0
+               for row in red for x in row.values())
+    cols = len(a[0]) if a else 0
+    assert dense_rows(red, cols) == expected[:len(pivots)]
+    assert all(x == 0 for row in expected[len(pivots):] for x in row)
+    # the key order of the input rows does not matter
+    assert rref([dict(reversed(row.items())) for row in rows]) \
+        == (red, pivots)
     return len(pivots)
 
 
@@ -344,6 +347,22 @@ def test_rref_matches_dense_reference_property(rows):
     assert_rref_matches_reference(rows)
 
 
+def test_rref_takes_and_returns_sparse_rows():
+    # columns are eliminated in ascending order, whatever the key order
+    rows = [{7: 2, 3: 4}, {3: 1}]
+    before = [list(row.items()) for row in rows]
+    red, pivots = rref(rows)
+    assert pivots == [3, 7]
+    assert red == [{3: 1}, {7: 1}]
+    assert all(type(x) is Fraction for row in red for x in row.values())
+    assert [list(row.items()) for row in rows] == before
+    # zero values are dropped, and no zero row comes back
+    assert rref([]) == ([], [])
+    assert rref([{}]) == ([], [])
+    assert rref([{0: 0}, {2: 0, 5: 3}, {}]) == ([{5: 1}], [5])
+    assert rank([]) == rank([{}]) == rank([{0: 0}]) == 0
+
+
 def test_inverse_matches_dense_reference():
     rng = random.Random(20231)
     invertible = 0
@@ -362,7 +381,8 @@ def test_inverse_of_planted_blocks(fractions):
         a = planted_blocks(rng, sizes, fractions)
         assert assert_inverse_matches_reference(a)
         integral = all(x.denominator == 1
-                       for row in dense(inverse(sparse_rows(a))) for x in row)
+                       for row in dense_rows(inverse(sparse_rows(a)), len(a))
+                       for x in row)
         if len(sizes) > 1:
             assert not integral      # block 1 has det != +-1
         elif not fractions:
@@ -406,8 +426,8 @@ def test_inverse_chain_deeper_than_the_recursion_limit():
         if i + 1 < n:
             a[i][i + 1] = Fraction(-1)
     zero, one = Fraction(0), Fraction(1)
-    assert dense(inverse(sparse_rows(a))) == [[zero] * i + [one] * (n - i)
-                                              for i in range(n)]
+    assert dense_rows(inverse(sparse_rows(a)), n) \
+        == [[zero] * i + [one] * (n - i) for i in range(n)]
 
 
 def test_change_of_basis_inverse_at_e3r3_matches_reference():
@@ -418,8 +438,8 @@ def test_change_of_basis_inverse_at_e3r3_matches_reference():
     assert len(a) == 162
     assert real.change_of_basis_inv == gauss_jordan_inverse(a)
     # the terms in column order give the inverse taken in product order
-    assert dense(inverse([dict(sorted(elem.terms.items()))
-                          for elem in real.elements])) \
+    assert dense_rows(inverse([dict(sorted(elem.terms.items()))
+                               for elem in real.elements]), 162) \
         == real.change_of_basis_inv
 
 
@@ -446,13 +466,13 @@ def test_inverse_ignores_the_key_order_of_its_rows():
             continue
         solved += 1
         for _ in range(3):
-            assert dense(inverse(shuffled_rows(rng, sparse_rows(a)))) \
-                == expected
+            assert dense_rows(inverse(shuffled_rows(rng, sparse_rows(a))),
+                              n) == expected
     assert solved >= 3
     for sizes in ([2, 3, 1, 4], [7, 4, 1, 1, 3, 2, 1]):
         a = planted_blocks(rng, sizes)
-        assert dense(inverse(shuffled_rows(rng, sparse_rows(a)))) \
-            == dense_inverse(a)
+        assert dense_rows(inverse(shuffled_rows(rng, sparse_rows(a))),
+                          len(a)) == dense_inverse(a)
 
 
 def test_change_of_basis_inverse_at_e2r4_sparse_check():
@@ -503,9 +523,9 @@ def test_inverse_singular_raises_with_size(rows):
 def test_inverse_round_trip_property(rows):
     a = F(rows)
     try:
-        inv = dense(inverse(sparse_rows(a)))
+        inv = dense_rows(inverse(sparse_rows(a)), len(a))
     except SingularMatrixError:
-        assert rank(a) < len(a)
+        assert rank(sparse_rows(a)) < len(a)
         return
     assert mat_mul(a, inv) == mat_identity(len(a))
     assert mat_mul(inv, a) == mat_identity(len(a))
@@ -513,7 +533,8 @@ def test_inverse_round_trip_property(rows):
 
 def test_inverse_round_trip():
     a = F([[2, 1], [1, 1]])
-    assert mat_mul(a, dense(inverse(sparse_rows(a)))) == mat_identity(2)
+    assert mat_mul(a, dense_rows(inverse(sparse_rows(a)), 2)) \
+        == mat_identity(2)
 
 
 def test_singular_raises():
@@ -523,7 +544,7 @@ def test_singular_raises():
 
 def test_rank_and_nullspaces():
     a = F([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert rank(a) == 2
+    assert rank(sparse_rows(a)) == 2
     assert left_nullspace(a) == F([[-2, 1, 0]])
     # one vector per free row, in row order
     b = F([[1, 0], [2, 0], [0, 1], [0, 3], [1, 1]])
@@ -586,7 +607,7 @@ def test_solve_rows_matches_reference_property(system):
 
 def test_rref_pivots_deterministic():
     a = F([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
-    red, pivots = rref(a)
+    red, pivots = rref(sparse_rows(a))
     assert pivots == [0, 1]
     assert red[0][0] == 1 and red[1][1] == 1
 

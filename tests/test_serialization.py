@@ -164,10 +164,10 @@ class TestEmission:
 
     def test_emit_dispatch(self):
         rows = [{"a": 1}]
-        assert emit(rows, "json") == emit_jsonl(rows)
-        assert emit(rows, "csv").startswith(b"a\n")
+        assert emit(rows, "json", ["a"]) == emit_jsonl(rows)
+        assert emit(rows, "csv", ["a"]) == b"a\n1\n"
         with pytest.raises(ValueError):
-            emit(rows, "dot")
+            emit(rows, "dot", ["a"])
 
     def test_dot_sequential_ids(self):
         data = emit_dot(["x", "y"], [(0, "1", 1)]).decode()
