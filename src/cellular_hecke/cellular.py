@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .algebra import AlgebraContext, Element, right_translate
@@ -65,25 +65,24 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class BasisFamily:
-    kind: str                      # "m" | "n" | "mxi" | "nxi"
-    c: tuple[int, ...] | None = None
-    xi: Perm | None = None
+class BasisFamily(namedtuple("BasisFamily", "kind c xi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in ("m", "n"):
-            if self.c is None or any(b not in (0, 1) for b in self.c):
+    def __new__(cls, kind: str,        # "m" | "n" | "mxi" | "nxi"
+                c: tuple[int, ...] | None = None, xi: Perm | None = None):
+        if kind in ("m", "n"):
+            if c is None or any(b not in (0, 1) for b in c):
                 raise ValueError("m/n family needs a 01-sequence c")
-            if self.xi is not None:
+            if xi is not None:
                 raise ValueError("m/n family takes no xi")
-        elif self.kind in ("mxi", "nxi"):
-            if self.xi is None or not perm_is_valid(self.xi):
+        elif kind in ("mxi", "nxi"):
+            if xi is None or not perm_is_valid(xi):
                 raise ValueError("mxi/nxi family needs a permutation xi")
-            if self.c is not None:
+            if c is not None:
                 raise ValueError("mxi/nxi family takes no c")
         else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise ValueError(f"unknown family kind {kind!r}")
+        return super().__new__(cls, kind, c, xi)
 
     def label(self) -> str:
         if self.kind in ("m", "n"):
@@ -370,26 +369,30 @@ def realization(ctx: AlgebraContext, family: BasisFamily) -> FamilyRealization:
 # modules
 
 
-@dataclass
 class ModuleRealization:
     """
     Generator matrices of a right module, row-vector convention: the 2r - 1
     matrices of s_1..s_{r-1}, x_1..x_r, numbered as in
     ``FamilyRealization.action``.
     """
-    ctx: AlgebraContext
-    actions: list[Matrix]
+
+    def __init__(self, ctx: AlgebraContext, actions: list[Matrix]):
+        self.ctx = ctx
+        self.actions = actions
 
     @property
     def dim(self) -> int:
         return len(self.actions[0])
 
 
-@dataclass
 class CellModuleRealization(ModuleRealization):
     """A cell module: its label, Gram form and simple quotient."""
-    label: Multipartition
-    gram: Matrix
+
+    def __init__(self, ctx: AlgebraContext, actions: list[Matrix],
+                 label: Multipartition, gram: Matrix):
+        super().__init__(ctx, actions)
+        self.label = label
+        self.gram = gram
 
     @functools.cached_property
     def simple(self) -> ModuleRealization | None:

@@ -22,36 +22,34 @@ Every vertex is untwisted: component i carries n_i = omega_i - lo + 1 ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import Multipartition, is_partition
 
 
-@dataclass(frozen=True)
-class Window:
-    lo: int
-    hi: int
+class Window(namedtuple("Window", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __new__(cls, lo: int, hi: int):
+        if lo > hi:
             raise ValueError("empty window")
+        return super().__new__(cls, lo, hi)
 
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
-class ZeroOneTuple:
-    window: Window
-    bits: tuple[tuple[int, ...], ...]
+class ZeroOneTuple(namedtuple("ZeroOneTuple", "window bits")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for comp in self.bits:
-            if len(comp) != self.window.size:
+    def __new__(cls, window: Window, bits: tuple[tuple[int, ...], ...]):
+        for comp in bits:
+            if len(comp) != window.size:
                 raise ValueError("component length does not match window")
             if any(b not in (0, 1) for b in comp):
                 raise ValueError("bits must be 0 or 1")
+        return super().__new__(cls, window, bits)
 
     @property
     def ell(self) -> int:

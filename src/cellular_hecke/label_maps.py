@@ -17,7 +17,7 @@ them with exact intertwiners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraContext
 from .cellular import BasisFamily, cell_module, intertwiner_dim
@@ -44,25 +44,22 @@ def eta(lam: Multipartition, c: tuple[int, ...]) -> Multipartition:
     )
 
 
-@dataclass(frozen=True)
-class XiContext:
+class XiContext(namedtuple("XiContext", "omega xi lo")):
     """
     Weakly decreasing parameters with a column permutation. Column j of a
     tableau has height ``heights[j] = n_{(j)xi}`` where n_i = omega_i - lo + 1
     for the chosen base point.
     """
-    omega: tuple[int, ...]
-    xi: Perm
-    lo: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(self.omega[i] < self.omega[i + 1]
-               for i in range(len(self.omega) - 1)):
+    def __new__(cls, omega: tuple[int, ...], xi: Perm, lo: int):
+        if any(omega[i] < omega[i + 1] for i in range(len(omega) - 1)):
             raise ValueError("omega must be weakly decreasing")
-        if not perm_is_valid(self.xi) or len(self.xi) != len(self.omega):
+        if not perm_is_valid(xi) or len(xi) != len(omega):
             raise ValueError("xi must be a permutation of the components")
-        if self.lo > min(self.omega):
+        if lo > min(omega):
             raise ValueError("base point above the smallest parameter")
+        return super().__new__(cls, omega, xi, lo)
 
     @property
     def ell(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import Multipartition, perm_is_valid
@@ -50,19 +50,11 @@ FAMILIES = ("m", "n", "mxi", "nxi")
 FORMATS = ("json", "csv", "dot")
 
 
-@dataclass
-class JobConfig:
-    ell: int
-    r: int
-    omega: tuple[int, ...]
-    c: tuple[int, ...]
-    xi: tuple[int, ...]
-    family: str
-    format: str
-
+# ell, r: int; omega, c, xi: tuple[int, ...]; family, format: str
+JobConfig = namedtuple("JobConfig", "ell r omega c xi family format")
 
 # the config's field names; the command line's flags come in this order
-FIELDS = tuple(f.name for f in fields(JobConfig))
+FIELDS = JobConfig._fields
 
 
 def parse_config(text: str) -> JobConfig:

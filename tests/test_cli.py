@@ -241,6 +241,20 @@ def test_package_root_serves_the_benchmark_set_up():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast and dis: about 10 ms of every
+    # invocation's start-up. -S keeps the site's .pth imports out of it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, cellular_hecke.cli, cellular_hecke.crystal, "
+            "cellular_hecke.label_maps\n"
+            "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+
+
 @pytest.mark.parametrize("omega", ["0,,1", ",0,1,"])
 def test_int_list_with_an_empty_entry_refused(capsys, omega):
     with pytest.raises(SystemExit) as exc:

@@ -213,6 +213,18 @@ class TestGeneralizedMullineux:
             match_simples(ctx, family_n((0, 0, 0)), family_m((0, 0, 0))))
         assert table == self.composite_table(3, r, omega)
 
+    # drawn weakly decreasing omega, negative and widely spaced entries too
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(st.sampled_from([3, 4]).flatmap(
+        lambda ell: st.lists(st.integers(-3, 5), min_size=ell, max_size=ell)))
+    def test_drawn_omega_takes_sign_type_to_trivial_type_labels(self, omega):
+        omega = tuple(sorted(omega, reverse=True))
+        ell = len(omega)
+        ctx = AlgebraContext(ell, 2, omega)
+        table = dict(
+            match_simples(ctx, family_n((0,) * ell), family_m((0,) * ell)))
+        assert table == self.composite_table(ell, 2, omega)
+
     def test_is_not_the_trivial_to_sign_table_at_a_partial_tie(self):
         omega = (1, 1, 0)
         ctx = AlgebraContext(3, 3, omega)
