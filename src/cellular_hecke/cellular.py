@@ -16,7 +16,9 @@ matrices and Gram forms, simple quotients, joint generalized x-eigenvalues
 ``int`` (change of basis, actions, Gram forms) until a division inside
 ``linalg`` makes a ``Fraction``. No floats anywhere.
 
-The Gram form of a cell module comes from the module's own action rho, with
+A cell module's action rho is read off the top-row products m_{top,t} . g
+alone (``FamilyRealization.products``; ``verify cellular`` proves from them
+that every left index gives rho). Its Gram form comes from rho, with
 no product in the algebra (Graham-Lehrer 1996; Mathas 1999, ch. 2): m_{top,s}
 . h agrees with sum_u rho(h)_{s,u} m_{top,u} modulo higher cells, so
 <s,t> = rho(m_{t,top})_{s,top}, and m_{t,top} = d(t)^{-1} . m_{top,top}
@@ -263,9 +265,10 @@ class FamilyRealization:
     and immutable afterwards. C, the change of basis, has a row per element,
     its ``terms``; C^-1 is kept as the dict rows ``inverse`` returns for them,
     ``inverse_rows``. Neither is dense, and entries are ``int`` (a ``Fraction``
-    only if not integral, which no family has shown). ``expand(h, cells)`` is
-    the one reader of cellular coordinates: the generator actions go through
-    it, and the Gram form is read from those actions.
+    only if not integral, which no family has shown). ``expand(h, cells)``
+    reads coordinates at a few cells, for the generator actions and so the
+    Gram form; ``coordinates(h)`` reads every nonzero one, far cheaper at
+    every cell, for ``verify cellular``.
     """
 
     def __init__(self, ctx: AlgebraContext, family: BasisFamily):
@@ -327,27 +330,35 @@ class FamilyRealization:
     def element(self, li: int, si: int, ti: int) -> Element:
         return self.elements[self.cell_index[(li, si, ti)]]
 
-    def action(self, li: int, left: int, g: int) -> Matrix:
-        """
-        Right multiplication by the generator ``g`` on the cells
-        (li, left, *): g = 0..r-2 is s_1..s_{r-1} and g = r-1..2r-2 is
-        x_1..x_r. Row t holds the (li, left, u) coordinates of
-        element(li, left, t) times the generator, formed by a relabel for
-        s_i (``right_translate``) and by a product for x_k.
-        """
+    def products(self, li: int, g: int) -> list[Element]:
+        """m_{top,t} . g for each tableau t of label ``li``, in order: g =
+        0..r-2 is s_1..s_{r-1}, by a relabel (``right_translate``), and
+        g = r-1..2r-2 is x_1..x_r, by a product."""
         r = self.ctx.r
         if not 0 <= g < 2 * r - 1:
             raise ValueError(f"generator index {g} out of range 0..{2 * r - 2}")
-        n = len(self.tableaux[li])
-        elems = [self.element(li, left, ti) for ti in range(n)]
+        elems = [self.element(li, TOP, ti)
+                 for ti in range(len(self.tableaux[li]))]
         if g < r - 1:
             s = perm_simple(r, g + 1)
-            products = [right_translate(elem, s) for elem in elems]
-        else:
-            x = self.ctx.generator_x(g - r + 2)
-            products = [elem * x for elem in elems]
-        cells = [(li, left, ui) for ui in range(n)]
-        return [self.expand(h, cells) for h in products]
+            return [right_translate(elem, s) for elem in elems]
+        x = self.ctx.generator_x(g - r + 2)
+        return [elem * x for elem in elems]
+
+    def action(self, li: int, g: int) -> Matrix:
+        """The generator ``g`` on the cell module of label ``li``: row t is
+        ``products(li, g)[t]`` at the cells (li, top, *)."""
+        cells = [(li, TOP, ui) for ui in range(len(self.tableaux[li]))]
+        return [self.expand(h, cells) for h in self.products(li, g)]
+
+    def coordinates(self, h: Element) -> dict[int, int]:
+        """Every nonzero coordinate of ``h`` by cell index: the sum of coef .
+        inverse_rows[key] over its terms."""
+        out: dict[int, int] = {}
+        for key, coef in h.terms.items():
+            for col, x in self.inverse_rows[key].items():
+                out[col] = out.get(col, 0) + coef * x
+        return {col: x for col, x in out.items() if x}
 
     def label_index(self, lam: Multipartition) -> int:
         """Position of ``lam`` in ``labels``; ValueError for a non-label."""
@@ -408,8 +419,8 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
     the context and shared by every caller after that, so its simple
     quotient (``simple``) is built once too. The generator action
     is read off the cellular expansion of (top-row cell element) * generator
-    (``FamilyRealization.action``), keeping only same-label coefficients with
-    the left tableau fixed. The Gram form uses no algebra product:
+    (``FamilyRealization.action``), keeping only the same-label coefficients
+    at the top left index. The Gram form uses no algebra product:
     <s,t> = rho(m_{t,top})_{s,top} for the action rho, evaluated on the
     seed's terms and d(t)^{-1} by the generator matrices along reduced words.
     The matrices are kept as computed, in ``int``: only a division inside
@@ -423,7 +434,7 @@ def cell_module(ctx: AlgebraContext, family: BasisFamily,
         return module
     tabs = real.tableaux[li]
     r = ctx.r
-    actions = [real.action(li, TOP, g) for g in range(2 * r - 1)]
+    actions = [real.action(li, g) for g in range(2 * r - 1)]
 
     # column t of the Gram matrix is rho(d(t)^{-1}) . rho(seed) . e_top, and
     # rho(h) sends a column vector v to the matrix product rho(h) . v

@@ -166,9 +166,12 @@ def emit_dot(nodes: list[str], edges: list[tuple[int, str, int]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def check_tabular(fmt: str) -> None:
+    """Raise ValueError when ``fmt`` cannot hold rows: DOT is for graphs."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unsupported format {fmt!r} for tabular data")
+
+
 def emit(rows: list[dict], fmt: str, fieldnames: list[str]) -> bytes:
-    if fmt == "json":
-        return emit_jsonl(rows)
-    if fmt == "csv":
-        return emit_csv(rows, fieldnames)
-    raise ValueError(f"unsupported format {fmt!r} for tabular data")
+    check_tabular(fmt)
+    return emit_jsonl(rows) if fmt == "json" else emit_csv(rows, fieldnames)

@@ -3,8 +3,10 @@ Cellular constructions that only the tests use, as references: a single
 cellular element of a family, the pairing witness z of a label as a full
 algebra product, the right ideal it generates, the constructor of the nxi
 families (the CLI builds ``BasisFamily`` directly), the simple quotient of a
-cell module solved one generator at a time over the full Gram rows, and the
-intertwiner dimension from commuting equations built in ``Fraction``.
+cell module solved one generator at a time over the full Gram rows, the
+intertwiner dimension from commuting equations built in ``Fraction``, and
+the generator actions at every left index, which ``verify cellular`` used to
+compare with the cell module before it read the top row alone.
 ``verify trace`` reads tau(z . w^-1) with ``algebra.trace_of_product`` and
 never forms z.
 """
@@ -13,9 +15,12 @@ from fractions import Fraction
 
 from cellular_hecke.algebra import AlgebraContext, Element, right_translate
 from cellular_hecke.cellular import (
+    TOP,
     BasisFamily,
     CellModuleRealization,
+    FamilyRealization,
     ModuleRealization,
+    cell_module,
     cell_seed,
     family_m,
     family_n,
@@ -123,3 +128,36 @@ def intertwiner_dim_fractions(mod_a, mod_b) -> int:
                     row[i * db + q] -= gb[q][j]
                 rows.append(row)
     return da * db - rank(sparse_rows(rows))
+
+
+def generators(ctx: AlgebraContext) -> list[Element]:
+    """s_1..s_{r-1}, x_1..x_r, numbered as in ``FamilyRealization.action``."""
+    return [ctx.generator_s(i) for i in range(1, ctx.r)] \
+        + [ctx.generator_x(k) for k in range(1, ctx.r + 1)]
+
+
+def left_action(real: FamilyRealization, li: int, left: int,
+                g: int) -> Matrix:
+    """
+    The generator ``g`` on the cells (li, left, *): row t holds the
+    (li, left, u) coordinates of element(li, left, t) times the generator,
+    by an algebra product and ``expand``.
+    """
+    gen = generators(real.ctx)[g]
+    n = len(real.tableaux[li])
+    cells = [(li, left, u) for u in range(n)]
+    return [real.expand(real.element(li, left, t) * gen, cells)
+            for t in range(n)]
+
+
+def left_index_independent(ctx: AlgebraContext,
+                           real: FamilyRealization) -> bool:
+    """Every left index other than top gives each generator the action of
+    the cell module, which is read at the top left index."""
+    for li, (lam, tabs) in enumerate(zip(real.labels, real.tableaux)):
+        module = cell_module(ctx, real.family, lam)
+        for g, ref in enumerate(module.actions):
+            if any(left_action(real, li, si, g) != ref
+                   for si in range(len(tabs)) if si != TOP):
+                return False
+    return True

@@ -53,6 +53,7 @@ from reference_algebra import tau_hat, to_vector
 from reference_cellular import (
     cellular_element,
     family_n_xi,
+    generators,
     intertwiner_dim_fractions,
     simple_module_by_generator,
     subcell_module,
@@ -451,20 +452,26 @@ class TestCellularBases:
             cellular_element(ctx22, family_m((0, 0)), s, t)
 
     def test_triangular_action(self, ctx22, ctx13):
-        """Other-label terms in a cell-times-generator expansion are
-        strictly dominance-higher; same-label terms keep the left index."""
+        """The cellular axiom on every kind at every left index: in a
+        cell-times-generator expansion the same-label terms keep the left
+        index and carry the cell module's coefficients, and every other
+        label is strictly dominance-higher."""
         for ctx in (ctx22, ctx13):
-            gens = [ctx.generator_s(i) for i in range(1, ctx.r)] + \
-                   [ctx.generator_x(k) for k in range(1, ctx.r + 1)]
-            for fam in families_for(ctx)[:4]:
+            fams = families_for(ctx)
+            assert {fam.kind for fam in fams} == {"m", "n", "mxi", "nxi"}
+            for fam in fams:
                 real = realization(ctx, fam)
                 for li, lam in enumerate(real.labels):
                     tabs = real.tableaux[li]
+                    actions = cell_module(ctx, fam, lam).actions
                     for si in range(len(tabs)):
                         for ti in range(len(tabs)):
                             el = real.element(li, si, ti)
-                            for gen in gens:
+                            for g, gen in enumerate(generators(ctx)):
                                 coords = real.expand(el * gen, real.cells)
+                                assert [coords[real.cell_index[(li, si, ui)]]
+                                        for ui in range(len(tabs))] \
+                                    == actions[g][ti], (fam, lam, si, ti, g)
                                 for ci, val in enumerate(coords):
                                     if val == 0:
                                         continue
@@ -502,27 +509,55 @@ class TestCellularBases:
         (2, 4, (1, 0), (2, 1)),
     ], ids=["e2r3", "e3r2", "e2r4"])
     def test_action_matches_expanded_products(self, ell, r, c, xi):
-        """action(li, left, g) relabels for s_i and multiplies for x_k; at
-        every cell and generator it equals the expansion of
-        element(li, left, t) * generator formed by the algebra product."""
+        """products(li, g) relabels for s_i and multiplies for x_k, and at
+        every label and generator it and action(li, g) equal the algebra
+        products element(li, top, t) * generator and their expansion at the
+        cells (li, top, *)."""
         ctx = AlgebraContext(ell, r, tuple(range(ell)))
-        gens = [ctx.generator_s(i) for i in range(1, r)] + \
-               [ctx.generator_x(k) for k in range(1, r + 1)]
+        top = cellular.TOP
         for fam in [family_m(c), family_n(c), family_m_xi(xi),
                     family_n_xi(xi)]:
             real = realization(ctx, fam)
             for li, tabs in enumerate(real.tableaux):
-                for left in range(len(tabs)):
-                    cells = [(li, left, ui) for ui in range(len(tabs))]
-                    for g, gen in enumerate(gens):
-                        want = [real.expand(real.element(li, left, ti) * gen,
-                                            cells)
-                                for ti in range(len(tabs))]
-                        assert real.action(li, left, g) == want, \
-                            (fam, li, left, g)
-        for g in (-1, len(gens)):
+                cells = [(li, top, ui) for ui in range(len(tabs))]
+                for g, gen in enumerate(generators(ctx)):
+                    want = [real.element(li, top, ti) * gen
+                            for ti in range(len(tabs))]
+                    assert real.products(li, g) == want, (fam, li, g)
+                    assert real.action(li, g) == \
+                        [real.expand(h, cells) for h in want], (fam, li, g)
+        for g in (-1, 2 * r - 1):
             with pytest.raises(ValueError, match="generator index"):
-                real.action(0, 0, g)
+                real.products(0, g)
+            with pytest.raises(ValueError, match="generator index"):
+                real.action(0, g)
+
+    @pytest.mark.parametrize("ell,r,c,xi", [
+        (2, 3, (0, 1), (2, 1)),
+        (3, 2, (0, 1, 1), (2, 3, 1)),
+    ], ids=["e2r3", "e3r2"])
+    def test_coordinates_match_expand(self, ell, r, c, xi):
+        """coordinates(h), densified, is expand(h, cells) at every cell on
+        sampled top-row products, and it holds no zero."""
+        ctx = AlgebraContext(ell, r, tuple(range(ell)))
+        rng = random.Random(0)
+        for fam in [family_m(c), family_n(c), family_m_xi(xi),
+                    family_n_xi(xi)]:
+            real = realization(ctx, fam)
+            n = len(real.cells)
+
+            def check(h):
+                coords = real.coordinates(h)
+                assert all(coords.values())
+                assert [coords.get(i, 0) for i in range(n)] \
+                    == real.expand(h, real.cells)
+
+            for li in rng.sample(range(len(real.labels)), 4):
+                for g in rng.sample(range(2 * r - 1), 2):
+                    for h in real.products(li, g):
+                        check(h)
+            check(real.products(0, 0)[0] * Fraction(2, 3))
+            assert real.coordinates(ctx.zero()) == {}
 
 
 class TestTraceAndPairing:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -12,15 +13,20 @@ from pathlib import Path
 import pytest
 
 from cellular_hecke import algebra, cellular, cli
+from cellular_hecke.algebra import AlgebraContext
 from cellular_hecke.cli import main
 from cellular_hecke.combinatorics import (
     conjugate,
+    count_standard_tableaux,
+    dominance_ge,
+    enumerate_multipartitions,
     tableau_conjugate,
     tableau_dominance_ge,
 )
 from cellular_hecke.linalg import SingularMatrixError
 from cellular_hecke.serialization import mp_to_lists, parse_config
 import reference_algebra
+import reference_cellular
 from reference_serialization import parse_jsonl
 
 
@@ -78,6 +84,32 @@ def test_crystal_dot(capsys):
     assert code == 0
     assert out.startswith("digraph crystal {")
     assert '[label="[[],[]]"]' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",), ("check-basis",), ("gram", "--lambda", "[[1],[1]]"),
+    ("simples",), ("blocks",), ("mullineux", "--lambda", "[[1],[1]]"),
+    ("match", "--familyA", "m", "--familyB", "n"),
+], ids=lambda argv: argv[0])
+def test_tabular_verb_refuses_dot_before_any_work(monkeypatch, capsys,
+                                                  argv):
+    # rows have no DOT form, and the refusal comes before the handler
+    def no_work(*args):
+        raise AssertionError("work was done before refusing --format dot")
+
+    monkeypatch.setattr(cli, "AlgebraContext", no_work)
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), no_work)
+    assert main([*argv, "--ell", "2", "--r", "2", "--omega", "0,1",
+                 "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unsupported format 'dot' for tabular data\n"
+
+
+def test_verify_ignores_format_dot(capsys):
+    code, out = run_cli(capsys, "verify", "relations", "--format", "dot")
+    assert code == 0
+    assert out.startswith("PASS relations: ")
 
 
 def test_crystal_csv(capsys):
@@ -315,6 +347,12 @@ GOLDEN = [
          "--c", "0,1,0", "--xi", "2,3,1"), 0,
         "a13a2a15f8d02870297c2b30a43f987d134b20a8b7f4514b77b53452abe1252d",
         id="verify-cellular-e3"),
+    # the check at r = 4: every top-row product expanded at every cell
+    pytest.param(
+        ("verify", "cellular", "--ell", "2", "--r", "4", "--omega", "1,0",
+         "--c", "0,1", "--xi", "2,1"), 0,
+        "4032d58d5e66a14f2fa87afb2c50dca7b4141ef2b3577477975931394aa7262e",
+        id="verify-cellular-e2r4"),
     pytest.param(
         ("verify", "main1", "--ell", "3", "--r", "3", "--omega", "2,1,0",
          "--c", "0,1,0"), 0,
@@ -809,23 +847,29 @@ def _left_index_target(ctx, fam):
 
 
 def test_verify_cellular_fails_on_a_perturbed_left_index(monkeypatch):
+    # the route verify cellular took to the other left indices is kept as
+    # the reference, and it must see one wrong matrix there
     cfg = parse_config(json.dumps(REFEREE_E2R3))
     ctx = cli.context_from_config(cfg)
     real, li, left = _left_index_target(ctx, cellular.family_m(cfg.c))
-    action = cellular.FamilyRealization.action
+    assert reference_cellular.left_index_independent(ctx, real)
+    action = reference_cellular.left_action
     g = 2 * cfg.r - 2       # x_r
 
-    def perturbed(self, li_, left_, g_):
-        mat = action(self, li_, left_, g_)
-        if (self, li_, left_, g_) == (real, li, left, g):
+    def perturbed(real_, li_, left_, g_):
+        mat = action(real_, li_, left_, g_)
+        if (real_, li_, left_, g_) == (real, li, left, g):
             mat[-1][-1] += 1
         return mat
 
-    monkeypatch.setattr(cellular.FamilyRealization, "action", perturbed)
-    lines = cli.suite_cellular(cfg, ctx)
-    assert cli._failed(lines)
-    assert lines == ["FAIL cellular: action coefficients depend on the left "
-                     "index (m[0,1])"]
+    monkeypatch.setattr(reference_cellular, "left_action", perturbed)
+    assert not reference_cellular.left_index_independent(ctx, real)
+
+
+def _fail_cellular(family, lam, g, t, where):
+    return "FAIL cellular: " + json.dumps(
+        {"family": family, "lambda": mp_to_lists(lam), "generator": g,
+         "t": t, "where": where})
 
 
 def test_verify_cellular_fails_on_a_perturbed_cell_module():
@@ -839,8 +883,126 @@ def test_verify_cellular_fails_on_a_perturbed_cell_module():
     mod.actions[0][0][0] += 1
     lines = cli.suite_cellular(cfg, ctx)
     assert cli._failed(lines)
-    assert lines == ["FAIL cellular: action coefficients depend on the left "
-                     "index (n[0,1])"]
+    assert lines == [_fail_cellular("n[0,1]", real.labels[li], 0, 0,
+                                    "cell module")]
+
+
+VERIFY_CELLULAR_E2R3 = ["verify", "cellular", "--ell", "2", "--r", "3",
+                        "--omega", "1,0", "--c", "0,1", "--xi", "2,1"]
+
+
+def _targets():
+    """At (2,3): the labels, the first label with two or more tableaux that
+    strictly dominates another label, that lower label, and its number of
+    tableaux."""
+    labels = enumerate_multipartitions(2, 3)
+    li = next(i for i, lam in enumerate(labels)
+              if count_standard_tableaux(lam) > 1
+              and any(mu != lam and dominance_ge(lam, mu) for mu in labels))
+    lower = next(j for j, mu in enumerate(labels)
+                 if mu != labels[li] and dominance_ge(labels[li], mu))
+    return labels, li, lower, count_standard_tableaux(labels[li])
+
+
+def _plant(monkeypatch, fam, li, g, t, cell):
+    """Add the cellular element at ``cell`` to the top-row product t of
+    (li, g): the cell module reads only (li, top, *), so it is unchanged."""
+    products = cellular.FamilyRealization.products
+
+    def planted(self, li_, g_):
+        out = products(self, li_, g_)
+        if (self.family, li_, g_) == (fam, li, g):
+            out[t] = out[t] + self.element(*cell)
+        return out
+
+    monkeypatch.setattr(cellular.FamilyRealization, "products", planted)
+
+
+def _plant_lower_label(monkeypatch):
+    labels, li, lower, n = _targets()
+    _plant(monkeypatch, cellular.family_m((0, 1)), li, 4, n - 1,
+           (lower, cellular.TOP, cellular.TOP))
+    return _fail_cellular("m[0,1]", labels[li], 4, n - 1, "lower label")
+
+
+def _plant_left_index(monkeypatch):
+    labels, li, _, n = _targets()
+    _plant(monkeypatch, cellular.family_n((0, 1)), li, 1, 0,
+           (li, n - 1, 0))
+    return _fail_cellular("n[0,1]", labels[li], 1, 0, "left index")
+
+
+def _perturb_cell_module(monkeypatch):
+    labels, li, _, n = _targets()
+    fam = cellular.family_m_xi((2, 1))
+    action = cellular.FamilyRealization.action
+
+    def perturbed(self, li_, g_):
+        mat = action(self, li_, g_)
+        if (self.family, li_, g_) == (fam, li, 2):
+            mat[n - 1][0] += 1
+        return mat
+
+    monkeypatch.setattr(cellular.FamilyRealization, "action", perturbed)
+    return _fail_cellular("mxi[2,1]", labels[li], 2, n - 1, "cell module")
+
+
+def _reverse_cell_order(monkeypatch):
+    # the cell named (li, s, t) holds m_{t,s}: star symmetry still holds,
+    # and the cell module is built from the same cells, but a top-row
+    # product then has same-label terms off the top left index (s_1 fixes
+    # the top row up to sign, s_2 does not)
+    labels, li, _, _ = _targets()
+    fam = cellular.BasisFamily("nxi", xi=(2, 1))
+    realize = cellular.FamilyRealization.__init__
+
+    def reversed_cells(self, ctx, family):
+        realize(self, ctx, family)
+        if family == fam:
+            self.cells = [(l, t, s) if l == li else (l, s, t)
+                          for l, s, t in self.cells]
+            self.cell_index = {cell: i for i, cell in enumerate(self.cells)}
+
+    monkeypatch.setattr(cellular.FamilyRealization, "__init__",
+                        reversed_cells)
+    return _fail_cellular("nxi[2,1]", labels[li], 1, 0, "left index")
+
+
+@pytest.mark.parametrize("mutate", [
+    _plant_lower_label, _plant_left_index, _perturb_cell_module,
+    _reverse_cell_order,
+], ids=["lower-label", "left-index", "cell-module", "reversed-cell-order"])
+def test_verify_cellular_reports_the_first_violation(monkeypatch, capsys,
+                                                     mutate):
+    want = mutate(monkeypatch)
+    code, out = run_cli(capsys, *VERIFY_CELLULAR_E2R3)
+    assert code == 1
+    assert out.splitlines() == [want]
+
+
+@pytest.mark.parametrize("ell,r", [(2, 3), (3, 2), (2, 4)])
+def test_cellular_check_and_reference_hold_for_every_family(ell, r):
+    omega = list(range(ell))[::-1]
+    cs = list(itertools.product((0, 1), repeat=ell))
+    xis = list(itertools.permutations(range(1, ell + 1)))
+    ctx = AlgebraContext(ell, r, tuple(omega))
+    for k, c in enumerate(cs):
+        xi = xis[k % len(xis)]
+        cfg = parse_config(json.dumps(
+            {"ell": ell, "r": r, "omega": omega, "c": c, "xi": xi}))
+        fams = [cellular.family_m(c), cellular.family_n(c),
+                cellular.family_m_xi(xi), cellular.BasisFamily("nxi", xi=xi)]
+        assert cli.suite_cellular(cfg, ctx) == [
+            "PASS cellular: change of basis invertible, star-symmetric, "
+            "left-index independent for "
+            + ", ".join(fam.label() for fam in fams)]
+    # the suite met every family once, each c and each xi
+    fams = [cellular.BasisFamily(kind, c=c) for kind in "mn" for c in cs] \
+        + [cellular.BasisFamily(kind, xi=xi) for kind in ("mxi", "nxi")
+           for xi in xis]
+    for fam in fams:
+        real = cellular.realization(ctx, fam)
+        assert reference_cellular.left_index_independent(ctx, real), fam
 
 
 def test_verify_cellular_above_the_size_limit_is_an_error(capsys):
