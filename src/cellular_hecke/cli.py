@@ -91,6 +91,20 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def _join_list_values(argv: list[str]) -> list[str]:
+    """
+    ``--omega -1,0`` as ``--omega=-1,0``: argparse takes ``-1,0`` for a flag.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--omega", "--c", "--xi") and (
+                tok[:1] == "-" and tok[1:2].isdecimal()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellular-hecke",
@@ -248,25 +262,19 @@ def cmd_crystal(cfg: JobConfig, args) -> tuple[bytes, int]:
     if depth < 0:
         raise ValueError(f"--depth must be >= 0, got {depth}")
     seen = crystal_mod.component_of_empty(cfg.omega, depth)
-    ordered = sorted(
-        seen.items(),
-        key=lambda kv: (kv[1], crystal_mod.gamma(kv[0]), kv[0].bits),
-    )
-    ids = {v: i for i, (v, _) in enumerate(ordered)}
-    labels = [
-        json.dumps(mp_to_lists(crystal_mod.gamma(v)),
-                   separators=(",", ":"))
-        for v, _ in ordered
-    ]
+    ordered = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
+    ids = {lam: i for i, (lam, _) in enumerate(ordered)}
     edges = sorted(
         (ids[src], str(j), ids[dst])
-        for src, j, dst in crystal_mod.crystal_edges(seen)
+        for src, j, dst in crystal_mod.crystal_edges(seen, cfg.omega)
     )
     if cfg.format == "dot":
+        labels = [json.dumps(mp_to_lists(lam), separators=(",", ":"))
+                  for lam, _ in ordered]
         return emit_dot(labels, edges), 0
     rows = [
-        {"node": i, "depth": ordered[i][1], "gamma": json.loads(labels[i])}
-        for i in range(len(ordered))
+        {"node": i, "depth": d, "gamma": mp_to_lists(lam)}
+        for i, (lam, d) in enumerate(ordered)
     ]
     rows += [
         {"edge": [src, dst], "color": int(color)} for src, color, dst in edges
@@ -633,6 +641,7 @@ def cmd_verify(cfg: JobConfig, args) -> tuple[bytes, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = _join_list_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)

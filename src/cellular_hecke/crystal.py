@@ -1,188 +1,116 @@
 """
-Crystal on tuples of 01-sequences over a finite integer window.
+Crystal on multipartitions: the good-box rule (Misra-Miwa; Kleshchev).
 
-A vertex is an ell-tuple of bit strings indexed by the window; component i
-carries a fixed number of ones. The lowering operator f_j moves a single
-one from position j to j+1 in the component selected by the usual signature
-rule: each component contributes '+' when its bits at (j, j+1) read (1, 0),
-'-' for (0, 1); opposite adjacent pairs cancel; f_j acts on the component
-of the first surviving '+'. The component of the empty label is reached by
-lowering alone.
+A vertex is a multipartition, and component i has the parameter omega_i, so
+its box in row a and column b (from 0) has residue omega_i + b - a. The
+lowering operator f_j adds one box of residue j, in the component selected
+by the usual signature rule: each component gives '+' when it has an
+addable box of residue j and '-' when it has a removable one; each '-'
+cancels the nearest open '+'; f_j adds the box of the first '+' left
+standing. The component of the empty label is reached by lowering alone.
 
 The components are read last to first (component ell first). That reading
 order is the one whose reachable labels agree with the Gram-rank computation
 on the algebra side, and the agreement is an executed test, not an
-assumption: at ell = 2 for omega = (0,1) and (0,0) at r <= 3 and for (1,0),
-(0,0) and (0,1) at r = 4, and at ell = 3 for omega = (0,0,1) and (0,1,5)
-at r <= 3. Read first to last, the labels already disagree at
-(r, omega) = (2, (0,1)).
+assumption: at ell = 2 for omega = (0,1) and (0,0) at r <= 3, for (-1,1)
+and (1,-1) at r = 2, 3 and for (1,0), (0,0) and (0,1) at r = 4, and at
+ell = 3 for omega = (0,0,1) and (0,1,5) at r <= 3 and for (2,0,0) at r = 2.
+Read first to last, the labels already disagree at (r, omega) = (2, (0,1)).
 
-Every vertex is untwisted: component i carries n_i = omega_i - lo + 1 ones.
+This is the crystal on ell-tuples of 01-sequences, each component with its
+ones at the positions p = omega_i + lam_a - a of its rows a, where f_j moves
+a one from j to j + 1 (the test reference keeps that model). The two agree:
+
+- moving a one from j to j + 1 adds one box of residue j to the row of that
+  one, and moving a one back from j + 1 to j removes one;
+- a partition has at most one addable or removable box of each residue, so
+  each component gives at most one sign per color, as a pair of bits does;
+- the reference's default window never binds it: at depth d the highest
+  one sits at max(omega) + d, below the window's top, and each component
+  has more ones than a label of d boxes has rows.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .combinatorics import Multipartition, is_partition
+from .combinatorics import Multipartition, Partition, trim
 
 
-class Window(namedtuple("Window", "lo hi")):
-    __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int):
-        if lo > hi:
-            raise ValueError("empty window")
-        return super().__new__(cls, lo, hi)
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
+def _addable(part: Partition) -> dict[int, int]:
+    """The addable boxes of ``part``: content (column minus row) to row."""
+    rows = part + (0,)
+    return {x - a: a for a, x in enumerate(rows) if a == 0 or rows[a - 1] > x}
 
 
-class ZeroOneTuple(namedtuple("ZeroOneTuple", "window bits")):
-    __slots__ = ()
-
-    def __new__(cls, window: Window, bits: tuple[tuple[int, ...], ...]):
-        for comp in bits:
-            if len(comp) != window.size:
-                raise ValueError("component length does not match window")
-            if any(b not in (0, 1) for b in comp):
-                raise ValueError("bits must be 0 or 1")
-        return super().__new__(cls, window, bits)
-
-    @property
-    def ell(self) -> int:
-        return len(self.bits)
-
-    def ones(self, i: int) -> tuple[int, ...]:
-        """Window positions of the ones in component i (ascending)."""
-        lo = self.window.lo
-        return tuple(lo + k for k, b in enumerate(self.bits[i]) if b)
+def _removable(part: Partition) -> list[int]:
+    """Contents (column minus row) of the removable boxes of ``part``."""
+    rows = part + (0,)
+    return [x - 1 - a for a, x in enumerate(part) if rows[a + 1] < x]
 
 
-def crystal_f(v: ZeroOneTuple, j: int) -> ZeroOneTuple | None:
+def _colors(lam: Multipartition, omega: tuple[int, ...]) -> set[int]:
+    """Residues of the addable boxes: the only colors f_j can act on."""
+    return {w + d for w, part in zip(omega, lam) for d in _addable(part)}
+
+
+def crystal_f(lam: Multipartition, omega: tuple[int, ...],
+              j: int) -> Multipartition | None:
     """
     Lowering operator of color j; None when undefined. The component is the
     first '+' that survives cancellation, reading the components last to
-    first, and its one moves from j to j + 1.
+    first, and it gains its addable box of residue j.
     """
-    if not v.window.lo <= j < v.window.hi:
-        raise ValueError(f"color {j} outside window")
-    k = j - v.window.lo
     plus_stack: list[int] = []
-    for i in range(v.ell - 1, -1, -1):
-        a, b = v.bits[i][k], v.bits[i][k + 1]
-        if (a, b) == (1, 0):
+    for i in range(len(lam) - 1, -1, -1):
+        if j - omega[i] in _addable(lam[i]):
             plus_stack.append(i)
-        elif (a, b) == (0, 1) and plus_stack:
+        elif j - omega[i] in _removable(lam[i]) and plus_stack:
             plus_stack.pop()
     if not plus_stack:
         return None
     i = plus_stack[0]
-    bits = list(v.bits)
-    bits[i] = bits[i][:k] + (0, 1) + bits[i][k + 2:]
-    return ZeroOneTuple(v.window, tuple(bits))
-
-
-def ones_counts(omega: tuple[int, ...], window: Window) -> tuple[int, ...]:
-    """Number of ones each component carries: n_i = omega_i - lo + 1."""
-    n = tuple(w - window.lo + 1 for w in omega)
-    if any(k < 1 for k in n):
-        raise ValueError("window starts above some parameter")
-    if any(k > window.size for k in n):
-        raise ValueError("window too small for the parameters")
-    return n
-
-
-def empty_label(omega: tuple[int, ...], window: Window) -> ZeroOneTuple:
-    """
-    The vertex mapping to the empty multipartition: each component has its
-    ones at the lowest window positions.
-    """
-    counts = ones_counts(omega, window)
-    bits = tuple(
-        tuple(1 if k < cnt else 0 for k in range(window.size))
-        for cnt in counts
-    )
-    return ZeroOneTuple(window, bits)
-
-
-def gamma(v: ZeroOneTuple) -> Multipartition:
-    """
-    Multipartition of a vertex: per component, the one-positions in
-    descending order minus those of the empty-label vertex (the staircase
-    lo + m - 1, ..., lo for m ones), trailing zeros dropped.
-    """
-    lo = v.window.lo
-    out = []
-    for i in range(v.ell):
-        pos = v.ones(i)
-        m = len(pos)
-        part = tuple(p - (lo + m - 1 - k)
-                     for k, p in enumerate(reversed(pos)))
-        while part and part[-1] == 0:
-            part = part[:-1]
-        if not is_partition(part):
-            raise ValueError(
-                f"component {i} does not normalize to a partition: {part}"
-            )
-        out.append(part)
-    return tuple(out)
-
-
-def default_window(omega: tuple[int, ...], r: int) -> Window:
-    """
-    lo = min(omega) - r, so every component can host r rows (the label
-    classification needs that much room), and hi = max(omega) + r + 1
-    enlarged until the window holds at least twice the largest ones count.
-    """
-    lo = min(omega) - max(r, 1)
-    hi = max(omega) + r + 1
-    max_n = max(omega) - lo + 1
-    hi = max(hi, lo + 2 * max_n - 1)
-    return Window(lo, hi)
+    a = _addable(lam[i])[j - omega[i]]
+    part = lam[i] + (0,)
+    part = part[:a] + (part[a] + 1,) + part[a + 1:]
+    return lam[:i] + (trim(part),) + lam[i + 1:]
 
 
 def component_of_empty(omega: tuple[int, ...],
-                       r_max: int) -> dict[ZeroOneTuple, int]:
+                       r_max: int) -> dict[Multipartition, int]:
     """
-    Breadth-first closure of the empty-label vertex under all lowering
-    operators, up to depth ``r_max``, in ``default_window(omega, r_max)``;
-    maps each vertex to its depth.
+    Breadth-first closure of the empty label under all lowering operators,
+    up to depth ``r_max``; maps each vertex to its depth, its number of boxes.
     """
-    window = default_window(omega, r_max)
-    start = empty_label(omega, window)
-    seen: dict[ZeroOneTuple, int] = {start: 0}
+    start = ((),) * len(omega)
+    seen: dict[Multipartition, int] = {start: 0}
     frontier = [start]
     for depth in range(1, r_max + 1):
         nxt = []
-        for v in frontier:
-            for j in range(window.lo, window.hi):
-                w = crystal_f(v, j)
-                if w is not None and w not in seen:
-                    seen[w] = depth
-                    nxt.append(w)
+        for lam in frontier:
+            for j in _colors(lam, omega):
+                mu = crystal_f(lam, omega, j)
+                if mu is not None and mu not in seen:
+                    seen[mu] = depth
+                    nxt.append(mu)
         frontier = nxt
     return seen
 
 
-def crystal_edges(vertices: dict[ZeroOneTuple, int]
-                  ) -> list[tuple[ZeroOneTuple, int, ZeroOneTuple]]:
+def crystal_edges(vertices: dict[Multipartition, int], omega: tuple[int, ...]
+                  ) -> list[tuple[Multipartition, int, Multipartition]]:
     """All colored edges of the lowering graph within the given vertex set."""
     out = []
-    for v in vertices:
-        for j in range(v.window.lo, v.window.hi):
-            w = crystal_f(v, j)
-            if w is not None and w in vertices:
-                out.append((v, j, w))
+    for lam in vertices:
+        for j in _colors(lam, omega):
+            mu = crystal_f(lam, omega, j)
+            if mu is not None and mu in vertices:
+                out.append((lam, j, mu))
     return out
 
 
 def nonzero_labels(omega: tuple[int, ...], r: int) -> set[Multipartition]:
     """
-    Labels of the nonvanishing untwisted simple modules: images of the
-    depth-r vertices of the empty-label component under gamma.
+    Labels of the nonvanishing untwisted simple modules: the depth-r
+    vertices of the empty-label component.
     """
     seen = component_of_empty(omega, r)
-    return {gamma(v) for v, depth in seen.items() if depth == r}
+    return {lam for lam, depth in seen.items() if depth == r}

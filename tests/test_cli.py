@@ -405,6 +405,22 @@ GOLDEN = [
         ("crystal", "--ell", "2", "--r", "2", "--omega", "0,1"), 0,
         "994b853a5c1b702e19ea656663afee2fad07bc3ff3305fd0f5884d2ca8255fc1",
         id="crystal"),
+    # the crystal in each format, past r, and at a negative parameter
+    pytest.param(
+        ("crystal", "--ell", "3", "--r", "4", "--omega", "0,1,2",
+         "--format", "dot"), 0,
+        "40cec5510ff7c84807fc666dcc7278b0330f4a129119faba6bd9654b19df6fd2",
+        id="crystal-e3r4-dot"),
+    pytest.param(
+        ("crystal", "--ell", "2", "--r", "2", "--omega", "0,1",
+         "--depth", "12"), 0,
+        "3803ae5203b7575c26a96486d7e80b5be1f3691ee3f502073f59b4fdb0589359",
+        id="crystal-e2-depth12"),
+    pytest.param(
+        ("crystal", "--ell", "3", "--r", "3", "--omega=1,1,-1",
+         "--format", "csv"), 0,
+        "091c077963eef296d07938a5baca13779dccfc84ab12f4ba446aed2f75734fdf",
+        id="crystal-e3r3-negative-csv"),
     # Gram forms of a twisted family and of a permuted-parameter family
     pytest.param(
         ("gram", "--ell", "2", "--r", "3", "--omega", "0,1", "--family", "m",
@@ -676,6 +692,16 @@ def test_config_refused_with_exit_2(tmp_path, capsys, content, err):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("config error: " + err + ": ")
+
+
+def test_list_flag_takes_a_negative_first_entry(capsysbinary):
+    # argparse reads "-1,0" as an option, so main joins it to its flag
+    assert main(["list", "--ell", "2", "--r", "1", "--omega", "-1,0"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == (
+        "8a6abef419c3e1fc9d0d681f1e8e3c2191a083f38307aafe3e38fca1a68bb028")
+    assert main(["list", "--ell", "2", "--r", "1", "--omega=-1,0"]) == 0
+    assert capsysbinary.readouterr().out == out
 
 
 def test_usage_error_exit_2(capsys):

@@ -1,9 +1,8 @@
 """
-The value types behind the CLI's output. ``BasisFamily``, ``Window``,
-``ZeroOneTuple`` and ``XiContext`` are tuples of their fields: they key the
-per-context caches and label sets, so their hashes and equality fix every
-set and dict iteration order behind stdout. Each refuses a bad field in its
-constructor.
+The value types behind the CLI's output. ``BasisFamily`` and ``XiContext``
+are tuples of their fields: they key the per-context caches and label sets,
+so their hashes and equality fix every set and dict iteration order behind
+stdout. Each refuses a bad field in its constructor.
 """
 
 import re
@@ -11,7 +10,6 @@ import re
 import pytest
 
 from cellular_hecke.cellular import BasisFamily, family_m, family_m_xi, family_n
-from cellular_hecke.crystal import Window, ZeroOneTuple
 from cellular_hecke.label_maps import XiContext
 from cellular_hecke.serialization import FIELDS
 
@@ -31,12 +29,6 @@ from cellular_hecke.serialization import FIELDS
                  "mxi/nxi family takes no c", id="mxi-with-c"),
     pytest.param(lambda: BasisFamily("q", c=(0, 1)),
                  "unknown family kind 'q'", id="unknown-kind"),
-    pytest.param(lambda: Window(3, 2), "empty window", id="empty-window"),
-    pytest.param(lambda: ZeroOneTuple(Window(0, 2), ((1, 0),)),
-                 "component length does not match window",
-                 id="component-length"),
-    pytest.param(lambda: ZeroOneTuple(Window(0, 1), ((1, 0), (2, 0))),
-                 "bits must be 0 or 1", id="bits-not-01"),
     pytest.param(lambda: XiContext((0, 1), (1, 2), 0),
                  "omega must be weakly decreasing", id="omega-increasing"),
     pytest.param(lambda: XiContext((1, 0), (1, 1), 0),
@@ -58,9 +50,6 @@ def test_constructor_refuses_a_bad_field(make, message):
     pytest.param(family_m((0, 1)), ("m", (0, 1), None), id="BasisFamily-m"),
     pytest.param(family_m_xi((2, 1)), ("mxi", None, (2, 1)),
                  id="BasisFamily-mxi"),
-    pytest.param(Window(-1, 4), (-1, 4), id="Window"),
-    pytest.param(ZeroOneTuple(Window(0, 1), ((1, 0),)),
-                 (Window(0, 1), ((1, 0),)), id="ZeroOneTuple"),
     pytest.param(XiContext((3, 2, 2), (2, 1, 3), 1), ((3, 2, 2), (2, 1, 3), 1),
                  id="XiContext"),
 ])
